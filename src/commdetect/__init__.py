@@ -20,7 +20,6 @@ from .agglomerative import (
 from .fastgreedy import (
     DeltaQStore,
     GlobalHeap,
-    best_join,
     fastgreedy,
     init_fastgreedy,
     join,
@@ -96,7 +95,6 @@ __all__ = [
     "DeltaQStore",
     "GlobalHeap",
     "init_fastgreedy",
-    "best_join",
     "join",
     "fastgreedy",
 ]

@@ -3,10 +3,16 @@
 Starting from singleton communities, the pair whose merge increases
 modularity the most is joined repeatedly. The pairwise gains live in a
 sparse symmetric store holding entries only for community pairs that
-share at least one edge, and a single global max-heap over every stored
-cell picks the next join; superseded heap entries are dropped lazily
-when popped. Gains are updated in place after each join instead of being
-recomputed, so one full run costs roughly O(m log n) heap traffic.
+share at least one edge, and a single global max-heap over the store's
+cells picks the next join. Gains are updated in place after each join
+instead of being recomputed.
+
+A queued gain is an upper bound on its cell's current gain, in the lazy
+style of accelerated greedy (Minoux; CELF in Leskovec et al. 2007): a
+join pushes only cells it creates or whose gain rises, never a falling
+gain. Selection re-queues stale bounds at the top until the top is
+exact, then reads the band of gains tied with that maximum in place in
+the heap array, so a tie group is never drained and re-pushed.
 """
 
 import heapq
@@ -18,7 +24,6 @@ __all__ = [
     "DeltaQStore",
     "GlobalHeap",
     "init_fastgreedy",
-    "best_join",
     "join",
     "fastgreedy",
 ]
@@ -60,64 +65,67 @@ class DeltaQStore:
 
 
 class GlobalHeap:
-    """One max-heap over every store cell, with lazy staleness checks.
+    """One max-heap over the store's cells, keyed on upper bounds.
 
-    Every push stamps the entry with a per-pair version counter; bumping
-    the counter (on update or retirement) invalidates whatever entries
-    for that pair are still queued. Stale entries are discarded for good
-    the moment they surface.
+    Every live cell has at least one queued entry whose gain is at least
+    the cell's current gain, so a cell only needs a new entry when its
+    gain rises or it is created. Entries of retired cells, and bounds
+    above their cell's current gain, are dealt with lazily by `pop_best`.
     """
 
-    def __init__(self):
+    def __init__(self, store):
+        self._store = store
         self._entries = []
-        self._version = {}
-
-    @staticmethod
-    def _key(i, j):
-        return (i, j) if i < j else (j, i)
 
     def push(self, i, j, dq):
-        key = self._key(i, j)
-        version = self._version.get(key, 0) + 1
-        self._version[key] = version
-        heapq.heappush(self._entries, (-dq, key[0], key[1], version))
-
-    def invalidate(self, i, j):
-        key = self._key(i, j)
-        if key in self._version:
-            self._version[key] += 1
-
-    def _pop_valid(self):
-        while self._entries:
-            neg_dq, i, j, version = heapq.heappop(self._entries)
-            if self._version.get((i, j)) == version:
-                return i, j, -neg_dq
-        return None
+        if i > j:
+            i, j = j, i
+        heapq.heappush(self._entries, (-dq, i, j))
 
     def pop_best(self):
         """Return (i, j, dq) for the best current pair, or None if empty.
 
         Pairs whose gains sit within _TIE_EPS of the maximum count as
-        tied and the smallest (i, j) among them wins; the rest go back
-        on the heap.
+        tied and the smallest (i, j) among them wins. Stale bounds on top
+        of the heap are re-queued at their current gain until the top is
+        exact, which makes it the maximum M; the tie band is then read in
+        place by walking the heap array and pruning every subtree whose
+        bound is below M - _TIE_EPS. The chosen pair stays queued until
+        joining it retires the cell.
         """
-        first = self._pop_valid()
-        if first is None:
-            return None
-        group = [first]
-        while True:
-            entry = self._pop_valid()
-            if entry is None:
-                break
-            if entry[2] >= first[2] - _TIE_EPS:
-                group.append(entry)
+        entries = self._entries
+        rows = self._store.rows
+        while entries:
+            neg_bound, i, j = entries[0]
+            row = rows.get(i)
+            if row is None or j not in row:
+                heapq.heappop(entries)
+            elif row[j] < -neg_bound:
+                heapq.heappop(entries)
+                self.push(i, j, row[j])
             else:
-                self.push(*entry)
                 break
-        group.sort()
-        for entry in group[1:]:
-            self.push(*entry)
-        return group[0]
+        else:
+            return None
+        floor = -entries[0][0] - _TIE_EPS
+        best = None
+        stack = [0]
+        size = len(entries)
+        while stack:
+            k = stack.pop()
+            neg_bound, i, j = entries[k]
+            if -neg_bound < floor:
+                continue
+            if best is None or (i, j) < best[:2]:
+                row = rows.get(i)
+                if row is not None and j in row and row[j] >= floor:
+                    best = (i, j, row[j])
+            child = 2 * k + 1
+            if child < size:
+                stack.append(child)
+                if child + 1 < size:
+                    stack.append(child + 1)
+        return best
 
     def __len__(self):
         return len(self._entries)
@@ -138,21 +146,12 @@ def init_fastgreedy(g):
     two_m = 2.0 * m
     a = {i: g.weighted_degree(i) / two_m for i in range(g.node_count)}
     store = DeltaQStore(g.node_count)
-    heap = GlobalHeap()
+    heap = GlobalHeap(store)
     for u, v, w in g.edges():
         dq = w / m - 2.0 * a[u] * a[v]
         store.set(u, v, dq)
         heap.push(u, v, dq)
     return store, heap, a
-
-
-def best_join(store, heap):
-    """Pop the highest-gain live pair, or None when no pair is joinable.
-
-    Ties on gain resolve to the smallest (i, j). Entries that no longer
-    match the store are discarded permanently as they surface.
-    """
-    return heap.pop_best()
 
 
 def _apply_join(store, heap, a, i, j, dq):
@@ -164,6 +163,8 @@ def _apply_join(store, heap, a, i, j, dq):
       only i:      dq_ik - 2*a_j*a_k
       only j:      dq_jk - 2*a_i*a_k
     using the pre-merge weight fractions, after which a_j absorbs a_i.
+    Queued gains are upper bounds, so only a created cell or a rising gain
+    is pushed; the "only j" case always falls and is never re-queued.
     """
     row_i = store.rows[i]
     row_j = store.rows[j]
@@ -179,10 +180,9 @@ def _apply_join(store, heap, a, i, j, dq):
             new = row_i[k] - 2.0 * a_j * a[k]
         else:
             new = row_j[k] - 2.0 * a_i * a[k]
+        if not in_j or new > row_j[k]:
+            heap.push(j, k, new)
         store.set(j, k, new)
-        heap.push(j, k, new)
-    for k in row_i:
-        heap.invalidate(i, k)
     store.retire(i)
     a[j] = a_i + a_j
     del a[i]
@@ -225,7 +225,7 @@ def fastgreedy(g):
     merges = []
     step = 0
     while len(store.alive) > 1:
-        picked = best_join(store, heap)
+        picked = heap.pop_best()
         if picked is None:
             # Disconnected remnants: join the two lowest-numbered ones.
             i, j = sorted(store.alive)[:2]

@@ -5,6 +5,7 @@ works in terms of this module's value types: Graph, Partition, and
 NeighborMatrix.
 """
 
+import math
 import random
 from collections import deque
 from itertools import combinations
@@ -84,6 +85,13 @@ class Graph:
             adj[u][v] = w
             adj[v][u] = w
             m += w
+        # NaN and -inf fail the per-edge check above, so any other
+        # non-finite weight, or an overflowing sum, shows up here.
+        if m == math.inf:
+            for u, v, w in normalized:
+                if w == math.inf:
+                    raise ValueError(f"edge ({u}, {v}) has infinite weight")
+            raise ValueError("total edge weight overflows to infinity")
         self._n = node_count
         self._adj = adj
         self._edges = tuple(normalized)
@@ -242,8 +250,8 @@ def load_edge_list(source):
     `source` is a string or an iterable of lines. Blank lines and lines
     starting with '#' are ignored. Each remaining line is either "u v" or
     "u v w"; the weight defaults to 1. Node count is the highest id plus
-    one. Malformed lines, non-positive weights, and duplicate edges raise
-    ValueError naming the offending line.
+    one. Malformed lines, non-positive or non-finite weights, and duplicate
+    edges raise ValueError naming the offending line.
     """
     lines = source.splitlines() if isinstance(source, str) else source
     edges = []
@@ -268,10 +276,10 @@ def load_edge_list(source):
                 w = float(parts[2])
             except ValueError:
                 raise ValueError(f"line {lineno}: bad edge weight in {line!r}") from None
+            if not 0 < w < math.inf:
+                raise ValueError(f"line {lineno}: edge weight must be positive and finite, got {w}")
         else:
             w = 1.0
-        if not w > 0:
-            raise ValueError(f"line {lineno}: edge weight must be positive, got {w}")
         key = (u, v) if u <= v else (v, u)
         if key in seen:
             raise ValueError(f"line {lineno}: duplicate edge {key}")

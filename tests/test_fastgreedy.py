@@ -1,11 +1,25 @@
 """Greedy modularity agglomeration tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commdetect import Graph, fastgreedy, modularity
-from commdetect.fastgreedy import best_join, init_fastgreedy, join
+from commdetect.fastgreedy import _TIE_EPS, DeltaQStore, GlobalHeap, init_fastgreedy, join
 from helpers import path_graph, random_suite, star_graph, two_triangles
 from oracles import best_partition_exhaustive, greedy_merge_direct, modularity_direct
+
+
+def _joins(dend, n):
+    """The (i, j) label pairs of a dendrogram, in the oracle's labelling."""
+    label_of = {i: i for i in range(n)}
+    out = []
+    for merge in dend.merges:
+        li = label_of.pop(merge.left)
+        lj = label_of.pop(merge.right)
+        out.append((li, lj))
+        label_of[merge.merged] = lj
+    return out
 
 
 def test_init_reference_values():
@@ -41,20 +55,59 @@ def test_init_rejects_bad_graphs():
         init_fastgreedy(Graph(2, [(0, 0), (0, 1)]))
 
 
-def test_best_join_and_tie_break():
+def test_pop_best_and_tie_break():
     store, heap, a = init_fastgreedy(Graph(2, [(0, 1)]))
-    assert best_join(store, heap) == (0, 1, pytest.approx(0.5, abs=1e-12))
+    assert heap.pop_best() == (0, 1, pytest.approx(0.5, abs=1e-12))
 
     # two disjoint unit edges: both pairs gain the same, smallest wins
     store, heap, a = init_fastgreedy(Graph(4, [(0, 1), (2, 3)]))
-    picked = best_join(store, heap)
+    picked = heap.pop_best()
     assert picked[:2] == (0, 1)
     join(store, heap, a, *picked[:2])
-    picked = best_join(store, heap)
+    picked = heap.pop_best()
     assert picked[:2] == (2, 3)
     join(store, heap, a, *picked[:2])
     # the two remaining communities share no edge: nothing joinable
-    assert best_join(store, heap) is None
+    assert heap.pop_best() is None
+
+
+def test_falling_gain_is_not_requeued():
+    # path 0-1-2, join(0,1): cell (1, 2) only loses 2*a_0*a_2
+    store, heap, a = init_fastgreedy(path_graph(3))
+    before = len(heap)
+    join(store, heap, a, 0, 1)
+    assert len(heap) == before
+
+
+def test_pop_best_reads_tie_band_in_place():
+    top = 0.25
+    store = DeltaQStore(6)
+    heap = GlobalHeap(store)
+    # the maximum, at the larger pair
+    store.set(2, 3, top)
+    heap.push(2, 3, top)
+    # a smaller pair tied with it, less than _TIE_EPS below
+    store.set(0, 4, top - _TIE_EPS / 2)
+    heap.push(0, 4, top - _TIE_EPS / 2)
+    # stale bounds: one above the maximum, one inside the tie band
+    store.set(0, 1, 0.1)
+    heap.push(0, 1, 0.5)
+    store.set(0, 2, 0.1)
+    heap.push(0, 2, top - _TIE_EPS / 4)
+    assert heap.pop_best() == (0, 4, top - _TIE_EPS / 2)
+    assert (-0.1, 0, 1) in heap._entries
+    assert (-0.5, 0, 1) not in heap._entries
+
+
+def test_pop_best_with_only_retired_entries_is_none():
+    store = DeltaQStore(3)
+    heap = GlobalHeap(store)
+    for i, j in ((0, 1), (1, 2)):
+        store.set(i, j, 0.1)
+        heap.push(i, j, 0.1)
+    store.retire(1)
+    assert heap.pop_best() is None
+    assert len(heap) == 0
 
 
 def test_join_validation():
@@ -100,7 +153,7 @@ def test_store_heap_and_mass_invariants_every_step():
                 assert dq == pytest.approx(
                     modularity_direct(g, merged) - q_now, abs=1e-9
                 )
-            picked = best_join(store, heap)
+            picked = heap.pop_best()
             if picked is None:
                 break
             i, j, dq = picked
@@ -142,14 +195,7 @@ def test_fastgreedy_matches_naive_greedy_oracle():
     for g in random_suite(30, 2, 10, (0.2, 0.5), 12000):
         dend, best, best_q = fastgreedy(g)
         joins, q_after, oracle_best_q, _ = greedy_merge_direct(g)
-        label_of = {i: i for i in range(g.node_count)}
-        got = []
-        for merge in dend.merges:
-            li = label_of.pop(merge.left)
-            lj = label_of.pop(merge.right)
-            got.append((li, lj))
-            label_of[merge.merged] = lj
-        assert got == joins
+        assert _joins(dend, g.node_count) == joins
         two_m = 2.0 * g.total_weight
         q = -sum((g.weighted_degree(i) / two_m) ** 2 for i in range(g.node_count))
         for merge, expected_q in zip(dend.merges, q_after):
@@ -164,3 +210,29 @@ def test_fastgreedy_karate_regression(karate):
     assert best.num_communities == 3
     assert len(dend.merges) == 33
     assert modularity(karate, best) == pytest.approx(best_q, abs=1e-12)
+
+
+@st.composite
+def small_integer_weighted_graphs(draw):
+    """Graphs of up to 11 nodes with weights 1-3, which produce exact ties."""
+    n = draw(st.integers(2, 11))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(chosen), max_size=len(chosen)))
+    return Graph(n, [(u, v, w) for (u, v), w in zip(chosen, weights)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_integer_weighted_graphs())
+def test_fastgreedy_matches_oracle_on_integer_weight_ties(g):
+    dend, best, best_q = fastgreedy(g)
+    joins, _, oracle_best_q, _ = greedy_merge_direct(g)
+    assert _joins(dend, g.node_count) == joins
+    two_m = 2.0 * g.total_weight
+    q = -sum(x * x for x in (g.weighted_degree(i) / two_m for i in range(g.node_count)))
+    running = [q]
+    for merge in dend.merges:
+        q += merge.distance
+        running.append(q)
+    assert best_q == max(running)
+    assert best_q == pytest.approx(oracle_best_q, abs=1e-9)

@@ -43,6 +43,11 @@ def test_graph_rejects_bad_edges():
         Graph(2, [(0, 1, -3.0)])
     with pytest.raises(ValueError):
         Graph(2, [(0, 1, math.nan)])
+    for w in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\)"):
+            Graph(3, [(1, 2), (0, 1, w)])
+    with pytest.raises(ValueError, match="overflows"):
+        Graph(3, [(0, 1, 1e308), (1, 2, 1e308)])
     with pytest.raises(ValueError):
         Graph(-1)
 
@@ -101,6 +106,10 @@ def test_load_edge_list_errors_name_the_line():
         load_edge_list("0 1\n1 0")
     with pytest.raises(ValueError, match="line 1"):
         load_edge_list("-1 0")
+    with pytest.raises(ValueError, match="line 1.*finite"):
+        load_edge_list("0 1 inf\n1 2 1\n2 3 1\n")
+    with pytest.raises(ValueError, match="line 2"):
+        load_edge_list("0 1\n1 2 nan\n")
 
 
 def test_load_edge_list_accepts_line_iterables():
