@@ -8,7 +8,9 @@ a chosen linkage and the merge history is kept as a dendrogram that can
 be cut into a flat partition.
 """
 
+import heapq
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -118,42 +120,47 @@ def linkage_distance(kind, cluster_a, cluster_b, pairwise):
 def agglomerate(g, kind, self_neighboring=False):
     """Merge clusters greedily until one remains; return the dendrogram.
 
-    All pairwise node distances are computed once up front; inter-cluster
-    linkage values are recomputed from that matrix at every step. The pair
-    with the smallest linkage distance is merged, ties going to the
-    lexicographically smallest (min cluster id, max cluster id) pair, so
-    the merge sequence is deterministic. Requires a simple graph with at
-    least one node.
+    Edge weights are ignored. Node distances are computed once; a merge
+    builds the new cluster's linkage row from its parts' rows by the
+    Lance-Williams rules (min, max, or the integer sum of pair distances
+    for average linkage, keyed on sum / pair count). A lazy heap of
+    (distance, a, b) picks the closest pair, ties going to the smallest
+    (min cluster id, max cluster id) pair, so the merge sequence is
+    deterministic. O(n^2 log n) time, O(n^2) memory. Requires a simple
+    graph with at least one node.
     """
     kind = Linkage(kind)
     n = g.node_count
     if n < 1:
         raise ValueError("agglomeration requires at least one node")
     nm = neighbor_matrix(g, self_neighboring)
-    dist = {}
+    rows = {i: {} for i in range(n)}
+    heap = []
     for i in range(n):
         for j in range(i + 1, n):
-            dist[(i, j)] = euclidean_distance(nm, i, j)
-
-    def pairwise(a, b):
-        return dist[(a, b) if a < b else (b, a)]
-
-    clusters = {i: (i,) for i in range(n)}
+            d = euclidean_distance(nm, i, j)
+            rows[i][j] = rows[j][i] = d
+            heap.append((d, i, j))
+    heapq.heapify(heap)
+    average = kind is Linkage.AVERAGE
+    combine = {Linkage.SINGLE: min, Linkage.COMPLETE: max}.get(kind, operator.add)
+    size = [1] * n
     merges = []
     for step in range(n - 1):
-        active = sorted(clusters)
-        best = None
-        for ai in range(len(active)):
-            for bi in range(ai + 1, len(active)):
-                a, b = active[ai], active[bi]
-                d = linkage_distance(kind, clusters[a], clusters[b], pairwise)
-                key = (d, a, b)
-                if best is None or key < best:
-                    best = key
-        d, a, b = best
-        merged = n + step
-        merges.append(Merge(a, b, merged, float(d), step))
-        clusters[merged] = clusters.pop(a) + clusters.pop(b)
+        # Pairs of two live clusters never change, so the first live
+        # entry is the smallest (d, a, b) over all live pairs.
+        d, a, b = heapq.heappop(heap)
+        while a not in rows or b not in rows:
+            d, a, b = heapq.heappop(heap)
+        m = n + step
+        merges.append(Merge(a, b, m, float(d), step))
+        del rows[a], rows[b]
+        size.append(size[a] + size[b])
+        row_m = {}
+        for k, row_k in rows.items():
+            v = row_m[k] = row_k[m] = combine(row_k.pop(a), row_k.pop(b))
+            heapq.heappush(heap, (v / (size[m] * size[k]) if average else v, k, m))
+        rows[m] = row_m
     return Dendrogram(n, tuple(merges))
 
 

@@ -51,6 +51,10 @@ _REQUIRED = {
 }
 
 
+# Algorithms that read the graph by hop count and ignore edge weights.
+_UNWEIGHTED = ("agglomerative", "girvan-newman", "girvan-newman-static")
+
+
 class CliError(Exception):
     pass
 
@@ -84,6 +88,13 @@ def load_dataset(spec):
         except ValueError as exc:
             raise CliError(str(exc)) from None
     raise CliError(f"unknown dataset {spec!r}")
+
+
+def _check_unweighted(algorithm, g):
+    if algorithm in _UNWEIGHTED:
+        for u, v, w in g.edges():
+            if w != 1.0:
+                raise CliError(f"{algorithm} is unweighted, but edge ({u}, {v}) has weight {w!r}")
 
 
 def _check_params(algorithm, provided):
@@ -153,6 +164,7 @@ def run_command(args):
     }
     _check_params(args.algorithm, params)
     g = load_dataset(args.dataset)
+    _check_unweighted(args.algorithm, g)
     files = []
     try:
         if args.algorithm == "agglomerative":
@@ -326,6 +338,7 @@ def bench_command(args):
             raise CliError(f"--variant is not a parameter of {args.algorithm}")
         _check_params(args.algorithm, params)
         variants = []
+    _check_unweighted(args.algorithm, g)
     workers = min(_thread_cap(), args.runs)
     try:
         report = bench(

@@ -10,7 +10,7 @@ and removes edges in decreasing order of that initial score.
 from collections import deque
 from dataclasses import dataclass
 
-from .graph import Graph, Partition, connected_components
+from .graph import Partition, connected_components
 
 __all__ = [
     "BfsTree",
@@ -136,11 +136,15 @@ def _pick_cut(scores):
 
 
 def _partition_from(adj):
-    n = len(adj)
-    remaining = [
-        (u, v, w) for u in range(n) for v, w in adj[u].items() if u <= v
-    ]
-    return connected_components(Graph(n, remaining))
+    # Components numbered in first-seen order, as connected_components does.
+    labels = [-1] * len(adj)
+    comp = 0
+    for start in range(len(adj)):
+        if labels[start] == -1:
+            for u in _component_nodes(adj, start):
+                labels[u] = comp
+            comp += 1
+    return Partition(labels)
 
 
 def girvan_newman(g, target_communities):
@@ -148,8 +152,9 @@ def girvan_newman(g, target_communities):
 
     Repeatedly removes the highest-betweenness edge and rescores the
     affected component(s) until the component count reaches the target or
-    no edges remain. Returns the final partition and the removal sequence
-    as (u, v, score) triples.
+    no edges remain. Shortest paths count hops, so edge weights are
+    ignored. Returns the final partition and the removal sequence as
+    (u, v, score) triples.
     """
     n = g.node_count
     if not 1 <= target_communities <= n:
@@ -178,7 +183,8 @@ def girvan_newman(g, target_communities):
 
 def girvan_newman_static(g, target_communities):
     """Like girvan_newman but never rescores: edges are removed in order
-    of decreasing initial betweenness until the target is reached."""
+    of decreasing initial betweenness until the target is reached. Edge
+    weights are ignored."""
     n = g.node_count
     if not 1 <= target_communities <= n:
         raise ValueError(f"target communities must lie in 1..{n}, got {target_communities}")

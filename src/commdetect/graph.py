@@ -66,7 +66,7 @@ class Graph:
                 w = 1.0
             else:
                 u, v, w = edge
-            if not (isinstance(u, int) and isinstance(v, int)):
+            if not (type(u) is int and type(v) is int):
                 raise ValueError(f"node ids must be integers, got ({u!r}, {v!r})")
             if not (0 <= u < node_count and 0 <= v < node_count):
                 raise ValueError(f"edge ({u}, {v}) outside node range 0..{node_count - 1}")

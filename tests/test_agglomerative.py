@@ -1,6 +1,8 @@
 """Hierarchical clustering, dendrogram, and HSL-cut tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commdetect import (
     Dendrogram,
@@ -14,7 +16,7 @@ from commdetect import (
     linkage_distance,
     neighbor_matrix,
 )
-from helpers import path_graph, random_suite
+from helpers import complete_graph, path_graph, random_suite, star_graph
 from oracles import agglomerate_direct
 
 
@@ -101,10 +103,42 @@ def test_agglomerate_matches_from_scratch_oracle():
             for self_neighboring in (False, True):
                 d = agglomerate(g, kind, self_neighboring)
                 expected = agglomerate_direct(g, kind, self_neighboring)
-                got = [(m.left, m.right) for m in d.merges]
-                assert got == [(a, b) for a, b, _ in expected]
-                for merge, (_, _, dist) in zip(d.merges, expected):
-                    assert merge.distance == pytest.approx(dist, abs=1e-12)
+                got = [(m.left, m.right, m.distance) for m in d.merges]
+                assert got == expected
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on 1..12 nodes; edgeless, complete and star graphs are all ties."""
+    n = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(("random", "edgeless", "complete", "star")))
+    if shape == "edgeless":
+        return Graph(n)
+    if shape == "complete":
+        return complete_graph(n)
+    if shape == "star":
+        return star_graph(n - 1)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [pair for pair, kept in zip(pairs, keep) if kept])
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), st.sampled_from(("single", "complete", "average")), st.booleans())
+def test_agglomerate_matches_oracle_property(g, kind, self_neighboring):
+    d = agglomerate(g, kind, self_neighboring)
+    got = [(m.left, m.right, m.distance) for m in d.merges]
+    assert got == agglomerate_direct(g, kind, self_neighboring)
+
+
+def test_average_linkage_ties_across_cluster_sizes():
+    # After {3,4} -> 6 and {0,2} -> 7, the pairs (5, 7) with pair-distance
+    # sum 3 over 1x2 members and (6, 7) with sum 6 over 2x2 members both
+    # sit at 1.5; the smaller (a, b) pair wins.
+    d = agglomerate(Graph(6, [(1, 3), (1, 4), (2, 5)]), "average")
+    assert [(m.left, m.right, m.distance) for m in d.merges] == [
+        (3, 4, 0.0), (0, 2, 1.0), (5, 7, 1.5), (6, 8, 5 / 3), (1, 9, 2.8),
+    ]
 
 
 def test_hsl_spec_validation():

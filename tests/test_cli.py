@@ -157,6 +157,40 @@ def test_run_random_and_edgelist_datasets(tmp_path):
     assert len(read_json(out)["labels"]) == 3
 
 
+def test_hop_count_algorithms_reject_weighted_datasets(tmp_path, capsys):
+    # 4-cycle with weights 100/0.01: hop-count algorithms would cut the
+    # heavy edge (0, 1) first, so they refuse the graph instead.
+    listing = tmp_path / "weighted.edgelist"
+    listing.write_text("0 1 100\n1 2 0.01\n2 3 100\n3 0 0.01\n", encoding="utf-8")
+    dataset = f"edgelist:{listing}"
+    out = tmp_path / "w.json"
+    params = {
+        "agglomerative": ["--linkage", "average", "--hsl-mode", "relative", "--hsl-value", "0.5"],
+        "girvan-newman": ["--target-communities", "2"],
+        "girvan-newman-static": ["--target-communities", "2"],
+    }
+    for algorithm, extra in params.items():
+        for command in ("run", "bench"):
+            assert run_cli(
+                command, "--algorithm", algorithm, "--dataset", dataset, *extra,
+                "--out", str(out),
+            ) == 1
+            err = capsys.readouterr().err
+            assert algorithm in err and "edge (0, 1) has weight 100.0" in err
+            assert not out.exists()
+    for algorithm in ("louvain", "fastgreedy"):
+        extra = ["--variant", "Exp"] if algorithm == "louvain" else []
+        assert run_cli(
+            "run", "--algorithm", algorithm, "--dataset", dataset, *extra, "--out", str(out),
+        ) == 0
+
+    listing.write_text("0 1 1\n1 2 1.0\n2 3\n3 0\n", encoding="utf-8")
+    assert run_cli(
+        "run", "--algorithm", "girvan-newman", "--dataset", dataset,
+        "--target-communities", "2", "--out", str(out),
+    ) == 0
+
+
 def test_failed_write_leaves_no_partial_files(tmp_path, capsys):
     out = tmp_path / "part.json"
     # the derived dendrogram path is blocked by a directory, so the write

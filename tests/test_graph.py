@@ -52,6 +52,12 @@ def test_graph_rejects_bad_edges():
         Graph(-1)
 
 
+def test_graph_rejects_bool_node_ids():
+    for edge in ((True, 2), (0, False)):
+        with pytest.raises(ValueError, match=rf"\({edge[0]!r}, {edge[1]!r}\)"):
+            Graph(3, [(0, 1), edge])
+
+
 def test_graph_equality_and_hash():
     a = Graph(3, [(0, 1), (1, 2)])
     b = Graph(3, [(1, 2), (0, 1)])
