@@ -47,13 +47,11 @@ from .graph import (
 from .louvain import (
     AggregateGraph,
     CommunityState,
-    LouvainStats,
     LouvainVariant,
     aggregate,
     delta_q_insert,
     local_move_pass,
     louvain,
-    run_stats,
 )
 
 __version__ = "0.1.0"
@@ -86,12 +84,10 @@ __all__ = [
     "LouvainVariant",
     "CommunityState",
     "AggregateGraph",
-    "LouvainStats",
     "delta_q_insert",
     "local_move_pass",
     "aggregate",
     "louvain",
-    "run_stats",
     "DeltaQStore",
     "GlobalHeap",
     "init_fastgreedy",

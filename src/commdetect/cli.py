@@ -6,8 +6,6 @@ Subcommands:
   plot-data  flatten a bench report or a per-step trace into CSV
 
 Datasets are named as "karate", "edgelist:<path>", or "random:<n,p,seed>".
-The COMMDETECT_THREADS environment variable caps how many worker threads
-a bench sweep may use (default 1).
 """
 
 import argparse
@@ -15,6 +13,7 @@ import csv
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from .agglomerative import HslSpec, agglomerate, cut
 from .fastgreedy import fastgreedy
 from .girvan_newman import girvan_newman, girvan_newman_static
 from .graph import karate_club, load_edge_list, modularity, random_graph
-from .louvain import LouvainVariant, louvain, run_stats
+from .louvain import LouvainVariant, louvain
 
 _ALGORITHMS = (
     "agglomerative",
@@ -54,6 +53,10 @@ _REQUIRED = {
 # Algorithms that read the graph by hop count and ignore edge weights.
 _UNWEIGHTED = ("agglomerative", "girvan-newman", "girvan-newman-static")
 
+# random:N,P,SEED draws once per node pair: 3.2e7 draws at N = 8000,
+# 5e9 at N = 100000.
+_MAX_RANDOM_PAIRS = 5 * 10**7
+
 
 class CliError(Exception):
     pass
@@ -83,6 +86,11 @@ def load_dataset(spec):
             seed = int(parts[2])
         except ValueError:
             raise CliError(f"random dataset needs n,p,seed, got {body!r}") from None
+        pairs = n * (n - 1) // 2
+        if n > 0 and pairs > _MAX_RANDOM_PAIRS:
+            raise CliError(
+                f"random dataset {spec!r} has {pairs} node pairs; the limit is {_MAX_RANDOM_PAIRS}"
+            )
         try:
             return random_graph(n, p, seed)
         except ValueError as exc:
@@ -236,81 +244,78 @@ def _environment_note():
     return f"{platform.platform()} / Python {platform.python_version()}"
 
 
-def _timed_record(label, runs, fn):
+def run_stats(label, runs, one):
+    """Call `one(k)` for k in range(runs), one run after another; returns the record.
+
+    `one(k)` returns the Q of run k. The record holds every Q, their max,
+    min and mean, and the mean wall time per run; timing covers only the
+    calls.
+    """
+    if runs < 1:
+        raise ValueError("runs must be at least 1")
     qs = []
     times = []
-    for _ in range(runs):
+    for k in range(runs):
         start = time.perf_counter()
-        result = fn()
+        q = one(k)
         times.append(time.perf_counter() - start)
-        qs.append(result)
+        qs.append(q)
     return {
         "variant": label,
         "runs": runs,
         "q_values": qs,
         "max": max(qs),
         "min": min(qs),
-        "mean": sum(qs) / len(qs),
-        "mean_runtime_ms": sum(times) / len(times) * 1000.0,
+        "mean": statistics.fmean(qs),
+        "mean_runtime_ms": statistics.fmean(times) * 1000.0,
     }
 
 
-def bench(g, algorithm, variants, runs, base_seed, params=None, max_workers=1):
+def bench(g, algorithm, variants, runs, base_seed, params=None):
     """Benchmark one algorithm on one graph; returns a BenchReport.
 
-    For louvain each requested variant becomes one record built from
-    seeded runs; other algorithms are deterministic, so their record
-    repeats one configuration `runs` times for timing. The timing window
-    covers only algorithm execution.
+    For louvain each requested variant becomes one record of the runs
+    with seeds base_seed..base_seed+runs-1; other algorithms are
+    deterministic, so their record repeats one configuration `runs` times
+    for timing. Every record comes from run_stats.
     """
     params = params or {}
     records = []
     if algorithm == "louvain":
         for variant in variants:
-            stats = run_stats(g, variant, runs, base_seed, max_workers=max_workers)
-            records.append(stats.to_dict())
+            variant = LouvainVariant(variant)
+            records.append(run_stats(
+                variant.value, runs, lambda k: louvain(g, variant, base_seed + k)[1]
+            ))
     elif algorithm in ("girvan-newman", "girvan-newman-static"):
         fn = girvan_newman if algorithm == "girvan-newman" else girvan_newman_static
         target = params["target_communities"]
 
-        def one():
+        def one(_):
             part, _ = fn(g, target)
             return modularity(g, part) if g.total_weight > 0 else float("nan")
 
-        records.append(_timed_record(algorithm, runs, one))
+        records.append(run_stats(algorithm, runs, one))
     elif algorithm == "agglomerative":
         spec = HslSpec(params["hsl_mode"], params["hsl_value"])
         linkage = params["linkage"]
         self_neighboring = bool(params.get("self_neighboring"))
 
-        def one():
+        def one(_):
             part = cut(agglomerate(g, linkage, self_neighboring), spec)
             return modularity(g, part) if g.total_weight > 0 else float("nan")
 
-        records.append(_timed_record(algorithm, runs, one))
+        records.append(run_stats(algorithm, runs, one))
     elif algorithm == "fastgreedy":
 
-        def one():
+        def one(_):
             _, part, _ = fastgreedy(g)
             return modularity(g, part)
 
-        records.append(_timed_record(algorithm, runs, one))
+        records.append(run_stats(algorithm, runs, one))
     else:
         raise CliError(f"unknown algorithm {algorithm!r}")
     return BenchReport(_environment_note(), records)
-
-
-def _thread_cap():
-    raw = os.environ.get("COMMDETECT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise CliError(f"COMMDETECT_THREADS must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise CliError(f"COMMDETECT_THREADS must be at least 1, got {cap}")
-    return cap
 
 
 def bench_command(args):
@@ -339,12 +344,8 @@ def bench_command(args):
         _check_params(args.algorithm, params)
         variants = []
     _check_unweighted(args.algorithm, g)
-    workers = min(_thread_cap(), args.runs)
     try:
-        report = bench(
-            g, args.algorithm, variants, args.runs, args.seed,
-            params=params, max_workers=workers,
-        )
+        report = bench(g, args.algorithm, variants, args.runs, args.seed, params=params)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     _write_all([(args.out, _dump(report.to_dict()))])

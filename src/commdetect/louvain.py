@@ -19,9 +19,6 @@ Variants:
 """
 
 import random
-import statistics
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,12 +28,10 @@ __all__ = [
     "LouvainVariant",
     "CommunityState",
     "AggregateGraph",
-    "LouvainStats",
     "delta_q_insert",
     "local_move_pass",
     "aggregate",
     "louvain",
-    "run_stats",
 ]
 
 # A move must beat staying put by more than this to be applied.
@@ -137,8 +132,8 @@ def delta_q_insert(state, i, c):
     Evaluates [(sigma_in + 2*k_in)/2m - ((sigma_tot + k_i)/2m)^2] minus
     [sigma_in/2m - (sigma_tot/2m)^2 - (k_i/2m)^2] on the state's current
     bookkeeping. The value equals the true modularity difference exactly
-    when node i has been removed first, which is how local_move_pass
-    always calls it.
+    when node i has been removed first, which is how _best_move always
+    calls it.
     """
     if state.m == 0:
         raise ValueError("modularity gain is undefined for a graph with no edges")
@@ -152,24 +147,33 @@ def delta_q_insert(state, i, c):
     return after - before
 
 
-def _insertion_scores(state, i, candidates, use_total_formula):
-    """Score each candidate community for the removed node i.
+def _total_score(state, i, c):
+    """Modularity of the partition with the removed node i placed in c."""
+    state.assignment[i] = c
+    q = modularity(state.graph, state.assignment)
+    state.assignment[i] = None
+    return q
+
+
+def _best_move(state, i, c_old, use_total_formula=False):
+    """Best community for the removed node i, or c_old when no move pays.
 
     Closed-form scores are insertion gains; total-formula scores are full
     modularity values of the partition with i placed in the candidate.
-    Either way the argmax picks the same winner semantics, and the score
-    difference against the old community is the net change of the move.
+    Either way the score difference against c_old is the net change of
+    the move. Neighbouring communities are tried in ascending label order
+    and the first strict maximum wins; it is returned only when it beats
+    staying in c_old by more than _GAIN_EPS.
     """
-    scores = {}
-    if use_total_formula:
-        for c in candidates:
-            state.assignment[i] = c
-            scores[c] = modularity(state.graph, state.assignment)
-        state.assignment[i] = None
-    else:
-        for c in candidates:
-            scores[c] = delta_q_insert(state, i, c)
-    return scores
+    score_of = _total_score if use_total_formula else delta_q_insert
+    stay = best_score = score_of(state, i, c_old)
+    best_c = c_old
+    for c in sorted(state.neighbor_communities(i)):
+        if c != c_old:
+            score = score_of(state, i, c)
+            if score > best_score:
+                best_c, best_score = c, score
+    return best_c if best_score - stay > _GAIN_EPS else c_old
 
 
 def local_move_pass(state, order, use_total_formula=False):
@@ -183,19 +187,10 @@ def local_move_pass(state, order, use_total_formula=False):
     improved = False
     for i in order:
         c_old = state.remove(i)
-        candidates = state.neighbor_communities(i)
-        candidates.add(c_old)
-        scores = _insertion_scores(state, i, sorted(candidates), use_total_formula)
-        best_c = c_old
-        best_score = scores[c_old]
-        for c in sorted(scores):
-            if scores[c] > best_score and c != c_old:
-                best_c, best_score = c, scores[c]
-        if best_c != c_old and best_score - scores[c_old] > _GAIN_EPS:
-            state.insert(i, best_c)
+        c_new = _best_move(state, i, c_old, use_total_formula)
+        state.insert(i, c_new)
+        if c_new != c_old:
             improved = True
-        else:
-            state.insert(i, c_old)
     return state, improved
 
 
@@ -306,16 +301,9 @@ def _exp_proposals(state):
     proposals = []
     for i in range(state.graph.node_count):
         c_old = state.remove(i)
-        candidates = state.neighbor_communities(i)
-        candidates.add(c_old)
-        scores = {c: delta_q_insert(state, i, c) for c in candidates}
+        best_c = _best_move(state, i, c_old)
         state.insert(i, c_old)
-        best_c = c_old
-        best_score = scores[c_old]
-        for c in sorted(scores):
-            if scores[c] > best_score and c != c_old:
-                best_c, best_score = c, scores[c]
-        if best_c != c_old and best_score - scores[c_old] > _GAIN_EPS:
+        if best_c != c_old:
             proposals.append((c_old, best_c))
     return proposals
 
@@ -366,63 +354,3 @@ def louvain(g, variant, seed=0):
             labels, passes = _louvain_flat(g, rng, use_total)
     part = Partition(labels).canonicalize()
     return part, modularity(g, part), passes
-
-
-@dataclass
-class LouvainStats:
-    """Q and runtime statistics over repeated seeded runs of one variant."""
-
-    variant: str
-    runs: int
-    q_values: list
-    max: float
-    min: float
-    mean: float
-    mean_runtime_ms: float
-
-    def to_dict(self):
-        return {
-            "variant": self.variant,
-            "runs": self.runs,
-            "q_values": self.q_values,
-            "max": self.max,
-            "min": self.min,
-            "mean": self.mean,
-            "mean_runtime_ms": self.mean_runtime_ms,
-        }
-
-
-def _timed_run(g, variant, seed):
-    start = time.perf_counter()
-    _, q, _ = louvain(g, variant, seed)
-    elapsed = time.perf_counter() - start
-    return q, elapsed
-
-
-def run_stats(g, variant, runs, base_seed=0, max_workers=1):
-    """Run `louvain` with seeds base_seed..base_seed+runs-1 and summarize.
-
-    Timing covers only the optimization calls. With max_workers > 1 the
-    independent runs are fanned out to a thread pool; each run owns its
-    state exclusively.
-    """
-    variant = LouvainVariant(variant)
-    if runs < 1:
-        raise ValueError("runs must be at least 1")
-    seeds = range(base_seed, base_seed + runs)
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(lambda s: _timed_run(g, variant, s), seeds))
-    else:
-        results = [_timed_run(g, variant, s) for s in seeds]
-    qs = [q for q, _ in results]
-    times = [t for _, t in results]
-    return LouvainStats(
-        variant=variant.value,
-        runs=runs,
-        q_values=qs,
-        max=max(qs),
-        min=min(qs),
-        mean=statistics.fmean(qs),
-        mean_runtime_ms=statistics.fmean(times) * 1000.0,
-    )

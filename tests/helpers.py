@@ -2,6 +2,8 @@
 
 import random
 
+from hypothesis import strategies as st
+
 from commdetect import Graph, random_graph
 from commdetect.louvain import CommunityState, aggregate, delta_q_insert
 from oracles import modularity_direct
@@ -60,6 +62,17 @@ def random_suite(count, n_lo, n_hi, ps, base_seed, require_edges=True):
             continue
         out.append(g)
     return out
+
+
+@st.composite
+def small_integer_weighted_graphs(draw, max_nodes=11):
+    """Graphs of 2..max_nodes nodes and at least one edge, weights 1-3,
+    which produce exact ties."""
+    n = draw(st.integers(2, max_nodes))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    weights = draw(st.lists(st.integers(1, 3), min_size=len(chosen), max_size=len(chosen)))
+    return Graph(n, [(u, v, w) for (u, v), w in zip(chosen, weights)])
 
 
 def relabeled(g, perm):

@@ -2,9 +2,11 @@
 
 import csv
 import json
+import time
 
 import pytest
 
+from commdetect import cli
 from commdetect.cli import main
 
 
@@ -138,6 +140,28 @@ def test_run_rejects_bad_datasets(tmp_path, capsys):
         ) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+
+def test_run_rejects_oversized_random_dataset(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    start = time.perf_counter()
+    assert run_cli(
+        "run", "--algorithm", "louvain", "--dataset", "random:100000,0.0001,1",
+        "--variant", "Exp", "--out", str(out),
+    ) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "'random:100000,0.0001,1'" in err and "4999950000 node pairs" in err
+    assert not out.exists()
+
+
+def test_random_dataset_size_limit_boundary(monkeypatch):
+    # 10000 nodes is 49 995 000 pairs, just inside the 5e7 limit
+    monkeypatch.setattr(cli, "random_graph", lambda n, p, seed: (n, p, seed))
+    assert cli.load_dataset("random:10000,0.001,1") == (10000, 0.001, 1)
+    assert cli.load_dataset("random:8000,0.001,2") == (8000, 0.001, 2)
+    with pytest.raises(cli.CliError, match="random:10001,0.001,1"):
+        cli.load_dataset("random:10001,0.001,1")
 
 
 def test_run_random_and_edgelist_datasets(tmp_path):
@@ -281,32 +305,6 @@ def test_bench_other_algorithms(tmp_path):
         "bench", "--algorithm", "fastgreedy", "--dataset", "karate",
         "--variant", "normal", "--runs", "1", "--out", str(out),
     ) == 1
-
-
-def test_bench_thread_cap(tmp_path, capsys, monkeypatch):
-    out_seq = tmp_path / "seq.json"
-    out_par = tmp_path / "par.json"
-    monkeypatch.delenv("COMMDETECT_THREADS", raising=False)
-    assert run_cli(
-        "bench", "--dataset", "karate", "--variant", "normal",
-        "--runs", "4", "--out", str(out_seq),
-    ) == 0
-    monkeypatch.setenv("COMMDETECT_THREADS", "3")
-    assert run_cli(
-        "bench", "--dataset", "karate", "--variant", "normal",
-        "--runs", "4", "--out", str(out_par),
-    ) == 0
-    seq = read_json(out_seq)["records"][0]
-    par = read_json(out_par)["records"][0]
-    assert seq["q_values"] == par["q_values"]
-
-    for bad in ("0", "-2", "many"):
-        monkeypatch.setenv("COMMDETECT_THREADS", bad)
-        assert run_cli(
-            "bench", "--dataset", "karate", "--variant", "Exp",
-            "--runs", "1", "--out", str(out_par),
-        ) == 1
-        assert "COMMDETECT_THREADS" in capsys.readouterr().err
 
 
 def test_plot_data_from_report(tmp_path):

@@ -2,11 +2,16 @@
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from commdetect import Graph, fastgreedy, modularity
 from commdetect.fastgreedy import _TIE_EPS, DeltaQStore, GlobalHeap, init_fastgreedy, join
-from helpers import path_graph, random_suite, star_graph, two_triangles
+from helpers import (
+    path_graph,
+    random_suite,
+    small_integer_weighted_graphs,
+    star_graph,
+    two_triangles,
+)
 from oracles import best_partition_exhaustive, greedy_merge_direct, modularity_direct
 
 
@@ -210,16 +215,6 @@ def test_fastgreedy_karate_regression(karate):
     assert best.num_communities == 3
     assert len(dend.merges) == 33
     assert modularity(karate, best) == pytest.approx(best_q, abs=1e-12)
-
-
-@st.composite
-def small_integer_weighted_graphs(draw):
-    """Graphs of up to 11 nodes with weights 1-3, which produce exact ties."""
-    n = draw(st.integers(2, 11))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
-    weights = draw(st.lists(st.integers(1, 3), min_size=len(chosen), max_size=len(chosen)))
-    return Graph(n, [(u, v, w) for (u, v), w in zip(chosen, weights)])
 
 
 @settings(max_examples=150, deadline=None)

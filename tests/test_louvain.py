@@ -1,21 +1,25 @@
 """Local-move optimization, aggregation, and variant behavior tests."""
 
+import statistics
+
 import pytest
+from hypothesis import given, settings
 
 from commdetect import Graph, Partition, louvain, modularity
+from commdetect.cli import bench
 from commdetect.louvain import (
     CommunityState,
     LouvainVariant,
     aggregate,
     delta_q_insert,
     local_move_pass,
-    run_stats,
 )
 from helpers import (
     move_gain_checks,
     path_graph,
     random_suite,
     relabeled,
+    small_integer_weighted_graphs,
     two_triangles,
 )
 from oracles import modularity_direct
@@ -281,29 +285,39 @@ def test_exp_relabel_invariant_on_distinct_weights():
         assert back.canonicalize() == expected
 
 
-def test_run_stats_contract():
+def test_run_stats_contract(karate):
     g = two_triangles()
-    single = run_stats(g, "normal", 1, base_seed=5)
-    assert single.max == single.min == single.mean == single.q_values[0]
-    assert single.runs == 1
+    single = bench(g, "louvain", ("normal",), 1, 5).records[0]
+    assert single["max"] == single["min"] == single["mean"] == single["q_values"][0]
+    assert single["runs"] == 1
 
-    stats = run_stats(g, "noMerge", 6, base_seed=0)
-    assert len(stats.q_values) == 6
-    assert stats.max >= stats.mean >= stats.min
-    assert stats.mean_runtime_ms >= 0.0
-    assert stats.to_dict().keys() == {
+    stats = bench(g, "louvain", ("noMerge",), 6, 0).records[0]
+    assert len(stats["q_values"]) == 6
+    assert stats["max"] >= stats["mean"] >= stats["min"]
+    assert stats["mean_runtime_ms"] >= 0.0
+    assert stats.keys() == {
         "variant", "runs", "q_values", "max", "min", "mean", "mean_runtime_ms"
     }
-    assert stats.to_dict()["variant"] == "noMerge"
+    assert stats["variant"] == "noMerge"
 
-    exp = run_stats(g, "Exp", 5)
-    assert exp.max == exp.min
+    exp = bench(g, "louvain", ("Exp",), 5, 0).records[0]
+    assert exp["max"] == exp["min"]
 
     with pytest.raises(ValueError):
-        run_stats(g, "normal", 0)
+        bench(g, "louvain", ("normal",), 0, 0)
+
+    for variant in ALL_VARIANTS:
+        record = bench(karate, "louvain", (variant,), 4, 7).records[0]
+        assert record["variant"] == LouvainVariant(variant).value
+        assert record["q_values"] == [louvain(karate, variant, 7 + k)[1] for k in range(4)]
+    fg = bench(karate, "fastgreedy", (), 3, 0).records[0]
+    assert fg["mean"] == statistics.fmean(fg["q_values"])
 
 
-def test_run_stats_threaded_matches_sequential(karate):
-    seq = run_stats(karate, "normal", 8, base_seed=42, max_workers=1)
-    par = run_stats(karate, "normal", 8, base_seed=42, max_workers=4)
-    assert par.q_values == seq.q_values
+@settings(max_examples=100, deadline=None)
+@given(small_integer_weighted_graphs(max_nodes=12))
+def test_reported_q_is_the_modularity_of_the_labels(g):
+    for variant in ALL_VARIANTS:
+        part, q, _ = louvain(g, variant, 0)
+        assert q == pytest.approx(modularity_direct(g, part.labels), abs=1e-12)
+    assert louvain(g, "Exp", 1)[0] == louvain(g, "Exp", 2)[0]
