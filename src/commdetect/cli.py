@@ -248,8 +248,8 @@ def run_stats(label, runs, one):
     """Call `one(k)` for k in range(runs), one run after another; returns the record.
 
     `one(k)` returns the Q of run k. The record holds every Q, their max,
-    min and mean, and the mean wall time per run; timing covers only the
-    calls.
+    min and mean, and the mean, min and median wall time per run; timing
+    covers only the calls.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
@@ -268,6 +268,8 @@ def run_stats(label, runs, one):
         "min": min(qs),
         "mean": statistics.fmean(qs),
         "mean_runtime_ms": statistics.fmean(times) * 1000.0,
+        "min_runtime_ms": min(times) * 1000.0,
+        "median_runtime_ms": statistics.median(times) * 1000.0,
     }
 
 

@@ -357,9 +357,12 @@ def modularity(g, partition):
     two_m = 2.0 * m
     sigma_in = {}
     sigma_tot = {}
-    for i in range(g.node_count):
+    # Degrees as Graph.weighted_degree computes them, read straight from
+    # the adjacency: the total-formula Louvain variants call this once per
+    # candidate move, and the per-node range check is redundant here.
+    for i, adj in enumerate(g._adj):
         c = labels[i]
-        sigma_tot[c] = sigma_tot.get(c, 0.0) + g.weighted_degree(i)
+        sigma_tot[c] = sigma_tot.get(c, 0.0) + (sum(adj.values()) + adj.get(i, 0.0))
     for u, v, w in g.edges():
         if labels[u] == labels[v]:
             c = labels[u]

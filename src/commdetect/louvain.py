@@ -53,6 +53,10 @@ class CommunityState:
     intra-community edge weight, self-loops counting twice) and sigma_tot
     (the sum of member weighted degrees). Removing and re-inserting a node
     into the same community restores every field.
+
+    A node visit scans the node's adjacency once: neighbor_weights collects
+    the link weight to every neighbouring community, and remove, insert and
+    delta_q_insert take their k_in from it instead of rescanning.
     """
 
     def __init__(self, graph, assignment=None):
@@ -79,27 +83,40 @@ class CommunityState:
     def community_of(self, i):
         return self.assignment[i]
 
+    def neighbor_weights(self, i):
+        """{community: weight of node i's edges into it}, own self-loop excluded.
+
+        One adjacency pass, adding in adjacency order from 0 as `sum` does.
+        """
+        assignment = self.assignment
+        weights = {}
+        for j, w in self.graph.neighbors(i).items():
+            if j != i:
+                c = assignment[j]
+                weights[c] = weights.get(c, 0) + w
+        return weights
+
     def k_in(self, i, c):
         """Weight of edges from node i to community c, own self-loop excluded."""
-        assignment = self.assignment
-        return sum(
-            w for j, w in self.graph.neighbors(i).items()
-            if j != i and assignment[j] == c
-        )
+        return self.neighbor_weights(i).get(c, 0)
 
     def neighbor_communities(self, i):
-        assignment = self.assignment
-        return {assignment[j] for j in self.graph.neighbors(i) if j != i}
+        return set(self.neighbor_weights(i))
 
-    def remove(self, i):
-        """Take node i out of its community; it belongs nowhere until re-inserted."""
+    def remove(self, i, k_in=None):
+        """Take node i out of its community; it belongs nowhere until re-inserted.
+
+        `k_in`, the node's weight into its own community, is scanned for if omitted.
+        """
         c = self.assignment[i]
         if c is None:
             raise ValueError(f"node {i} is already removed")
+        if k_in is None:
+            k_in = self.k_in(i, c)
         self.assignment[i] = None
         loop = self.graph.neighbors(i).get(i, 0.0)
         self.sigma_tot[c] -= self.k[i]
-        delta_in = 2.0 * self.k_in(i, c) + 2.0 * loop
+        delta_in = 2.0 * k_in + 2.0 * loop
         if delta_in:
             self.sigma_in[c] -= delta_in
         self._size[c] -= 1
@@ -109,11 +126,14 @@ class CommunityState:
             self.sigma_in.pop(c, None)
         return c
 
-    def insert(self, i, c):
+    def insert(self, i, c, k_in=None):
+        """Put the removed node i into community c; `k_in` as for remove."""
         if self.assignment[i] is not None:
             raise ValueError(f"node {i} is already in a community")
+        if k_in is None:
+            k_in = self.k_in(i, c)
         loop = self.graph.neighbors(i).get(i, 0.0)
-        delta_in = 2.0 * self.k_in(i, c) + 2.0 * loop
+        delta_in = 2.0 * k_in + 2.0 * loop
         self.assignment[i] = c
         self.sigma_tot[c] = self.sigma_tot.get(c, 0.0) + self.k[i]
         if delta_in:
@@ -126,51 +146,57 @@ class CommunityState:
         return Partition(self.assignment)
 
 
-def delta_q_insert(state, i, c):
+def delta_q_insert(state, i, c, k_in=None):
     """Modularity gain of inserting node i into community c.
 
     Evaluates [(sigma_in + 2*k_in)/2m - ((sigma_tot + k_i)/2m)^2] minus
     [sigma_in/2m - (sigma_tot/2m)^2 - (k_i/2m)^2] on the state's current
     bookkeeping. The value equals the true modularity difference exactly
     when node i has been removed first, which is how _best_move always
-    calls it.
+    calls it. `k_in` is the node's weight into c; _best_move passes the
+    value from its one neighbor_weights scan of the visit, and without it
+    the adjacency is scanned here.
     """
     if state.m == 0:
         raise ValueError("modularity gain is undefined for a graph with no edges")
+    if k_in is None:
+        k_in = state.k_in(i, c)
     two_m = 2.0 * state.m
     s_in = state.sigma_in.get(c, 0.0)
     s_tot = state.sigma_tot.get(c, 0.0)
     ki = state.k[i]
-    kin = state.k_in(i, c)
-    after = (s_in + 2.0 * kin) / two_m - ((s_tot + ki) / two_m) ** 2
+    after = (s_in + 2.0 * k_in) / two_m - ((s_tot + ki) / two_m) ** 2
     before = s_in / two_m - (s_tot / two_m) ** 2 - (ki / two_m) ** 2
     return after - before
 
 
-def _total_score(state, i, c):
-    """Modularity of the partition with the removed node i placed in c."""
+def _total_score(state, i, c, k_in=None):
+    """Modularity of the partition with the removed node i placed in c; ignores `k_in`."""
     state.assignment[i] = c
     q = modularity(state.graph, state.assignment)
     state.assignment[i] = None
     return q
 
 
-def _best_move(state, i, c_old, use_total_formula=False):
+def _best_move(state, i, c_old, weights, use_total_formula=False):
     """Best community for the removed node i, or c_old when no move pays.
 
-    Closed-form scores are insertion gains; total-formula scores are full
-    modularity values of the partition with i placed in the candidate.
-    Either way the score difference against c_old is the net change of
-    the move. Neighbouring communities are tried in ascending label order
-    and the first strict maximum wins; it is returned only when it beats
-    staying in c_old by more than _GAIN_EPS.
+    `weights` is state.neighbor_weights(i), the visit's one adjacency
+    scan: its keys are the candidates and its values their k_in, so no
+    candidate rescans the adjacency. Closed-form scores are insertion
+    gains; total-formula scores are full modularity values of the
+    partition with i placed in the candidate. Either way the score
+    difference against c_old is the net change of the move. Neighbouring
+    communities are tried in ascending label order and the first strict
+    maximum wins; it is returned only when it beats staying in c_old by
+    more than _GAIN_EPS.
     """
     score_of = _total_score if use_total_formula else delta_q_insert
-    stay = best_score = score_of(state, i, c_old)
+    stay = best_score = score_of(state, i, c_old, weights.get(c_old, 0))
     best_c = c_old
-    for c in sorted(state.neighbor_communities(i)):
+    for c in sorted(weights):
         if c != c_old:
-            score = score_of(state, i, c)
+            score = score_of(state, i, c, weights[c])
             if score > best_score:
                 best_c, best_score = c, score
     return best_c if best_score - stay > _GAIN_EPS else c_old
@@ -182,13 +208,15 @@ def local_move_pass(state, order, use_total_formula=False):
     Returns (state, improved) where improved reports whether any node
     changed community. A move is applied only when its gain over staying
     exceeds a small positive threshold, so modularity strictly increases
-    with every applied move and the pass loop always terminates.
+    with every applied move and the pass loop always terminates. Each
+    visit scans the node's adjacency once.
     """
     improved = False
     for i in order:
-        c_old = state.remove(i)
-        c_new = _best_move(state, i, c_old, use_total_formula)
-        state.insert(i, c_new)
+        weights = state.neighbor_weights(i)
+        c_old = state.remove(i, weights.get(state.assignment[i], 0))
+        c_new = _best_move(state, i, c_old, weights, use_total_formula)
+        state.insert(i, c_new, weights.get(c_new, 0))
         if c_new != c_old:
             improved = True
     return state, improved
@@ -300,9 +328,11 @@ def _exp_proposals(state):
     """Best target community per node, judged against the frozen state."""
     proposals = []
     for i in range(state.graph.node_count):
-        c_old = state.remove(i)
-        best_c = _best_move(state, i, c_old)
-        state.insert(i, c_old)
+        weights = state.neighbor_weights(i)
+        k_old = weights.get(state.assignment[i], 0)
+        c_old = state.remove(i, k_old)
+        best_c = _best_move(state, i, c_old, weights)
+        state.insert(i, c_old, k_old)
         if best_c != c_old:
             proposals.append((c_old, best_c))
     return proposals

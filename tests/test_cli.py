@@ -243,7 +243,8 @@ def test_bench_louvain_all_variants(tmp_path, capsys):
     ]
     for record in report["records"]:
         assert record.keys() == {
-            "variant", "runs", "q_values", "max", "min", "mean", "mean_runtime_ms",
+            "variant", "runs", "q_values", "max", "min", "mean",
+            "mean_runtime_ms", "min_runtime_ms", "median_runtime_ms",
         }
         assert record["runs"] == 2
         assert len(record["q_values"]) == 2

@@ -1,15 +1,20 @@
 """Local-move optimization, aggregation, and variant behavior tests."""
 
+import hashlib
+import importlib
 import statistics
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from commdetect import Graph, Partition, louvain, modularity
+from commdetect import Graph, Partition, louvain, modularity, random_graph
 from commdetect.cli import bench
 from commdetect.louvain import (
+    _GAIN_EPS,
     CommunityState,
     LouvainVariant,
+    _best_move,
     aggregate,
     delta_q_insert,
     local_move_pass,
@@ -23,6 +28,9 @@ from helpers import (
     two_triangles,
 )
 from oracles import modularity_direct
+
+# `commdetect.louvain` is also the name of the re-exported function.
+louvain_module = importlib.import_module("commdetect.louvain")
 
 ALL_VARIANTS = ("normal", "total", "noMerge", "totalNoMerge", "Exp")
 
@@ -72,6 +80,72 @@ def test_k_in_excludes_self_and_own_loop():
     assert state.k_in(0, 0) == 1.0
     assert state.k_in(0, 1) == 1.0
     assert state.k[0] == 12.0
+
+
+@st.composite
+def _states(draw):
+    """A state with random labels on a small weighted graph, or on its
+    contraction under a random partition (self-loops, merged weights)."""
+    g = draw(small_integer_weighted_graphs(max_nodes=10))
+    if draw(st.booleans()):
+        groups = draw(st.lists(st.integers(0, 3), min_size=g.node_count, max_size=g.node_count))
+        g = aggregate(g, groups).graph
+    n = g.node_count
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return CommunityState(g, labels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_states())
+def test_neighbor_weights_is_one_scan_of_the_adjacency(state):
+    assignment = state.assignment
+    for i in range(state.graph.node_count):
+        weights = state.neighbor_weights(i)
+        adj = state.graph.neighbors(i)
+        assert weights.keys() == {assignment[j] for j in adj if j != i}
+        assert set(weights) == state.neighbor_communities(i)
+        for c in weights:
+            # Bit-identical to summing the adjacency in order, as k_in did.
+            assert weights[c] == sum(w for j, w in adj.items() if j != i and assignment[j] == c)
+            assert weights[c] == state.k_in(i, c)
+
+
+def _pick(monkeypatch, c_old, scores):
+    """_best_move for a removed node with the given candidate scores."""
+    monkeypatch.setattr(louvain_module, "delta_q_insert", lambda state, i, c, k_in=None: scores[c])
+    weights = {c: 1.0 for c in scores if c != c_old}
+    return _best_move(None, 0, c_old, weights)
+
+
+def test_best_move_needs_a_gain_above_the_threshold(monkeypatch):
+    assert _pick(monkeypatch, 4, {4: 0.0, 1: _GAIN_EPS}) == 4
+    assert _pick(monkeypatch, 4, {4: 0.0, 1: 0.5 * _GAIN_EPS}) == 4
+    assert _pick(monkeypatch, 4, {4: 0.0, 1: 2.0 * _GAIN_EPS}) == 1
+    assert _pick(monkeypatch, 4, {4: 0.0, 1: -1.0}) == 4
+
+
+def test_best_move_breaks_ties_by_smaller_label(monkeypatch):
+    assert _pick(monkeypatch, 9, {9: 0.0, 7: 0.5, 3: 0.5, 5: 0.5}) == 3
+    # Staying is scored first, so a candidate that only ties it loses.
+    assert _pick(monkeypatch, 9, {9: 0.5, 2: 0.5}) == 9
+
+
+def test_best_move_first_strict_maximum_wins(monkeypatch):
+    assert _pick(monkeypatch, 0, {0: 0.0, 1: 0.2, 2: 0.7, 3: 0.4}) == 2
+    assert _pick(monkeypatch, 0, {0: 0.0, 5: 0.1, 2: 0.3, 8: 0.9}) == 8
+
+
+def test_louvain_golden_on_random_500():
+    # Digest of (variant, seed, labels, q.hex(), passes) recorded before
+    # the one-scan local move; any shifted float tie changes it.
+    g = random_graph(500, 0.016, 1)
+    rows = []
+    for variant in ("normal", "noMerge", "Exp"):
+        for seed in range(3):
+            part, q, passes = louvain(g, variant, seed)
+            rows.append((variant, seed, part.labels, q.hex(), passes))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "4794a230ef5c55bc7c98c9e58b0ede8736bd89f62f97d0d156cf7e23165fa28c"
 
 
 def test_delta_q_insert_reference_values():
@@ -295,8 +369,11 @@ def test_run_stats_contract(karate):
     assert len(stats["q_values"]) == 6
     assert stats["max"] >= stats["mean"] >= stats["min"]
     assert stats["mean_runtime_ms"] >= 0.0
+    assert stats["min_runtime_ms"] <= stats["median_runtime_ms"]
+    assert stats["min_runtime_ms"] <= stats["mean_runtime_ms"]
     assert stats.keys() == {
-        "variant", "runs", "q_values", "max", "min", "mean", "mean_runtime_ms"
+        "variant", "runs", "q_values", "max", "min", "mean",
+        "mean_runtime_ms", "min_runtime_ms", "median_runtime_ms",
     }
     assert stats["variant"] == "noMerge"
 
