@@ -6,10 +6,15 @@ Subcommands:
   plot-data  flatten a bench report or a per-step trace into CSV
 
 Datasets are named as "karate", "edgelist:<path>", or "random:<n,p,seed>".
+One table, `_ALGORITHMS`, holds each algorithm's accepted and required
+parameters, whether it refuses weighted graphs, and how to call it. `run`
+and `bench` check every parameter against it before building the dataset,
+and call every algorithm through it.
 """
 
 import argparse
 import csv
+import io
 import json
 import os
 import platform
@@ -23,35 +28,6 @@ from .fastgreedy import fastgreedy
 from .girvan_newman import girvan_newman, girvan_newman_static
 from .graph import karate_club, load_edge_list, modularity, random_graph
 from .louvain import LouvainVariant, louvain
-
-_ALGORITHMS = (
-    "agglomerative",
-    "girvan-newman",
-    "girvan-newman-static",
-    "louvain",
-    "fastgreedy",
-)
-
-# Optional/required tuning parameters accepted by each algorithm. Anything
-# supplied outside its algorithm's row is rejected, not ignored.
-_ALLOWED = {
-    "agglomerative": {"linkage", "self_neighboring", "hsl_mode", "hsl_value"},
-    "girvan-newman": {"target_communities"},
-    "girvan-newman-static": {"target_communities"},
-    "louvain": {"variant", "seed"},
-    "fastgreedy": set(),
-}
-_REQUIRED = {
-    "agglomerative": {"linkage", "hsl_mode", "hsl_value"},
-    "girvan-newman": {"target_communities"},
-    "girvan-newman-static": {"target_communities"},
-    "louvain": {"variant"},
-    "fastgreedy": set(),
-}
-
-
-# Algorithms that read the graph by hop count and ignore edge weights.
-_UNWEIGHTED = ("agglomerative", "girvan-newman", "girvan-newman-static")
 
 # random:N,P,SEED draws once per node pair: 3.2e7 draws at N = 8000,
 # 5e9 at N = 100000.
@@ -98,38 +74,6 @@ def load_dataset(spec):
     raise CliError(f"unknown dataset {spec!r}")
 
 
-def _check_unweighted(algorithm, g):
-    if algorithm in _UNWEIGHTED:
-        for u, v, w in g.edges():
-            if w != 1.0:
-                raise CliError(f"{algorithm} is unweighted, but edge ({u}, {v}) has weight {w!r}")
-
-
-def _check_params(algorithm, provided):
-    allowed = _ALLOWED[algorithm]
-    for name, value in provided.items():
-        if value is not None and name not in allowed:
-            flag = "--" + name.replace("_", "-")
-            raise CliError(f"{flag} is not a parameter of {algorithm}")
-    for name in _REQUIRED[algorithm]:
-        if provided.get(name) is None:
-            flag = "--" + name.replace("_", "-")
-            raise CliError(f"{algorithm} requires {flag}")
-
-
-def _parse_variant(value):
-    try:
-        return LouvainVariant(value)
-    except ValueError:
-        labels = ", ".join(v.value for v in LouvainVariant)
-        raise CliError(f"unknown variant {value!r}; expected one of: {labels}") from None
-
-
-def _derived_path(out, suffix):
-    root, _ = os.path.splitext(out)
-    return root + suffix
-
-
 def _dump(payload):
     return json.dumps(payload, indent=2) + "\n"
 
@@ -139,7 +83,7 @@ def _write_all(files):
     written = []
     try:
         for path, text in files:
-            with open(path, "w", encoding="utf-8") as handle:
+            with open(path, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
             written.append(path)
     except OSError as exc:
@@ -160,45 +104,117 @@ def _trace_rows(g, dendrogram):
     return rows
 
 
+# Each `call` below names its algorithm as a module global, looked up when
+# it runs, so a wrapper set on this module sees every run and bench call.
+# It returns the partition, the algorithm's own Q (None where it has none)
+# and a function that builds `run`'s sibling files as (suffix, payload)
+# pairs, which the timed runs of `bench` never call.
+
+
+def _agglomerative(g, params, _seed):
+    dendrogram = agglomerate(g, params["linkage"], bool(params.get("self_neighboring")))
+    part = cut(dendrogram, HslSpec(params["hsl_mode"], params["hsl_value"]))
+    return part, None, lambda: [(".dendrogram.json", dendrogram.to_records())]
+
+
+def _with_cuts(result):
+    part, cuts = result
+    return part, None, lambda: [(".cuts.json", [[u, v, s] for u, v, s in cuts])]
+
+
+def _louvain(g, params, seed):
+    part, q, _ = louvain(g, params["variant"], seed)
+    return part, q, lambda: []
+
+
+def _fastgreedy(g, _params, _seed):
+    dendrogram, part, _ = fastgreedy(g)
+    return part, None, lambda: [
+        (".dendrogram.json", dendrogram.to_records()),
+        (".trace.json", _trace_rows(g, dendrogram)),
+    ]
+
+
+@dataclass(frozen=True)
+class _Algorithm:
+    accepts: set  # tuning parameters it takes; any other is rejected
+    requires: set
+    unweighted: bool  # reads the graph by hop count, so refuses edge weights
+    call: object  # call(g, params, seed) -> (partition, own Q or None, siblings)
+
+
+_GN_PARAMS = {"target_communities"}
+_ALGORITHMS = {
+    "agglomerative": _Algorithm(
+        {"linkage", "self_neighboring", "hsl_mode", "hsl_value"},
+        {"linkage", "hsl_mode", "hsl_value"}, True, _agglomerative,
+    ),
+    "girvan-newman": _Algorithm(
+        _GN_PARAMS, _GN_PARAMS, True,
+        lambda g, params, _: _with_cuts(girvan_newman(g, params["target_communities"])),
+    ),
+    "girvan-newman-static": _Algorithm(
+        _GN_PARAMS, _GN_PARAMS, True,
+        lambda g, params, _: _with_cuts(girvan_newman_static(g, params["target_communities"])),
+    ),
+    "louvain": _Algorithm({"variant", "seed"}, {"variant"}, False, _louvain),
+    "fastgreedy": _Algorithm(set(), set(), False, _fastgreedy),
+}
+
+# The tuning flags `run` and `bench` share, then --variant and --seed, in
+# the order `run` declares them. `bench` checks each name of its --variant
+# list on its own, and its --seed is the base seed of any algorithm.
+_TUNING = ("linkage", "self_neighboring", "hsl_mode", "hsl_value", "target_communities")
+_PARAMETERS = (*_TUNING, "variant", "seed")
+
+
+def _checked(algorithm, params):
+    """The table entry of `algorithm`, once `params` suit it.
+
+    A parameter the algorithm does not take, a required one left out, an
+    unknown Louvain variant or a bad dendrogram cut raises CliError.
+    """
+    entry = _ALGORITHMS[algorithm]
+    for name in _PARAMETERS:
+        if params.get(name) is not None and name not in entry.accepts:
+            raise CliError(f"--{name.replace('_', '-')} is not a parameter of {algorithm}")
+    for name in _PARAMETERS:
+        if name in entry.requires and params.get(name) is None:
+            raise CliError(f"{algorithm} requires --{name.replace('_', '-')}")
+    labels = [v.value for v in LouvainVariant]
+    if params.get("variant") is not None and params["variant"] not in labels:
+        raise CliError(f"unknown variant {params['variant']!r}; expected one of: {', '.join(labels)}")
+    if params.get("hsl_mode") is not None:
+        try:
+            HslSpec(params["hsl_mode"], params["hsl_value"])
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
+    return entry
+
+
+def _load_for(algorithm, entry, spec):
+    """Build the dataset; a hop-count algorithm refuses a weighted graph."""
+    g = load_dataset(spec)
+    if entry.unweighted:
+        for u, v, w in g.edges():
+            if w != 1.0:
+                raise CliError(f"{algorithm} is unweighted, but edge ({u}, {v}) has weight {w!r}")
+    return g
+
+
 def run_command(args):
-    params = {
-        "linkage": args.linkage,
-        "self_neighboring": args.self_neighboring,
-        "hsl_mode": args.hsl_mode,
-        "hsl_value": args.hsl_value,
-        "target_communities": args.target_communities,
-        "variant": args.variant,
-        "seed": args.seed,
-    }
-    _check_params(args.algorithm, params)
-    g = load_dataset(args.dataset)
-    _check_unweighted(args.algorithm, g)
-    files = []
+    params = {name: getattr(args, name) for name in _PARAMETERS}
+    entry = _checked(args.algorithm, params)
+    g = _load_for(args.algorithm, entry, args.dataset)
     try:
-        if args.algorithm == "agglomerative":
-            dendrogram = agglomerate(g, args.linkage, bool(args.self_neighboring))
-            part = cut(dendrogram, HslSpec(args.hsl_mode, args.hsl_value))
-            files.append((_derived_path(args.out, ".dendrogram.json"),
-                          _dump(dendrogram.to_records())))
-        elif args.algorithm in ("girvan-newman", "girvan-newman-static"):
-            fn = girvan_newman if args.algorithm == "girvan-newman" else girvan_newman_static
-            part, cuts = fn(g, args.target_communities)
-            files.append((_derived_path(args.out, ".cuts.json"),
-                          _dump([[u, v, s] for u, v, s in cuts])))
-        elif args.algorithm == "louvain":
-            variant = _parse_variant(args.variant)
-            part, _, _ = louvain(g, variant, args.seed if args.seed is not None else 0)
-        else:
-            dendrogram, part, _ = fastgreedy(g)
-            files.append((_derived_path(args.out, ".dendrogram.json"),
-                          _dump(dendrogram.to_records())))
-            files.append((_derived_path(args.out, ".trace.json"),
-                          _dump(_trace_rows(g, dendrogram))))
+        part, _, siblings = entry.call(g, params, 0 if args.seed is None else args.seed)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     q = modularity(g, part) if g.total_weight > 0 else None
-    files.insert(0, (args.out, _dump(part.to_dict(modularity=q))))
-    _write_all(files)
+    root, _ = os.path.splitext(args.out)
+    files = [(args.out, part.to_dict(modularity=q))]
+    files += [(root + suffix, payload) for suffix, payload in siblings()]
+    _write_all([(path, _dump(payload)) for path, payload in files])
     print(f"communities: {part.num_communities}")
     print(f"q: {q!r}")
     return 0
@@ -279,73 +295,42 @@ def bench(g, algorithm, variants, runs, base_seed, params=None):
     For louvain each requested variant becomes one record of the runs
     with seeds base_seed..base_seed+runs-1; other algorithms are
     deterministic, so their record repeats one configuration `runs` times
-    for timing. Every record comes from run_stats.
+    for timing. Every record comes from run_stats. A record's Q is
+    Louvain's own, or else the partition's modularity, which raises
+    ValueError on a graph with no edges.
     """
-    params = params or {}
-    records = []
-    if algorithm == "louvain":
-        for variant in variants:
-            variant = LouvainVariant(variant)
-            records.append(run_stats(
-                variant.value, runs, lambda k: louvain(g, variant, base_seed + k)[1]
-            ))
-    elif algorithm in ("girvan-newman", "girvan-newman-static"):
-        fn = girvan_newman if algorithm == "girvan-newman" else girvan_newman_static
-        target = params["target_communities"]
-
-        def one(_):
-            part, _ = fn(g, target)
-            return modularity(g, part) if g.total_weight > 0 else float("nan")
-
-        records.append(run_stats(algorithm, runs, one))
-    elif algorithm == "agglomerative":
-        spec = HslSpec(params["hsl_mode"], params["hsl_value"])
-        linkage = params["linkage"]
-        self_neighboring = bool(params.get("self_neighboring"))
-
-        def one(_):
-            part = cut(agglomerate(g, linkage, self_neighboring), spec)
-            return modularity(g, part) if g.total_weight > 0 else float("nan")
-
-        records.append(run_stats(algorithm, runs, one))
-    elif algorithm == "fastgreedy":
-
-        def one(_):
-            _, part, _ = fastgreedy(g)
-            return modularity(g, part)
-
-        records.append(run_stats(algorithm, runs, one))
-    else:
+    entry = _ALGORITHMS.get(algorithm)
+    if entry is None:
         raise CliError(f"unknown algorithm {algorithm!r}")
+    params = params or {}
+    if "variant" in entry.accepts:
+        configs = [(LouvainVariant(v).value, {**params, "variant": v}) for v in variants]
+    else:
+        configs = [(algorithm, params)]
+    records = []
+    for label, config in configs:
+
+        def one(k, config=config):
+            part, q, _ = entry.call(g, config, base_seed + k)
+            return modularity(g, part) if q is None else q
+
+        records.append(run_stats(label, runs, one))
     return BenchReport(_environment_note(), records)
 
 
 def bench_command(args):
     if args.runs < 1:
         raise CliError("--runs must be at least 1")
-    g = load_dataset(args.dataset)
-    params = {
-        "linkage": args.linkage,
-        "self_neighboring": args.self_neighboring,
-        "hsl_mode": args.hsl_mode,
-        "hsl_value": args.hsl_value,
-        "target_communities": args.target_communities,
-    }
-    if args.algorithm == "louvain":
-        for name, value in params.items():
-            if value is not None:
-                flag = "--" + name.replace("_", "-")
-                raise CliError(f"{flag} is not a parameter of louvain")
-        if args.variant is None:
-            variants = [v for v in LouvainVariant]
-        else:
-            variants = [_parse_variant(v) for v in args.variant.split(",")]
+    params = {name: getattr(args, name) for name in _TUNING}
+    if "variant" not in _ALGORITHMS[args.algorithm].accepts:
+        variants = [args.variant]  # None, or a foreign --variant for _checked to refuse
+    elif args.variant is None:
+        variants = [v.value for v in LouvainVariant]
     else:
-        if args.variant is not None:
-            raise CliError(f"--variant is not a parameter of {args.algorithm}")
-        _check_params(args.algorithm, params)
-        variants = []
-    _check_unweighted(args.algorithm, g)
+        variants = args.variant.split(",")
+    for variant in variants:
+        entry = _checked(args.algorithm, {**params, "variant": variant})
+    g = _load_for(args.algorithm, entry, args.dataset)
     try:
         report = bench(g, args.algorithm, variants, args.runs, args.seed, params=params)
     except ValueError as exc:
@@ -358,35 +343,32 @@ def bench_command(args):
 def emit_plot_data(data, path):
     """Write a bench report or per-step trace as CSV.
 
-    A report (mapping with a "records" key) yields one row per run:
+    A report (mapping with a "records" list) yields one row per run:
     variant, run_index, q. A trace (a list of steps) yields rows of
     step, q, num_communities. An empty report yields a header-only file.
+    A record or row of any other shape raises CliError.
     """
     rows = []
-    if isinstance(data, dict) and "records" in data:
+    if isinstance(data, dict) and isinstance(data.get("records"), list):
         header = ("variant", "run_index", "q")
         for record in data["records"]:
-            for idx, q in enumerate(record["q_values"]):
-                rows.append((record["variant"], idx, q))
+            if not (isinstance(record, dict) and "variant" in record
+                    and isinstance(record.get("q_values"), list)):
+                raise CliError(f"bad report record {record!r}")
+            rows.extend((record["variant"], idx, q) for idx, q in enumerate(record["q_values"]))
     elif isinstance(data, list):
         header = ("step", "q", "num_communities")
         for entry in data:
-            if len(entry) != 3:
+            if not isinstance(entry, list) or len(entry) != 3:
                 raise CliError(f"bad trace row {entry!r}")
-            rows.append(tuple(entry))
+            rows.append(entry)
     else:
         raise CliError("input is neither a bench report nor a trace")
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-        raise CliError(f"cannot write output: {exc}") from None
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_all([(path, text.getvalue())])
 
 
 def plot_data_command(args):
@@ -401,6 +383,15 @@ def plot_data_command(args):
     return 0
 
 
+def _add_tuning_flags(parser):
+    """The five tuning flags of `run` and `bench`, in _TUNING order."""
+    parser.add_argument("--linkage", choices=("single", "complete", "average"))
+    parser.add_argument("--self-neighboring", action="store_true", default=None)
+    parser.add_argument("--hsl-mode", choices=("absolute", "relative"))
+    parser.add_argument("--hsl-value", type=float)
+    parser.add_argument("--target-communities", type=int)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="commdetect",
@@ -409,29 +400,21 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run one algorithm and write JSON results")
-    run_p.add_argument("--algorithm", required=True, choices=_ALGORITHMS)
+    run_p.add_argument("--algorithm", required=True, choices=tuple(_ALGORITHMS))
     run_p.add_argument("--dataset", required=True)
-    run_p.add_argument("--linkage", choices=("single", "complete", "average"))
-    run_p.add_argument("--self-neighboring", action="store_true", default=None)
-    run_p.add_argument("--hsl-mode", choices=("absolute", "relative"))
-    run_p.add_argument("--hsl-value", type=float)
-    run_p.add_argument("--target-communities", type=int)
+    _add_tuning_flags(run_p)
     run_p.add_argument("--variant")
     run_p.add_argument("--seed", type=int)
     run_p.add_argument("--out", required=True)
     run_p.set_defaults(handler=run_command)
 
     bench_p = sub.add_parser("bench", help="repeated seeded runs with statistics")
-    bench_p.add_argument("--algorithm", default="louvain", choices=_ALGORITHMS)
+    bench_p.add_argument("--algorithm", default="louvain", choices=tuple(_ALGORITHMS))
     bench_p.add_argument("--dataset", required=True)
     bench_p.add_argument("--variant", help="comma-separated louvain variants")
     bench_p.add_argument("--runs", type=int, default=1)
     bench_p.add_argument("--seed", type=int, default=0, help="base seed")
-    bench_p.add_argument("--linkage", choices=("single", "complete", "average"))
-    bench_p.add_argument("--self-neighboring", action="store_true", default=None)
-    bench_p.add_argument("--hsl-mode", choices=("absolute", "relative"))
-    bench_p.add_argument("--hsl-value", type=float)
-    bench_p.add_argument("--target-communities", type=int)
+    _add_tuning_flags(bench_p)
     bench_p.add_argument("--out", required=True)
     bench_p.set_defaults(handler=bench_command)
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import hashlib
 import json
 import time
 
@@ -308,6 +309,152 @@ def test_bench_other_algorithms(tmp_path):
     ) == 1
 
 
+_LOUVAIN_VARIANTS = ("normal", "total", "noMerge", "totalNoMerge", "Exp")
+
+# The parameters every algorithm needs, and the flags each one accepts.
+_REQUIRED_ARGS = {
+    "agglomerative": ["--linkage", "average", "--hsl-mode", "relative", "--hsl-value", "0.3"],
+    "girvan-newman": ["--target-communities", "8"],
+    "girvan-newman-static": ["--target-communities", "8"],
+    "louvain": ["--variant", "normal"],
+    "fastgreedy": [],
+}
+_ACCEPTED = {
+    "agglomerative": {"--linkage", "--self-neighboring", "--hsl-mode", "--hsl-value"},
+    "girvan-newman": {"--target-communities"},
+    "girvan-newman-static": {"--target-communities"},
+    "louvain": {"--variant", "--seed"},
+    "fastgreedy": set(),
+}
+_FLAG_ARGS = {
+    "--linkage": ["--linkage", "single"],
+    "--self-neighboring": ["--self-neighboring"],
+    "--hsl-mode": ["--hsl-mode", "absolute"],
+    "--hsl-value": ["--hsl-value", "2"],
+    "--target-communities": ["--target-communities", "3"],
+    "--variant": ["--variant", "Exp"],
+    "--seed": ["--seed", "4"],
+}
+
+
+def test_cli_outputs_golden_on_karate(tmp_path, capsys):
+    # Digest of every `run` output file and its stdout, and of the `bench`
+    # records without their three runtimes, recorded before the CLI's
+    # algorithm table; any change to an output byte changes it.
+    single = ["--linkage", "single", "--self-neighboring", "--hsl-mode", "absolute", "--hsl-value", "2"]
+    configs = [
+        *(["--algorithm", "louvain", "--variant", v, "--seed", "1"] for v in _LOUVAIN_VARIANTS),
+        *(["--algorithm", a, *_REQUIRED_ARGS[a]] for a in _REQUIRED_ARGS if a != "louvain"),
+        ["--algorithm", "agglomerative", *single],
+    ]
+    rows = []
+    for args in configs:
+        run_dir = tmp_path / str(len(rows))
+        run_dir.mkdir()
+        assert run_cli("run", *args, "--dataset", "karate", "--out", str(run_dir / "r.json")) == 0
+        files = sorted(run_dir.iterdir())
+        rows.append((args, capsys.readouterr().out, [(p.name, p.read_bytes()) for p in files]))
+    for algorithm, runs in (("louvain", "3"), ("fastgreedy", "1"), ("agglomerative", "1"),
+                            ("girvan-newman", "1"), ("girvan-newman-static", "1")):
+        out = tmp_path / f"bench-{algorithm}.json"
+        extra = [] if algorithm == "louvain" else _REQUIRED_ARGS[algorithm]
+        assert run_cli(
+            "bench", "--algorithm", algorithm, "--dataset", "karate", *extra,
+            "--runs", runs, "--seed", "2", "--out", str(out),
+        ) == 0
+        for record in read_json(out)["records"]:
+            for key in ("mean_runtime_ms", "min_runtime_ms", "median_runtime_ms"):
+                del record[key]
+            rows.append((algorithm, sorted(record.items())))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "b708529d285466c62b1ff5e805755dba76ec4671a1dadc33884c3d4bb0e13c5b"
+
+
+def test_parameters_are_checked_before_the_dataset_is_built(tmp_path, monkeypatch, capsys):
+    def no_dataset(spec):
+        raise AssertionError(f"dataset {spec!r} built before the parameters were checked")
+
+    monkeypatch.setattr(cli, "load_dataset", no_dataset)
+    out = tmp_path / "x.json"
+    cases = [
+        (["run", "--algorithm", "louvain", "--variant", "bogus"], "unknown variant 'bogus'"),
+        (["bench", "--variant", "normal,bogus"], "unknown variant 'bogus'"),
+        (["run", "--algorithm", "louvain", "--variant", "Exp", "--linkage", "single"],
+         "--linkage is not a parameter of louvain"),
+        (["bench", "--target-communities", "3"], "--target-communities is not a parameter of louvain"),
+        (["run", "--algorithm", "fastgreedy", "--seed", "1"], "--seed is not a parameter of fastgreedy"),
+        (["bench", "--algorithm", "fastgreedy", "--variant", "normal"],
+         "--variant is not a parameter of fastgreedy"),
+        (["bench", "--algorithm", "girvan-newman"], "girvan-newman requires --target-communities"),
+        (["run", "--algorithm", "agglomerative", "--linkage", "single",
+          "--hsl-mode", "relative", "--hsl-value", "1.5"], "relative cut value must lie in [0, 1]"),
+    ]
+    for argv, message in cases:
+        assert run_cli(*argv, "--dataset", "random:10000,0.001,1", "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("algorithm", sorted(_ACCEPTED))
+def test_every_algorithm_rejects_the_flags_it_does_not_accept(algorithm, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    for command in ("run", "bench"):
+        for flag, args in _FLAG_ARGS.items():
+            # bench's --seed is the base seed of every algorithm's runs
+            if flag in _ACCEPTED[algorithm] or (command, flag) == ("bench", "--seed"):
+                continue
+            assert run_cli(
+                command, "--algorithm", algorithm, "--dataset", "karate",
+                *_REQUIRED_ARGS[algorithm], *args, "--out", str(out),
+            ) == 1, (command, flag)
+            assert f"{flag} is not a parameter of {algorithm}" in capsys.readouterr().err
+            assert not out.exists()
+
+
+def test_algorithms_are_called_through_the_cli_module_globals(tmp_path, monkeypatch):
+    # perfbench wraps these names on commdetect.cli to time and count the
+    # algorithm calls of `run` and `bench`
+    calls = []
+    for name in ("agglomerate", "cut", "girvan_newman", "girvan_newman_static", "louvain", "fastgreedy"):
+        def spy(*args, _name=name, _real=getattr(cli, name)):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(cli, name, spy)
+    for algorithm, extra in _REQUIRED_ARGS.items():
+        for command in ("run", "bench"):
+            assert run_cli(
+                command, "--algorithm", algorithm, "--dataset", "karate", *extra,
+                "--out", str(tmp_path / "x.json"),
+            ) == 0
+    assert calls == [
+        "agglomerate", "cut", "agglomerate", "cut",
+        "girvan_newman", "girvan_newman", "girvan_newman_static", "girvan_newman_static",
+        "louvain", "louvain", "fastgreedy", "fastgreedy",
+    ]
+
+
+def test_edgeless_graphs(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    for algorithm, extra in _REQUIRED_ARGS.items():
+        if algorithm.startswith("girvan-newman"):
+            extra = ["--target-communities", "3"]  # at most the 5 nodes
+        assert run_cli(
+            "bench", "--algorithm", algorithm, "--dataset", "random:5,0,1",
+            *extra, "--out", str(out),
+        ) == 1, algorithm
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "edge" in err
+        assert not out.exists()
+
+    # `run` writes the partition of a divisive or agglomerative run with no Q
+    assert run_cli(
+        "run", "--algorithm", "girvan-newman", "--dataset", "random:5,0,1",
+        "--target-communities", "3", "--out", str(out),
+    ) == 0
+    assert read_json(out) == {"labels": [0, 1, 2, 3, 4], "num_communities": 5, "modularity": None}
+
+
 def test_plot_data_from_report(tmp_path):
     report = tmp_path / "report.json"
     out = tmp_path / "plot.csv"
@@ -340,7 +487,7 @@ def test_plot_data_from_trace_and_empty_report(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text('{"records": []}', encoding="utf-8")
     assert run_cli("plot-data", str(empty), "--out", str(out)) == 0
-    assert read_csv(out) == [["variant", "run_index", "q"]]
+    assert out.read_bytes() == b"variant,run_index,q\r\n"
 
 
 def test_plot_data_rejects_bad_input(tmp_path, capsys):
@@ -357,6 +504,19 @@ def test_plot_data_rejects_bad_input(tmp_path, capsys):
     neither.write_text('{"x": 1}', encoding="utf-8")
     assert run_cli("plot-data", str(neither), "--out", str(out)) == 1
     assert "neither" in capsys.readouterr().err
+
+    malformed = tmp_path / "malformed.json"
+    for text, message in (
+        ("[1, 2, 3]", "bad trace row 1"),
+        ("[[1, 0.5, 33], [2, 0.6]]", "bad trace row [2, 0.6]"),
+        ('{"records": [{"variant": "x"}]}', "bad report record {'variant': 'x'}"),
+        ('{"records": [{"q_values": [0.5]}]}', "bad report record {'q_values': [0.5]}"),
+        ('{"records": 3}', "neither a bench report nor a trace"),
+    ):
+        malformed.write_text(text, encoding="utf-8")
+        assert run_cli("plot-data", str(malformed), "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_argparse_level_errors_exit_nonzero(tmp_path):
