@@ -25,8 +25,6 @@ from .fastgreedy import (
     join,
 )
 from .girvan_newman import (
-    BfsTree,
-    bfs_tree,
     edge_betweenness,
     girvan_newman,
     girvan_newman_static,
@@ -76,8 +74,6 @@ __all__ = [
     "linkage_distance",
     "agglomerate",
     "cut",
-    "BfsTree",
-    "bfs_tree",
     "edge_betweenness",
     "girvan_newman",
     "girvan_newman_static",

@@ -1,76 +1,29 @@
 """Divisive clustering by repeated removal of the highest-traffic edge.
 
 Edge betweenness counts, for every node pair, the fraction of shortest
-paths between them that cross each edge. The divisive scheme removes the
-busiest edge, rescores, and repeats until the graph falls apart into the
-requested number of components. A static variant scores every edge once
-and removes edges in decreasing order of that initial score.
+paths between them that cross each edge. It is computed with Brandes'
+accumulation: one breadth-first pass per root over list-indexed
+per-node state, where a node's parents are the neighbors one level
+closer to the root, found by level rather than stored. The divisive
+scheme removes the busiest edge, rescores, and repeats until the graph
+falls apart into the requested number of components. A static variant
+scores every edge once and removes edges in decreasing order of that
+initial score.
 """
 
 from collections import deque
-from dataclasses import dataclass
 
 from .graph import Partition, connected_components
 
 __all__ = [
-    "BfsTree",
-    "bfs_tree",
     "edge_betweenness",
     "girvan_newman",
     "girvan_newman_static",
 ]
 
 
-@dataclass(frozen=True)
-class BfsTree:
-    """Shortest-path structure from one root.
-
-    `level` maps each reachable node to its hop distance, `paths` to its
-    number of distinct shortest paths from the root, and `parents` to the
-    neighbors one level closer to the root. Unreachable nodes are absent.
-    """
-
-    root: int
-    level: dict
-    paths: dict
-    parents: dict
-
-
 def _adjacency(g):
     return [dict(g.neighbors(i)) for i in range(g.node_count)]
-
-
-def _bfs(adj, root):
-    level = {root: 0}
-    paths = {root: 1}
-    parents = {root: ()}
-    order = [root]
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v == u:
-                continue
-            if v not in level:
-                level[v] = level[u] + 1
-                paths[v] = paths[u]
-                parents[v] = [u]
-                order.append(v)
-                queue.append(v)
-            elif level[v] == level[u] + 1:
-                paths[v] += paths[u]
-                parents[v].append(u)
-    for v, ps in parents.items():
-        parents[v] = tuple(sorted(ps)) if ps else ()
-    return level, paths, parents, order
-
-
-def bfs_tree(g, root):
-    """Breadth-first shortest-path tree of `g` rooted at `root`."""
-    if not 0 <= root < g.node_count:
-        raise ValueError(f"root {root} out of range")
-    level, paths, parents, _ = _bfs(_adjacency(g), root)
-    return BfsTree(root, level, paths, parents)
 
 
 def _component_nodes(adj, start):
@@ -92,24 +45,56 @@ def _component_scores(adj, nodes):
     credit, credit flows down-tree toward the root and splits between
     multiple parents in proportion to their shortest-path counts. Summing
     over all roots counts every unordered pair twice, so the totals are
-    halved.
+    halved. Each root costs one pass over the component's edges, so a
+    component of c nodes and e edges scores in O(c*(c+e)).
+
+    The per-node state lives in lists indexed by node and is reset only
+    at the nodes a root reached; `order` is both the BFS queue and the
+    back-propagation order. The float sums are fixed by two orders that
+    do not depend on how parents are listed: an edge takes at most one
+    share per root, so its score adds up in the iteration order of
+    `nodes`, and `credit[p]` adds its children's shares in reverse BFS
+    order.
     """
+    n = len(adj)
     scores = {}
+    # Each node's neighbors without its self-loop, paired with the edge key.
+    nbrs = [None] * n
     for u in nodes:
+        row = []
         for v in adj[u]:
             if u <= v:
                 scores[(u, v)] = 0.0
+            if u != v:
+                row.append((v, (u, v) if u < v else (v, u)))
+        nbrs[u] = row
+    level = [-1] * n
+    paths = [0] * n
+    credit = [1.0] * n
     for root in nodes:
-        level, paths, parents, order = _bfs(adj, root)
-        credit = {v: 1.0 for v in order}
+        level[root] = 0
+        paths[root] = 1
+        order = [root]
+        for u in order:
+            next_level = level[u] + 1
+            for v, _ in nbrs[u]:
+                if level[v] < 0:
+                    level[v] = next_level
+                    paths[v] = paths[u]
+                    order.append(v)
+                elif level[v] == next_level:
+                    paths[v] += paths[u]
         for v in reversed(order):
-            if v == root:
-                continue
-            for p in parents[v]:
-                share = credit[v] * paths[p] / paths[v]
-                key = (v, p) if v < p else (p, v)
-                scores[key] += share
-                credit[p] += share
+            parent_level = level[v] - 1
+            for p, key in nbrs[v]:
+                if level[p] == parent_level:
+                    share = credit[v] * paths[p] / paths[v]
+                    scores[key] += share
+                    credit[p] += share
+        for v in order:
+            level[v] = -1
+            paths[v] = 0
+            credit[v] = 1.0
     for key in scores:
         scores[key] /= 2.0
     return scores
@@ -147,6 +132,14 @@ def _partition_from(adj):
     return Partition(labels)
 
 
+def _check_target(g, target):
+    n = g.node_count
+    if type(target) is not int:
+        raise ValueError(f"target communities must be an int, got {target!r}")
+    if not 1 <= target <= n:
+        raise ValueError(f"target communities must lie in 1..{n}, got {target}")
+
+
 def girvan_newman(g, target_communities):
     """Divide `g` into at least `target_communities` components.
 
@@ -154,11 +147,10 @@ def girvan_newman(g, target_communities):
     affected component(s) until the component count reaches the target or
     no edges remain. Shortest paths count hops, so edge weights are
     ignored. Returns the final partition and the removal sequence as
-    (u, v, score) triples.
+    (u, v, score) triples. Raises ValueError unless `target_communities`
+    is an int (not a bool) in 1..node_count.
     """
-    n = g.node_count
-    if not 1 <= target_communities <= n:
-        raise ValueError(f"target communities must lie in 1..{n}, got {target_communities}")
+    _check_target(g, target_communities)
     adj = _adjacency(g)
     scores = edge_betweenness(g)
     comp_count = connected_components(g).num_communities
@@ -185,9 +177,7 @@ def girvan_newman_static(g, target_communities):
     """Like girvan_newman but never rescores: edges are removed in order
     of decreasing initial betweenness until the target is reached. Edge
     weights are ignored."""
-    n = g.node_count
-    if not 1 <= target_communities <= n:
-        raise ValueError(f"target communities must lie in 1..{n}, got {target_communities}")
+    _check_target(g, target_communities)
     adj = _adjacency(g)
     scores = edge_betweenness(g)
     order = sorted(scores.items(), key=lambda item: (-item[1], item[0]))

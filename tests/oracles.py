@@ -6,6 +6,7 @@ the package internals beyond the Graph container itself.
 """
 
 from collections import deque
+from dataclasses import dataclass
 from itertools import combinations
 
 
@@ -30,23 +31,55 @@ def modularity_direct(g, labels):
     return total / two_m
 
 
-def _all_shortest_paths(adj, source, target):
-    """Every shortest path from source to target, as node lists."""
-    dist = {source: 0}
-    parents = {source: []}
-    queue = deque([source])
+@dataclass(frozen=True)
+class BfsTree:
+    """Shortest-path structure from one root.
+
+    `level` maps each reachable node to its hop distance, `paths` to its
+    number of distinct shortest paths from the root, and `parents` to the
+    neighbors one level closer to the root, sorted. Unreachable nodes are
+    absent.
+    """
+
+    root: int
+    level: dict
+    paths: dict
+    parents: dict
+
+
+def _bfs(adj, root):
+    level = {root: 0}
+    paths = {root: 1}
+    parents = {root: []}
+    queue = deque([root])
     while queue:
         u = queue.popleft()
         for v in adj[u]:
             if v == u:
                 continue
-            if v not in dist:
-                dist[v] = dist[u] + 1
+            if v not in level:
+                level[v] = level[u] + 1
+                paths[v] = paths[u]
                 parents[v] = [u]
                 queue.append(v)
-            elif dist[v] == dist[u] + 1:
+            elif level[v] == level[u] + 1:
+                paths[v] += paths[u]
                 parents[v].append(u)
-    if target not in dist:
+    return level, paths, {v: tuple(sorted(ps)) for v, ps in parents.items()}
+
+
+def bfs_tree(g, root):
+    """Breadth-first shortest-path tree of `g` rooted at `root`."""
+    if not 0 <= root < g.node_count:
+        raise ValueError(f"root {root} out of range")
+    level, paths, parents = _bfs([g.neighbors(i) for i in range(g.node_count)], root)
+    return BfsTree(root, level, paths, parents)
+
+
+def _all_shortest_paths(adj, source, target):
+    """Every shortest path from source to target, as node lists."""
+    _, _, parents = _bfs(adj, source)
+    if target not in parents:
         return []
     paths = []
 

@@ -1,13 +1,20 @@
 """Edge betweenness and divisive clustering tests."""
 
+import hashlib
+import random
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commdetect import (
     Graph,
-    bfs_tree,
     edge_betweenness,
     girvan_newman,
     girvan_newman_static,
+    karate_club,
+    random_graph,
 )
 from helpers import (
     bridged_cliques,
@@ -18,7 +25,7 @@ from helpers import (
     star_graph,
     triangles_with_bridge,
 )
-from oracles import edge_betweenness_direct
+from oracles import bfs_tree, edge_betweenness_direct
 
 
 def test_bfs_tree_path():
@@ -80,6 +87,34 @@ def test_edge_betweenness_matches_oracle():
             assert scores[key] >= 0.0
 
 
+def test_edge_betweenness_self_loop_scores_zero():
+    for base in (triangles_with_bridge(), cycle_graph(5), *random_suite(10, 3, 10, (0.4,), 120)):
+        plain = edge_betweenness(base)
+        for node in range(base.node_count):
+            looped = edge_betweenness(Graph(base.node_count, [*base.edges(), (node, node)]))
+            assert looped.pop((node, node)) == 0.0
+            assert looped == plain
+
+
+@st.composite
+def looped_graphs(draw, max_nodes=12):
+    """Graphs on 1..max_nodes nodes with any mix of edges and self-loops,
+    so disconnected parts and isolated nodes are common."""
+    n = draw(st.integers(1, max_nodes))
+    pairs = [(u, v) for u in range(n) for v in range(u, n)]
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(looped_graphs())
+def test_edge_betweenness_matches_oracle_property(g):
+    scores = edge_betweenness(g)
+    expected = edge_betweenness_direct(g)
+    assert scores.keys() == expected.keys()
+    for key in expected:
+        assert scores[key] == pytest.approx(expected[key], abs=1e-9)
+
+
 def test_edge_betweenness_tree_side_product():
     for seed in range(8):
         n = 5 + seed
@@ -131,6 +166,13 @@ def test_girvan_newman_trivial_and_errors():
         girvan_newman_static(g, 5)
 
 
+@pytest.mark.parametrize("run", [girvan_newman, girvan_newman_static])
+@pytest.mark.parametrize("target", [2.5, 2.0, True, "2", None])
+def test_girvan_newman_rejects_non_int_target(run, target):
+    with pytest.raises(ValueError, match=re.escape(repr(target))):
+        run(path_graph(4), target)
+
+
 def test_girvan_newman_full_split_removes_every_edge():
     for g in random_suite(10, 3, 9, (0.5,), 880):
         part, cuts = girvan_newman(g, g.node_count)
@@ -168,3 +210,34 @@ def test_static_path_five_needs_two_cuts():
     part, cuts = girvan_newman_static(path_graph(5), 3)
     assert part.num_communities == 3
     assert [c[:2] for c in cuts] == [(1, 2), (2, 3)]
+
+
+def _looped_suite(count, seed):
+    """Seeded small graphs with self-loops and trailing isolated nodes."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 14)
+        p = rng.choice((0.15, 0.3, 0.5))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        edges += [(u, u) for u in range(n) if rng.random() < 0.2]
+        out.append(Graph(n + rng.randint(0, 2), edges))
+    return out
+
+
+def test_girvan_newman_golden():
+    # Digest of every edge_betweenness score.hex() and of both variants'
+    # (labels, cuts with score.hex()) at targets 1, 2, 5 and n, recorded
+    # before the list-indexed Brandes pass. The float sums depend on the
+    # order roots are visited in, so a changed root order changes it.
+    graphs = [karate_club(), random_graph(100, 0.08, 1), *_looped_suite(80, 77)]
+    rows = []
+    for g in graphs:
+        rows.append(sorted((key, s.hex()) for key, s in edge_betweenness(g).items()))
+        n = g.node_count
+        for target in sorted({t for t in (1, 2, 5, n) if t <= n}):
+            for run in (girvan_newman, girvan_newman_static):
+                part, cuts = run(g, target)
+                rows.append((part.labels, [(u, v, s.hex()) for u, v, s in cuts]))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "375f9c62b88aa094a15af80dee5576962af3a8daf92049eb0d87ff01cff7d9eb"
