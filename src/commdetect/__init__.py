@@ -17,13 +17,7 @@ from .agglomerative import (
     euclidean_distance,
     linkage_distance,
 )
-from .fastgreedy import (
-    DeltaQStore,
-    GlobalHeap,
-    fastgreedy,
-    init_fastgreedy,
-    join,
-)
+from .fastgreedy import fastgreedy
 from .girvan_newman import (
     edge_betweenness,
     girvan_newman,
@@ -84,9 +78,5 @@ __all__ = [
     "local_move_pass",
     "aggregate",
     "louvain",
-    "DeltaQStore",
-    "GlobalHeap",
-    "init_fastgreedy",
-    "join",
     "fastgreedy",
 ]

@@ -12,7 +12,10 @@ style of accelerated greedy (Minoux; CELF in Leskovec et al. 2007): a
 join pushes only cells it creates or whose gain rises, never a falling
 gain. Selection re-queues stale bounds at the top until the top is
 exact, then reads the band of gains tied with that maximum in place in
-the heap array, so a tie group is never drained and re-pushed.
+the heap array, so a tie group is never drained and re-pushed. The walk
+re-keys each junk entry the first time it meets it: a retired cell's
+entry sinks to the bottom and a stale bound drops to its cell's gain.
+The chosen pair depends only on the stored gains, not on heap layout.
 """
 
 import heapq
@@ -32,6 +35,19 @@ __all__ = [
 # (i, j) pair wins regardless of which float happens to be a few ulps
 # ahead after incremental updates.
 _TIE_EPS = 1e-12
+
+
+def _sift_down(entries, k, entry):
+    """Place `entry` at position k of the heap array and sift it down."""
+    size = len(entries)
+    while (child := 2 * k + 1) < size:
+        if child + 1 < size and entries[child + 1] < entries[child]:
+            child += 1
+        if not entries[child] < entry:
+            break
+        entries[k] = entries[child]
+        k = child
+    entries[k] = entry
 
 
 class DeltaQStore:
@@ -90,8 +106,9 @@ class GlobalHeap:
         of the heap are re-queued at their current gain until the top is
         exact, which makes it the maximum M; the tie band is then read in
         place by walking the heap array and pruning every subtree whose
-        bound is below M - _TIE_EPS. The chosen pair stays queued until
-        joining it retires the cell.
+        bound is below M - _TIE_EPS, then re-keying and sifting down each
+        junk entry it met: a retired cell's to +inf, a stale bound to its
+        cell's current gain. The chosen pair stays queued until joined.
         """
         entries = self._entries
         rows = self._store.rows
@@ -109,6 +126,7 @@ class GlobalHeap:
             return None
         floor = -entries[0][0] - _TIE_EPS
         best = None
+        junk = []
         stack = [0]
         size = len(entries)
         while stack:
@@ -116,15 +134,25 @@ class GlobalHeap:
             neg_bound, i, j = entries[k]
             if -neg_bound < floor:
                 continue
-            if best is None or (i, j) < best[:2]:
-                row = rows.get(i)
-                if row is not None and j in row and row[j] >= floor:
-                    best = (i, j, row[j])
+            row = rows.get(i)
+            if row is None or j not in row:
+                junk.append((k, (float("inf"), i, j)))
+            else:
+                gain = row[j]
+                if gain < -neg_bound:
+                    junk.append((k, (-gain, i, j)))
+                if gain >= floor and (best is None or (i, j) < best[:2]):
+                    best = (i, j, gain)
             child = 2 * k + 1
             if child < size:
                 stack.append(child)
                 if child + 1 < size:
                     stack.append(child + 1)
+        # Keys only grow and a sift moves entries inside one subtree, so
+        # going from the largest position down keeps pending ones valid.
+        junk.sort(reverse=True)
+        for k, entry in junk:
+            _sift_down(entries, k, entry)
         return best
 
     def __len__(self):
@@ -163,26 +191,32 @@ def _apply_join(store, heap, a, i, j, dq):
       only i:      dq_ik - 2*a_j*a_k
       only j:      dq_jk - 2*a_i*a_k
     using the pre-merge weight fractions, after which a_j absorbs a_i.
-    Queued gains are upper bounds, so only a created cell or a rising gain
-    is pushed; the "only j" case always falls and is never re-queued.
+    Row j is walked, then the cells only row i has, and both mirrored
+    cells are written directly. Queued gains are upper bounds, so only a
+    created cell or a rising gain is pushed; "only j" always falls.
     """
-    row_i = store.rows[i]
-    row_j = store.rows[j]
-    others = (set(row_i) | set(row_j)) - {i, j}
+    rows = store.rows
+    row_i = rows[i]
+    row_j = rows[j]
     a_i = a[i]
     a_j = a[j]
-    for k in sorted(others):
-        in_i = k in row_i
-        in_j = k in row_j
-        if in_i and in_j:
-            new = row_i[k] + row_j[k]
-        elif in_i:
-            new = row_i[k] - 2.0 * a_j * a[k]
+    for k, old in row_j.items():
+        if k == i:
+            continue
+        if k in row_i:
+            new = row_i[k] + old
+            if new > old:
+                heap.push(j, k, new)
         else:
-            new = row_j[k] - 2.0 * a_i * a[k]
-        if not in_j or new > row_j[k]:
+            new = old - 2.0 * a_i * a[k]
+        row_j[k] = new
+        rows[k][j] = new
+    for k, old in row_i.items():
+        if k != j and k not in row_j:
+            new = old - 2.0 * a_j * a[k]
             heap.push(j, k, new)
-        store.set(j, k, new)
+            row_j[k] = new
+            rows[k][j] = new
     store.retire(i)
     a[j] = a_i + a_j
     del a[i]

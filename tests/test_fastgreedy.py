@@ -1,9 +1,12 @@
 """Greedy modularity agglomeration tests."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 
-from commdetect import Graph, fastgreedy, modularity
+from commdetect import Graph, fastgreedy, karate_club, modularity, random_graph
 from commdetect.fastgreedy import _TIE_EPS, DeltaQStore, GlobalHeap, init_fastgreedy, join
 from helpers import (
     path_graph,
@@ -231,3 +234,78 @@ def test_fastgreedy_matches_oracle_on_integer_weight_ties(g):
         running.append(q)
     assert best_q == max(running)
     assert best_q == pytest.approx(oracle_best_q, abs=1e-9)
+
+
+def _tied_suite(count, seed):
+    """Seeded graphs with integer weights 1-3, which make many tied gains,
+    whose edges stay inside up to three residue classes of the node ids,
+    so most have several components, some of them isolated nodes."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(4, 16)
+        parts = rng.randint(1, 3)
+        edges = [
+            (u, v, rng.randint(1, 3))
+            for u in range(n)
+            for v in range(u + 1, n)
+            if (v - u) % parts == 0 and rng.random() < 0.5
+        ]
+        out.append(Graph(n + rng.randint(0, 2), edges or [(0, parts)]))
+    return out
+
+
+def test_fastgreedy_golden():
+    # Digest of every merge record (distance.hex()), the labels and
+    # best_q.hex(), recorded before the band walk re-keyed junk entries
+    # and before joins walked the two rows. The chosen pair depends only
+    # on the stored gains, so neither change may move it.
+    graphs = [
+        karate_club(),
+        *(random_graph(500, 0.016, s) for s in (0, 1, 2)),
+        random_graph(2000, 0.004, 0),
+        *_tied_suite(60, 8),
+    ]
+    rows = []
+    for g in graphs:
+        dend, best, best_q = fastgreedy(g)
+        merges = [(m.left, m.right, m.merged, m.distance.hex(), m.step) for m in dend.merges]
+        rows.append((merges, best.labels, best_q.hex()))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "c32f1d82758311cf5b3fc77612ddcf8f1cda28c9179e034c183c218140aa4967"
+
+
+def _check_heap(store, heap):
+    """Heap order holds, and every live cell has a queued upper bound."""
+    entries = heap._entries
+    for k in range(1, len(entries)):
+        assert entries[(k - 1) // 2] <= entries[k]
+    bound = {}
+    for neg_bound, i, j in entries:
+        bound[i, j] = max(bound.get((i, j), -neg_bound), -neg_bound)
+    for i, j, gain in store.pairs():
+        assert bound[i, j] >= gain
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_integer_weighted_graphs(max_nodes=16))
+def test_pop_best_matches_brute_force_and_keeps_bounds(g):
+    store, heap, a = init_fastgreedy(g)
+    _check_heap(store, heap)
+    while True:
+        picked = heap.pop_best()
+        _check_heap(store, heap)
+        pairs = list(store.pairs())
+        if not pairs:
+            assert picked is None
+            break
+        top = max(gain for _, _, gain in pairs)
+        assert picked == min((i, j, gain) for i, j, gain in pairs if gain >= top - _TIE_EPS)
+        # the band walk leaves no entry of a retired cell, and no bound
+        # above its cell's gain, in the band behind
+        rows = store.rows
+        for neg_bound, i, j in heap._entries:
+            if -neg_bound >= top - _TIE_EPS:
+                assert j in rows.get(i, ()) and rows[i][j] >= -neg_bound
+        join(store, heap, a, *picked[:2])
+        _check_heap(store, heap)
