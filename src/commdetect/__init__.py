@@ -36,15 +36,7 @@ from .graph import (
     random_graph,
     serialize_edge_list,
 )
-from .louvain import (
-    AggregateGraph,
-    CommunityState,
-    LouvainVariant,
-    aggregate,
-    delta_q_insert,
-    local_move_pass,
-    louvain,
-)
+from .louvain import LouvainVariant, louvain
 
 __version__ = "0.1.0"
 
@@ -72,11 +64,6 @@ __all__ = [
     "girvan_newman",
     "girvan_newman_static",
     "LouvainVariant",
-    "CommunityState",
-    "AggregateGraph",
-    "delta_q_insert",
-    "local_move_pass",
-    "aggregate",
     "louvain",
     "fastgreedy",
 ]

@@ -28,7 +28,6 @@ __all__ = [
     "LouvainVariant",
     "CommunityState",
     "AggregateGraph",
-    "delta_q_insert",
     "local_move_pass",
     "aggregate",
     "louvain",
@@ -49,177 +48,152 @@ class LouvainVariant(str, Enum):
 class CommunityState:
     """Mutable bookkeeping for local-move passes over one graph level.
 
-    Tracks, per community, sigma_in (the adjacency mass inside: twice the
-    intra-community edge weight, self-loops counting twice) and sigma_tot
-    (the sum of member weighted degrees). Removing and re-inserting a node
-    into the same community restores every field.
-
-    A node visit scans the node's adjacency once: neighbor_weights collects
-    the link weight to every neighbouring community, and remove, insert and
-    delta_q_insert take their k_in from it instead of rescanning.
+    Community ids are node ids: every label must lie in range(n), as it
+    does at the start of each level, where node i starts in community i.
+    Three lists indexed by community hold sigma_in (the adjacency mass
+    inside: twice the intra-community edge weight, self-loops counting
+    twice), sigma_tot (the sum of member weighted degrees) and size (the
+    member count). An empty community's slots read exactly 0.0 and 0.
     """
 
     def __init__(self, graph, assignment=None):
+        n = graph.node_count
+        assignment = list(range(n)) if assignment is None else list(assignment)
+        if len(assignment) != n:
+            raise ValueError("assignment length does not match node count")
         self.graph = graph
         self.m = graph.total_weight
-        n = graph.node_count
-        if assignment is None:
-            assignment = range(n)
-        self.assignment = list(assignment)
-        if len(self.assignment) != n:
-            raise ValueError("assignment length does not match node count")
-        self.k = [graph.weighted_degree(i) for i in range(n)]
-        self.sigma_in = {}
-        self.sigma_tot = {}
-        self._size = {}
-        for i, c in enumerate(self.assignment):
-            self.sigma_tot[c] = self.sigma_tot.get(c, 0.0) + self.k[i]
-            self._size[c] = self._size.get(c, 0) + 1
+        self.assignment = assignment
+        self.adj = [graph.neighbors(i) for i in range(n)]
+        # Weighted degrees as graph.modularity reads them: a self-loop counts twice.
+        self.k = k = [sum(adj.values()) + adj.get(i, 0.0) for i, adj in enumerate(self.adj)]
+        self.sigma_in = sigma_in = [0.0] * n
+        self.sigma_tot = sigma_tot = [0.0] * n
+        self.size = size = [0] * n
+        for i, c in enumerate(assignment):
+            if type(c) is not int or not 0 <= c < n:
+                raise ValueError(f"community label {c!r} of node {i} is outside range({n})")
+            sigma_tot[c] += k[i]
+            size[c] += 1
         for u, v, w in graph.edges():
-            if self.assignment[u] == self.assignment[v]:
-                c = self.assignment[u]
-                self.sigma_in[c] = self.sigma_in.get(c, 0.0) + 2.0 * w
-
-    def community_of(self, i):
-        return self.assignment[i]
-
-    def neighbor_weights(self, i):
-        """{community: weight of node i's edges into it}, own self-loop excluded.
-
-        One adjacency pass, adding in adjacency order from 0 as `sum` does.
-        """
-        assignment = self.assignment
-        weights = {}
-        for j, w in self.graph.neighbors(i).items():
-            if j != i:
-                c = assignment[j]
-                weights[c] = weights.get(c, 0) + w
-        return weights
-
-    def k_in(self, i, c):
-        """Weight of edges from node i to community c, own self-loop excluded."""
-        return self.neighbor_weights(i).get(c, 0)
-
-    def neighbor_communities(self, i):
-        return set(self.neighbor_weights(i))
-
-    def remove(self, i, k_in=None):
-        """Take node i out of its community; it belongs nowhere until re-inserted.
-
-        `k_in`, the node's weight into its own community, is scanned for if omitted.
-        """
-        c = self.assignment[i]
-        if c is None:
-            raise ValueError(f"node {i} is already removed")
-        if k_in is None:
-            k_in = self.k_in(i, c)
-        self.assignment[i] = None
-        loop = self.graph.neighbors(i).get(i, 0.0)
-        self.sigma_tot[c] -= self.k[i]
-        delta_in = 2.0 * k_in + 2.0 * loop
-        if delta_in:
-            self.sigma_in[c] -= delta_in
-        self._size[c] -= 1
-        if self._size[c] == 0:
-            del self._size[c]
-            del self.sigma_tot[c]
-            self.sigma_in.pop(c, None)
-        return c
-
-    def insert(self, i, c, k_in=None):
-        """Put the removed node i into community c; `k_in` as for remove."""
-        if self.assignment[i] is not None:
-            raise ValueError(f"node {i} is already in a community")
-        if k_in is None:
-            k_in = self.k_in(i, c)
-        loop = self.graph.neighbors(i).get(i, 0.0)
-        delta_in = 2.0 * k_in + 2.0 * loop
-        self.assignment[i] = c
-        self.sigma_tot[c] = self.sigma_tot.get(c, 0.0) + self.k[i]
-        if delta_in:
-            self.sigma_in[c] = self.sigma_in.get(c, 0.0) + delta_in
-        self._size[c] = self._size.get(c, 0) + 1
-
-    def partition(self):
-        if any(c is None for c in self.assignment):
-            raise ValueError("state has a removed node")
-        return Partition(self.assignment)
+            if assignment[u] == assignment[v]:
+                sigma_in[assignment[u]] += 2.0 * w
 
 
-def delta_q_insert(state, i, c, k_in=None):
-    """Modularity gain of inserting node i into community c.
-
-    Evaluates [(sigma_in + 2*k_in)/2m - ((sigma_tot + k_i)/2m)^2] minus
-    [sigma_in/2m - (sigma_tot/2m)^2 - (k_i/2m)^2] on the state's current
-    bookkeeping. The value equals the true modularity difference exactly
-    when node i has been removed first, which is how _best_move always
-    calls it. `k_in` is the node's weight into c; _best_move passes the
-    value from its one neighbor_weights scan of the visit, and without it
-    the adjacency is scanned here.
-    """
-    if state.m == 0:
-        raise ValueError("modularity gain is undefined for a graph with no edges")
-    if k_in is None:
-        k_in = state.k_in(i, c)
-    two_m = 2.0 * state.m
-    s_in = state.sigma_in.get(c, 0.0)
-    s_tot = state.sigma_tot.get(c, 0.0)
-    ki = state.k[i]
-    after = (s_in + 2.0 * k_in) / two_m - ((s_tot + ki) / two_m) ** 2
-    before = s_in / two_m - (s_tot / two_m) ** 2 - (ki / two_m) ** 2
-    return after - before
-
-
-def _total_score(state, i, c, k_in=None):
-    """Modularity of the partition with the removed node i placed in c; ignores `k_in`."""
-    state.assignment[i] = c
-    q = modularity(state.graph, state.assignment)
-    state.assignment[i] = None
+def _total_score(state, i, c):
+    """Modularity of the partition with node i moved to community c."""
+    assignment = state.assignment
+    c_was, assignment[i] = assignment[i], c
+    q = modularity(state.graph, assignment)
+    assignment[i] = c_was
     return q
 
 
-def _best_move(state, i, c_old, weights, use_total_formula=False):
-    """Best community for the removed node i, or c_old when no move pays.
+def _visit(state, order, use_total_formula=False, move=True):
+    """Visit each node of `order` once; returns [(c_old, c_best)] per node
+    whose best community is not its own.
 
-    `weights` is state.neighbor_weights(i), the visit's one adjacency
-    scan: its keys are the candidates and its values their k_in, so no
-    candidate rescans the adjacency. Closed-form scores are insertion
-    gains; total-formula scores are full modularity values of the
-    partition with i placed in the candidate. Either way the score
-    difference against c_old is the net change of the move. Neighbouring
+    A visit scans the node's adjacency once, collecting its link weight
+    k_in to every other community and its self-loop. It takes the node
+    out of its community c_old in locals, then scores staying and every
+    neighbouring community. Closed-form scores are insertion gains,
+    [(sigma_in + 2*k_in)/2m - ((sigma_tot + k_i)/2m)^2] minus
+    [sigma_in/2m - (sigma_tot/2m)^2 - (k_i/2m)^2] on the node-removed
+    sums; total-formula scores are full modularity values. Either way the
+    score difference against c_old is the net change of the move. Other
     communities are tried in ascending label order and the first strict
-    maximum wins; it is returned only when it beats staying in c_old by
-    more than _GAIN_EPS.
+    maximum wins; it is taken only when it beats staying by more than
+    _GAIN_EPS. The node is then inserted into the winner when `move` is
+    set, and back into c_old otherwise. Staying adds the node's sums back
+    onto the removed ones, so every float matches a separate remove and
+    insert.
     """
-    score_of = _total_score if use_total_formula else delta_q_insert
-    stay = best_score = score_of(state, i, c_old, weights.get(c_old, 0))
-    best_c = c_old
-    for c in sorted(weights):
-        if c != c_old:
-            score = score_of(state, i, c, weights[c])
-            if score > best_score:
-                best_c, best_score = c, score
-    return best_c if best_score - stay > _GAIN_EPS else c_old
+    if state.m == 0:
+        raise ValueError("modularity gain is undefined for a graph with no edges")
+    adj = state.adj
+    assignment = state.assignment
+    k = state.k
+    sigma_in = state.sigma_in
+    sigma_tot = state.sigma_tot
+    size = state.size
+    two_m = 2.0 * state.m
+    gain_eps = _GAIN_EPS
+    # Each community's share of the "before" term, updated whenever its
+    # sums change, so a candidate's score costs one lookup for it.
+    base = [s_in / two_m - (s_tot / two_m) ** 2 for s_in, s_tot in zip(sigma_in, sigma_tot)]
+    changes = []
+    for i in order:
+        c_old = assignment[i]
+        weights = {}
+        loop = 0.0
+        for j, w in adj[i].items():
+            if j != i:
+                c = assignment[j]
+                if c in weights:
+                    weights[c] += w
+                else:
+                    weights[c] = w
+            else:
+                loop = w
+        ki = k[i]
+        k_old = weights.pop(c_old, 0.0)
+        in_old = 2.0 * k_old + 2.0 * loop
+        if size[c_old] == 1:
+            s_in = s_tot = 0.0
+        else:
+            s_in = sigma_in[c_old] - in_old
+            s_tot = sigma_tot[c_old] - ki
+        c_new = c_old
+        if weights:
+            if use_total_formula:
+                stay = best = _total_score(state, i, c_old)
+            else:
+                kk = (ki / two_m) ** 2
+                stay = best = ((s_in + 2.0 * k_old) / two_m - ((s_tot + ki) / two_m) ** 2
+                               - (s_in / two_m - (s_tot / two_m) ** 2 - kk))
+            for c in sorted(weights):
+                if use_total_formula:
+                    score = _total_score(state, i, c)
+                else:
+                    score = ((sigma_in[c] + 2.0 * weights[c]) / two_m - ((sigma_tot[c] + ki) / two_m) ** 2
+                             - (base[c] - kk))
+                if score > best:
+                    c_new, best = c, score
+            if best - stay > gain_eps:
+                changes.append((c_old, c_new))
+            else:
+                c_new = c_old
+        if move and c_new != c_old:
+            in_new = sigma_in[c_new] + (2.0 * weights[c_new] + 2.0 * loop)
+            tot_new = sigma_tot[c_new] + ki
+            sigma_in[c_new] = in_new
+            sigma_tot[c_new] = tot_new
+            base[c_new] = in_new / two_m - (tot_new / two_m) ** 2
+            size[c_old] -= 1
+            size[c_new] += 1
+            assignment[i] = c_new
+        else:
+            s_in += in_old
+            s_tot += ki
+        sigma_in[c_old] = s_in
+        sigma_tot[c_old] = s_tot
+        base[c_old] = s_in / two_m - (s_tot / two_m) ** 2
+    return changes
 
 
 def local_move_pass(state, order, use_total_formula=False):
     """Visit nodes in `order`, applying each node's best single move.
 
     Returns (state, improved) where improved reports whether any node
-    changed community. A move is applied only when its gain over staying
-    exceeds a small positive threshold, so modularity strictly increases
-    with every applied move and the pass loop always terminates. Each
-    visit scans the node's adjacency once.
+    changed community; `state.assignment` is updated in place. A move is
+    applied only when its gain over staying exceeds a small positive
+    threshold, so modularity strictly increases with every applied move
+    and the pass loop always terminates. Each visit scans the node's
+    adjacency once and costs O(degree + c log c) for c neighbouring
+    communities, plus one modularity evaluation per candidate with
+    `use_total_formula`.
     """
-    improved = False
-    for i in order:
-        weights = state.neighbor_weights(i)
-        c_old = state.remove(i, weights.get(state.assignment[i], 0))
-        c_new = _best_move(state, i, c_old, weights, use_total_formula)
-        state.insert(i, c_new, weights.get(c_new, 0))
-        if c_new != c_old:
-            improved = True
-    return state, improved
+    return state, bool(_visit(state, order, use_total_formula))
 
 
 @dataclass(frozen=True)
@@ -273,9 +247,8 @@ def _passes_until_stable(state, rng, use_total_formula):
         moved_any = True
 
 
-def _fold(labels, state, agg):
+def _fold(labels, assignment, agg):
     new_of = {lab: idx for idx, lab in enumerate(agg.origin)}
-    assignment = state.assignment
     return [new_of[assignment[c]] for c in labels]
 
 
@@ -290,8 +263,8 @@ def _louvain_merging(g, rng, use_total_formula):
         passes += done
         if not moved:
             break
-        agg = aggregate(level_graph, state.partition(), level)
-        labels = _fold(labels, state, agg)
+        agg = aggregate(level_graph, state.assignment, level)
+        labels = _fold(labels, state.assignment, agg)
         level_graph = agg.graph
         level += 1
     return labels, passes
@@ -304,8 +277,8 @@ def _louvain_flat(g, rng, use_total_formula):
 
 
 class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
+    def __init__(self, n):
+        self.parent = list(range(n))
 
     def find(self, x):
         root = x
@@ -324,20 +297,6 @@ class _UnionFind:
             self.parent[ry] = rx
 
 
-def _exp_proposals(state):
-    """Best target community per node, judged against the frozen state."""
-    proposals = []
-    for i in range(state.graph.node_count):
-        weights = state.neighbor_weights(i)
-        k_old = weights.get(state.assignment[i], 0)
-        c_old = state.remove(i, k_old)
-        best_c = _best_move(state, i, c_old, weights)
-        state.insert(i, c_old, k_old)
-        if best_c != c_old:
-            proposals.append((c_old, best_c))
-    return proposals
-
-
 def _louvain_exp(g):
     # Each pass proposes one move per node against the frozen pass-start
     # state, unites all proposals at once, and contracts immediately, so
@@ -347,17 +306,17 @@ def _louvain_exp(g):
     level = 0
     passes = 0
     while True:
-        state = CommunityState(level_graph)
-        proposals = _exp_proposals(state)
+        n = level_graph.node_count
+        proposals = _visit(CommunityState(level_graph), range(n), move=False)
         passes += 1
         if not proposals:
             break
-        uf = _UnionFind(set(state.assignment))
+        uf = _UnionFind(n)
         for source, target in proposals:
             uf.union(source, target)
-        state = CommunityState(level_graph, [uf.find(c) for c in state.assignment])
-        agg = aggregate(level_graph, state.partition(), level)
-        labels = _fold(labels, state, agg)
+        united = [uf.find(c) for c in range(n)]
+        agg = aggregate(level_graph, united, level)
+        labels = _fold(labels, united, agg)
         level_graph = agg.graph
         level += 1
     return labels, passes

@@ -5,8 +5,15 @@ import random
 from hypothesis import strategies as st
 
 from commdetect import Graph, random_graph
-from commdetect.louvain import CommunityState, aggregate, delta_q_insert
-from oracles import modularity_direct
+from commdetect.louvain import CommunityState, aggregate
+from oracles import (
+    best_move_scanning,
+    delta_q_insert,
+    insert,
+    modularity_direct,
+    neighbor_communities,
+    remove,
+)
 
 
 def path_graph(n):
@@ -103,8 +110,8 @@ def move_gain_checks(g, seed):
             order = list(range(level_graph.node_count))
             rng.shuffle(order)
             for i in order:
-                c_old = state.remove(i)
-                candidates = sorted(state.neighbor_communities(i) | {c_old})
+                c_old = remove(state, i)
+                candidates = sorted(neighbor_communities(state, i) | {c_old})
                 scores = {c: delta_q_insert(state, i, c) for c in candidates}
                 base = list(state.assignment)
                 base[i] = c_old
@@ -114,19 +121,14 @@ def move_gain_checks(g, seed):
                     trial[i] = c
                     q_after = modularity_direct(level_graph, trial)
                     yield scores[c] - scores[c_old], q_after - q_before
-                best_c, best_score = c_old, scores[c_old]
-                for c in candidates:
-                    if c != c_old and scores[c] > best_score:
-                        best_c, best_score = c, scores[c]
-                if best_c != c_old and best_score - scores[c_old] > 1e-12:
-                    state.insert(i, best_c)
+                best_c = best_move_scanning(state, i, c_old)
+                insert(state, i, best_c)
+                if best_c != c_old:
                     improved = True
                     moved_any = True
-                else:
-                    state.insert(i, c_old)
         if not moved_any:
             return
-        agg = aggregate(level_graph, state.partition())
+        agg = aggregate(level_graph, state.assignment)
         if agg.graph.node_count == level_graph.node_count:
             return
         level_graph = agg.graph

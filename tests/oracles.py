@@ -2,12 +2,18 @@
 
 Everything here is deliberately naive: direct formula evaluation, path
 enumeration, and from-scratch recomputation. None of it shares code with
-the package internals beyond the Graph container itself.
+the package internals beyond the Graph container itself, except the
+scanning Louvain replay, which drives the package's CommunityState
+bookkeeping, aggregate and modularity with its own local moves.
 """
 
+import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+
+from commdetect import Partition, modularity
+from commdetect.louvain import CommunityState, aggregate
 
 
 def modularity_direct(g, labels):
@@ -237,3 +243,164 @@ def best_partition_exhaustive(g):
             best_q = q
             best_labels = labels
     return best_q, best_labels
+
+
+# The scanning formulation of Louvain's local move: every link weight is
+# rescanned from the adjacency and every step is a separate call. The
+# fused visit in commdetect.louvain must reproduce it bit for bit. Each
+# function works on a commdetect.louvain.CommunityState.
+
+
+def neighbor_weights(state, i):
+    """{community: weight of node i's edges into it}, own self-loop excluded.
+
+    One adjacency pass, adding in adjacency order from 0 as `sum` does.
+    """
+    assignment = state.assignment
+    weights = {}
+    for j, w in state.graph.neighbors(i).items():
+        if j != i:
+            c = assignment[j]
+            weights[c] = weights.get(c, 0) + w
+    return weights
+
+
+def k_in(state, i, c):
+    """Weight of edges from node i to community c, own self-loop excluded."""
+    return neighbor_weights(state, i).get(c, 0)
+
+
+def neighbor_communities(state, i):
+    return set(neighbor_weights(state, i))
+
+
+def _delta_in(state, i, c):
+    return 2.0 * k_in(state, i, c) + 2.0 * state.graph.neighbors(i).get(i, 0.0)
+
+
+def remove(state, i):
+    """Take node i out of its community; it belongs nowhere until re-inserted."""
+    c = state.assignment[i]
+    if c is None:
+        raise ValueError(f"node {i} is already removed")
+    delta_in = _delta_in(state, i, c)
+    state.assignment[i] = None
+    state.sigma_tot[c] -= state.k[i]
+    state.sigma_in[c] -= delta_in
+    state.size[c] -= 1
+    if state.size[c] == 0:
+        state.sigma_in[c] = state.sigma_tot[c] = 0.0
+    return c
+
+
+def insert(state, i, c):
+    """Put the removed node i into community c."""
+    if state.assignment[i] is not None:
+        raise ValueError(f"node {i} is already in a community")
+    delta_in = _delta_in(state, i, c)
+    state.assignment[i] = c
+    state.sigma_tot[c] += state.k[i]
+    state.sigma_in[c] += delta_in
+    state.size[c] += 1
+
+
+def delta_q_insert(state, i, c):
+    """Modularity gain of inserting node i into community c.
+
+    Evaluates [(sigma_in + 2*k_in)/2m - ((sigma_tot + k_i)/2m)^2] minus
+    [sigma_in/2m - (sigma_tot/2m)^2 - (k_i/2m)^2] on the state's current
+    bookkeeping. The value equals the true modularity difference exactly
+    when node i has been removed first.
+    """
+    if state.m == 0:
+        raise ValueError("modularity gain is undefined for a graph with no edges")
+    two_m = 2.0 * state.m
+    s_in = state.sigma_in[c]
+    s_tot = state.sigma_tot[c]
+    ki = state.k[i]
+    after = (s_in + 2.0 * k_in(state, i, c)) / two_m - ((s_tot + ki) / two_m) ** 2
+    before = s_in / two_m - (s_tot / two_m) ** 2 - (ki / two_m) ** 2
+    return after - before
+
+
+def best_move_scanning(state, i, c_old):
+    """Best community for the removed node i: staying is scored first, the
+    first strict maximum in ascending label order wins, and it must beat
+    staying by more than 1e-12."""
+    stay = best = delta_q_insert(state, i, c_old)
+    best_c = c_old
+    for c in sorted(neighbor_communities(state, i) - {c_old}):
+        score = delta_q_insert(state, i, c)
+        if score > best:
+            best_c, best = c, score
+    return best_c if best - stay > 1e-12 else c_old
+
+
+def local_move_pass_scanning(state, order):
+    """local_move_pass(state, order) by the scanning formulation; returns
+    whether any node moved."""
+    improved = False
+    for i in order:
+        c_old = remove(state, i)
+        c_new = best_move_scanning(state, i, c_old)
+        insert(state, i, c_new)
+        improved = improved or c_new != c_old
+    return improved
+
+
+def louvain_scanning(g, variant, seed=0):
+    """louvain(g, variant, seed) for normal, noMerge and Exp, replayed with
+    remove, best_move_scanning and insert; returns (partition, q, passes)."""
+    rng = random.Random(seed)
+    labels = list(range(g.node_count))
+    level_graph = g
+    passes = 0
+    while True:
+        nodes = range(level_graph.node_count)
+        state = CommunityState(level_graph)
+        if variant == "Exp":
+            proposals = []
+            for i in nodes:
+                c_old = remove(state, i)
+                best = best_move_scanning(state, i, c_old)
+                insert(state, i, c_old)
+                if best != c_old:
+                    proposals.append((c_old, best))
+            passes += 1
+            if not proposals:
+                break
+            # Uniting with the smaller root winning labels every node
+            # with the smallest node of its united group.
+            root = list(nodes)
+            for a, b in proposals:
+                while root[a] != a:
+                    a = root[a]
+                while root[b] != b:
+                    b = root[b]
+                root[max(a, b)] = min(a, b)
+            communities = []
+            for i in nodes:
+                while root[i] != i:
+                    i = root[i]
+                communities.append(i)
+        else:
+            moved = False
+            while True:
+                order = list(nodes)
+                rng.shuffle(order)
+                passes += 1
+                if not local_move_pass_scanning(state, order):
+                    break
+                moved = True
+            if variant == "noMerge":
+                labels = state.assignment
+                break
+            if not moved:
+                break
+            communities = state.assignment
+        agg = aggregate(level_graph, communities)
+        new_of = {lab: idx for idx, lab in enumerate(agg.origin)}
+        labels = [new_of[communities[c]] for c in labels]
+        level_graph = agg.graph
+    part = Partition(labels).canonicalize()
+    return part, modularity(g, part), passes

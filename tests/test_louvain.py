@@ -2,6 +2,8 @@
 
 import hashlib
 import importlib
+import random
+import re
 import statistics
 
 import pytest
@@ -14,9 +16,7 @@ from commdetect.louvain import (
     _GAIN_EPS,
     CommunityState,
     LouvainVariant,
-    _best_move,
     aggregate,
-    delta_q_insert,
     local_move_pass,
 )
 from helpers import (
@@ -27,7 +27,17 @@ from helpers import (
     small_integer_weighted_graphs,
     two_triangles,
 )
-from oracles import modularity_direct
+from oracles import (
+    delta_q_insert,
+    insert,
+    k_in,
+    local_move_pass_scanning,
+    louvain_scanning,
+    modularity_direct,
+    neighbor_communities,
+    neighbor_weights,
+    remove,
+)
 
 # `commdetect.louvain` is also the name of the re-exported function.
 louvain_module = importlib.import_module("commdetect.louvain")
@@ -45,10 +55,10 @@ def test_state_bookkeeping_invariants():
     for idx, g in enumerate(random_suite(12, 3, 10, (0.4, 0.7), 7000)):
         labels = [(i + idx) % 3 for i in range(g.node_count)]
         state = CommunityState(g, labels)
-        assert sum(state.sigma_tot.values()) == pytest.approx(
+        assert sum(state.sigma_tot) == pytest.approx(
             2.0 * g.total_weight, abs=1e-12
         )
-        for c in state.sigma_in:
+        for c in range(g.node_count):
             inside = sum(
                 2.0 * w for u, v, w in g.edges()
                 if labels[u] == c and labels[v] == c
@@ -63,22 +73,30 @@ def test_state_remove_insert_restores_exactly():
         for graph in (g, agg.graph):
             state = CommunityState(graph, [i % 2 for i in range(graph.node_count)])
             before = (
-                dict(state.sigma_in),
-                dict(state.sigma_tot),
+                list(state.sigma_in),
+                list(state.sigma_tot),
                 list(state.assignment),
             )
             for i in range(graph.node_count):
-                c = state.remove(i)
-                state.insert(i, c)
-            assert (dict(state.sigma_in), dict(state.sigma_tot),
+                c = remove(state, i)
+                insert(state, i, c)
+            assert (list(state.sigma_in), list(state.sigma_tot),
                     list(state.assignment)) == before
+
+
+def test_state_rejects_labels_outside_the_node_range():
+    for bad in (3, -1, None, 1.0, True):
+        with pytest.raises(ValueError, match=re.escape(f"community label {bad!r} of node 1")):
+            CommunityState(path_graph(3), [0, bad, 0])
+    with pytest.raises(ValueError, match="length"):
+        CommunityState(path_graph(3), [0, 1])
 
 
 def test_k_in_excludes_self_and_own_loop():
     g = Graph(3, [(0, 0, 5.0), (0, 1), (0, 2), (1, 2)])
     state = CommunityState(g, [0, 0, 1])
-    assert state.k_in(0, 0) == 1.0
-    assert state.k_in(0, 1) == 1.0
+    assert k_in(state, 0, 0) == 1.0
+    assert k_in(state, 0, 1) == 1.0
     assert state.k[0] == 12.0
 
 
@@ -100,21 +118,48 @@ def _states(draw):
 def test_neighbor_weights_is_one_scan_of_the_adjacency(state):
     assignment = state.assignment
     for i in range(state.graph.node_count):
-        weights = state.neighbor_weights(i)
+        weights = neighbor_weights(state, i)
         adj = state.graph.neighbors(i)
         assert weights.keys() == {assignment[j] for j in adj if j != i}
-        assert set(weights) == state.neighbor_communities(i)
+        assert set(weights) == neighbor_communities(state, i)
         for c in weights:
             # Bit-identical to summing the adjacency in order, as k_in did.
             assert weights[c] == sum(w for j, w in adj.items() if j != i and assignment[j] == c)
-            assert weights[c] == state.k_in(i, c)
+            assert weights[c] == k_in(state, i, c)
+
+
+def _scored_state(c_old, scores):
+    """A state whose node 0 scores exactly scores[c] for every community c.
+
+    Node 0 sits in c_old with one fellow member, and links to one node per
+    other community; each link to c weighs scores[c]. With 2m = 2, k_0 = 0
+    and every sum 0 once node 0 is out, the closed-form score of joining c
+    reduces to 2*scores[c]/2, which is exact.
+    """
+    n = 10
+    others = [c for c in scores if c != c_old]
+    labels = [c_old, c_old, *others]
+    state = CommunityState(Graph(n), labels + [0] * (n - len(labels)))
+    state.m = 1.0
+    state.k = [0.0] * n
+    state.adj[0] = {j: scores[c] for j, c in enumerate(labels[1:], 1)}
+    state.sigma_in[c_old] = 2.0 * scores[c_old]
+    return state
 
 
 def _pick(monkeypatch, c_old, scores):
-    """_best_move for a removed node with the given candidate scores."""
-    monkeypatch.setattr(louvain_module, "delta_q_insert", lambda state, i, c, k_in=None: scores[c])
-    weights = {c: 1.0 for c in scores if c != c_old}
-    return _best_move(None, 0, c_old, weights)
+    """Where one visit moves node 0 of c_old, given every community's score.
+
+    The closed-form path that normal uses and the total-formula path, with
+    _total_score replaced by the given scores, must agree.
+    """
+    closed = _scored_state(c_old, scores)
+    local_move_pass(closed, [0])
+    monkeypatch.setattr(louvain_module, "_total_score", lambda state, i, c: scores[c])
+    total = _scored_state(c_old, scores)
+    local_move_pass(total, [0], use_total_formula=True)
+    assert closed.assignment[0] == total.assignment[0]
+    return closed.assignment[0]
 
 
 def test_best_move_needs_a_gain_above_the_threshold(monkeypatch):
@@ -148,10 +193,67 @@ def test_louvain_golden_on_random_500():
     assert digest == "4794a230ef5c55bc7c98c9e58b0ede8736bd89f62f97d0d156cf7e23165fa28c"
 
 
+def test_total_formula_golden(karate):
+    # Digest of (variant, seed, labels, q.hex(), passes) for the variants
+    # that score with full modularity, recorded before the fused visit.
+    rows = []
+    for g, seeds in ((karate, range(5)), (random_graph(60, 0.1, 1), range(2))):
+        for variant in ("total", "totalNoMerge"):
+            for seed in seeds:
+                part, q, passes = louvain(g, variant, seed)
+                rows.append((variant, seed, part.labels, q.hex(), passes))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "1db8376727f05a165f000088a5541f99ed6e6f24d3e15e35c0a6ed10db225f44"
+
+
+@st.composite
+def _louvain_inputs(draw):
+    """A small weighted graph, half of the time contracted through
+    aggregate so that it carries self-loops, and a seed."""
+    g = draw(small_integer_weighted_graphs())
+    if draw(st.booleans()):
+        groups = draw(st.lists(st.integers(0, 3), min_size=g.node_count, max_size=g.node_count))
+        g = aggregate(g, groups).graph
+    return g, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_louvain_inputs())
+def test_louvain_matches_the_scanning_replay(inputs):
+    # The fused visit against separate remove / delta_q_insert / insert
+    # calls that rescan the adjacency, bit for bit.
+    g, seed = inputs
+    for variant in ("normal", "noMerge", "Exp"):
+        part, q, passes = louvain(g, variant, seed)
+        replay, q_replay, passes_replay = louvain_scanning(g, variant, seed)
+        assert (part.labels, q.hex(), passes) == (replay.labels, q_replay.hex(), passes_replay)
+
+
+def test_local_move_pass_sums_match_the_scanning_replay():
+    # Weights with no exact binary form leave rounding residue in the sums
+    # wherever the two formulations differ in a single operation: an
+    # emptied community not reset to 0.0, or a staying node whose sums are
+    # not taken out and added back.
+    weights = (0.1, 0.3, 0.7, 1.1)
+    for idx, g in enumerate(random_suite(30, 4, 14, (0.3, 0.6), 9900)):
+        g = Graph(g.node_count, [(u, v, weights[(u * 7 + v + idx) % 4]) for u, v, _ in g.edges()])
+        if idx % 2:
+            g = aggregate(g, [i % 3 for i in range(g.node_count)]).graph
+        state, replay = CommunityState(g), CommunityState(g)
+        rng = random.Random(idx)
+        for _ in range(4):
+            order = list(range(g.node_count))
+            rng.shuffle(order)
+            _, improved = local_move_pass(state, order)
+            assert improved == local_move_pass_scanning(replay, order)
+            for field in ("assignment", "sigma_in", "sigma_tot", "size"):
+                assert getattr(state, field) == getattr(replay, field), field
+
+
 def test_delta_q_insert_reference_values():
     pair = Graph(2, [(0, 1)])
     state = CommunityState(pair)
-    state.remove(0)
+    remove(state, 0)
     gain = delta_q_insert(state, 0, 1)
     assert gain == pytest.approx(0.5, abs=1e-12)
     # matches the full modularity difference of the same move
@@ -162,7 +264,7 @@ def test_delta_q_insert_reference_values():
 
     lonely = Graph(4, [(0, 1), (1, 2)])
     state = CommunityState(lonely)
-    state.remove(3)
+    remove(state, 3)
     assert delta_q_insert(state, 3, 0) == 0.0
 
     with pytest.raises(ValueError):
@@ -175,24 +277,24 @@ def test_delta_q_insert_singleton_source_identity():
         q0 = modularity_direct(g, base)
         state = CommunityState(g)
         for i in range(g.node_count):
-            state.remove(i)
-            for c in sorted(state.neighbor_communities(i)):
+            remove(state, i)
+            for c in sorted(neighbor_communities(state, i)):
                 moved = list(base)
                 moved[i] = c
                 expected = modularity_direct(g, moved) - q0
                 assert delta_q_insert(state, i, c) == pytest.approx(
                     expected, abs=1e-9
                 )
-            state.insert(i, i)
+            insert(state, i, i)
 
 
 def _squared_total_delta(state, i, c):
     # the algebraic form with (sigma_tot + 2 k_i)^2 inside the square
     two_m = 2.0 * state.m
-    s_in = state.sigma_in.get(c, 0.0)
-    s_tot = state.sigma_tot.get(c, 0.0)
+    s_in = state.sigma_in[c]
+    s_tot = state.sigma_tot[c]
     ki = state.k[i]
-    kin = state.k_in(i, c)
+    kin = k_in(state, i, c)
     after = (s_in + 2.0 * kin) / two_m - ((s_tot + 2.0 * ki) / two_m) ** 2
     before = s_in / two_m - (s_tot / two_m) ** 2 - (ki / two_m) ** 2
     return after - before
@@ -201,7 +303,7 @@ def _squared_total_delta(state, i, c):
 def test_doubled_degree_form_fails_the_oracle():
     pair = Graph(2, [(0, 1)])
     state = CommunityState(pair)
-    state.remove(0)
+    remove(state, 0)
     truth = modularity_direct(pair, [1, 1]) - modularity_direct(pair, [0, 1])
     assert delta_q_insert(state, 0, 1) == pytest.approx(truth, abs=1e-12)
     assert abs(_squared_total_delta(state, 0, 1) - truth) > 0.1
@@ -224,10 +326,10 @@ def test_self_move_defect_is_gone():
     naive = delta_q_insert(state, 2, 0)
     assert naive == pytest.approx(-2.0 / 9.0, abs=1e-12)
     # the true value of not moving is 0, and remove-then-insert scores it so
-    state.remove(2)
+    remove(state, 2)
     stay = delta_q_insert(state, 2, 0)
     assert stay - stay == 0.0
-    state.insert(2, 0)
+    insert(state, 2, 0)
 
 
 def test_local_move_pass_fixpoint():
@@ -330,21 +432,21 @@ def test_exp_insertion_scores_are_relabel_equivariant():
         g2 = relabeled(g, perm)
         state, state2 = CommunityState(g), CommunityState(g2)
         for i in range(n):
-            c_old = state.remove(i)
-            c2_old = state2.remove(perm[i])
+            c_old = remove(state, i)
+            c2_old = remove(state2, perm[i])
             scores = {
                 c: delta_q_insert(state, i, c)
-                for c in state.neighbor_communities(i) | {c_old}
+                for c in neighbor_communities(state, i) | {c_old}
             }
             scores2 = {
                 c: delta_q_insert(state2, perm[i], c)
-                for c in state2.neighbor_communities(perm[i]) | {c2_old}
+                for c in neighbor_communities(state2, perm[i]) | {c2_old}
             }
             assert {perm[c] for c in scores} == set(scores2)
             for c, value in scores.items():
                 assert scores2[perm[c]] == value
-            state.insert(i, c_old)
-            state2.insert(perm[i], c2_old)
+            insert(state, i, c_old)
+            insert(state2, perm[i], c2_old)
 
 
 def test_exp_relabel_invariant_on_distinct_weights():
