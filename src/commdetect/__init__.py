@@ -15,7 +15,6 @@ from .agglomerative import (
     agglomerate,
     cut,
     euclidean_distance,
-    linkage_distance,
 )
 from .fastgreedy import fastgreedy
 from .girvan_newman import (
@@ -25,8 +24,6 @@ from .girvan_newman import (
 )
 from .graph import (
     Graph,
-    NeighborMatrix,
-    NodeId,
     Partition,
     connected_components,
     karate_club,
@@ -43,8 +40,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Graph",
     "Partition",
-    "NeighborMatrix",
-    "NodeId",
     "load_edge_list",
     "serialize_edge_list",
     "karate_club",
@@ -57,7 +52,6 @@ __all__ = [
     "Dendrogram",
     "HslSpec",
     "euclidean_distance",
-    "linkage_distance",
     "agglomerate",
     "cut",
     "edge_betweenness",

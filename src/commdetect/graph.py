@@ -10,10 +10,7 @@ import random
 from collections import deque
 from itertools import combinations
 
-NodeId = int
-
 __all__ = [
-    "NodeId",
     "Graph",
     "Partition",
     "NeighborMatrix",
@@ -358,8 +355,8 @@ def modularity(g, partition):
     sigma_in = {}
     sigma_tot = {}
     # Degrees as Graph.weighted_degree computes them, read straight from
-    # the adjacency: the total-formula Louvain variants call this once per
-    # candidate move, and the per-node range check is redundant here.
+    # the adjacency. Louvain's total-formula evaluator replays every fold
+    # below float for float, so their order is part of the contract.
     for i, adj in enumerate(g._adj):
         c = labels[i]
         sigma_tot[c] = sigma_tot.get(c, 0.0) + (sum(adj.values()) + adj.get(i, 0.0))

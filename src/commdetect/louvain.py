@@ -9,9 +9,10 @@ and the process repeats one level up.
 
 Variants:
   normal        gains via the closed-form insertion delta, with merging.
-  total         gains via full-partition modularity recomputation.
+  total         scores are graph.modularity of the moved partition, bit
+                for bit, re-folding only the two communities it changes.
   noMerge       closed-form gains, never contracts the graph.
-  totalNoMerge  recomputed gains, never contracts.
+  totalNoMerge  whole-partition scores, never contracts.
   Exp           per pass, every node's best target is computed against a
                 frozen state and all assignments are applied at once by
                 uniting the proposed community pairs; deterministic and
@@ -19,8 +20,11 @@ Variants:
 """
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import add
 
 from .graph import Graph, Partition, modularity
 
@@ -80,13 +84,73 @@ class CommunityState:
                 sigma_in[assignment[u]] += 2.0 * w
 
 
-def _total_score(state, i, c):
-    """Modularity of the partition with node i moved to community c."""
-    assignment = state.assignment
-    c_was, assignment[i] = assignment[i], c
-    q = modularity(state.graph, assignment)
-    assignment[i] = c_was
-    return q
+class _TotalModularity:
+    """graph.modularity of one pass's assignment and of its single-node
+    moves, float for float, re-folding only the communities a move changes.
+
+    modularity folds sigma_tot as 0.0 + k[x] over ascending members and
+    sigma_in as + 2.0*w over intra edges in edges() order, and sums terms
+    s_in/2m - (s_tot/2m)**2 by smallest member. Each term sits in an n-long
+    slot list at that member, 0.0 elsewhere: adding 0.0 is exact.
+    """
+
+    def __init__(self, state):
+        self.assignment = assignment = state.assignment
+        self.k = state.k
+        self.two_m = 2.0 * state.m
+        n = len(assignment)
+        # Each node's doubled edges to itself and higher ids, in edges() order.
+        self.fwd = fwd = [[] for _ in range(n)]
+        for u, v, w in state.graph.edges():
+            fwd[u].append((v, 2.0 * w))
+        self.members = members = [[] for _ in range(n)]
+        for x, c in enumerate(assignment):
+            members[c].append(x)
+        self.slots = [0.0] * n
+        for c, mem in enumerate(members):
+            if mem:
+                self.slots[mem[0]] = self._term(mem, c, mem[0], c)
+
+    def _term(self, mem, c, i, c_i):
+        """Term of community c with ascending members `mem`, node i labelled c_i."""
+        assignment = self.assignment
+        fwd = self.fwd
+        c_was, assignment[i] = assignment[i], c_i
+        s_in = reduce(add, [w2 for u in mem for v, w2 in fwd[u] if assignment[v] == c], 0.0)
+        assignment[i] = c_was
+        s_tot = reduce(add, map(self.k.__getitem__, mem), 0.0)
+        return s_in / self.two_m - (s_tot / self.two_m) ** 2
+
+    def leave(self, i):
+        """Start node i's visit: re-fold its community without it."""
+        self.c_old = c_old = self.assignment[i]
+        mem = self.members[c_old]
+        rest = [x for x in mem if x != i]
+        self.out = [(mem[0], 0.0)]
+        if rest:
+            self.out.append((rest[0], self._term(rest, c_old, i, -1)))
+
+    def _patch(self, i, c):
+        """Slot writes, zeros first, that move node i into community c."""
+        mem = self.members[c]
+        joined = mem[:]
+        insort(joined, i)
+        return [(mem[0], 0.0), *self.out, (joined[0], self._term(joined, c, i, c))]
+
+    def score(self, i, c):
+        """Modularity with node i moved to community c; its own c scores staying."""
+        slots = self.slots[:]
+        if c != self.c_old:
+            for x, t in self._patch(i, c):
+                slots[x] = t
+        return sum(slots)
+
+    def join(self, i, c):
+        """Commit node i's move into community c."""
+        for x, t in self._patch(i, c):
+            self.slots[x] = t
+        self.members[self.c_old].remove(i)
+        insort(self.members[c], i)
 
 
 def _visit(state, order, use_total_formula=False, move=True):
@@ -118,6 +182,7 @@ def _visit(state, order, use_total_formula=False, move=True):
     size = state.size
     two_m = 2.0 * state.m
     gain_eps = _GAIN_EPS
+    total = _TotalModularity(state) if use_total_formula else None
     # Each community's share of the "before" term, updated whenever its
     # sums change, so a candidate's score costs one lookup for it.
     base = [s_in / two_m - (s_tot / two_m) ** 2 for s_in, s_tot in zip(sigma_in, sigma_tot)]
@@ -146,14 +211,15 @@ def _visit(state, order, use_total_formula=False, move=True):
         c_new = c_old
         if weights:
             if use_total_formula:
-                stay = best = _total_score(state, i, c_old)
+                total.leave(i)
+                stay = best = total.score(i, c_old)
             else:
                 kk = (ki / two_m) ** 2
                 stay = best = ((s_in + 2.0 * k_old) / two_m - ((s_tot + ki) / two_m) ** 2
                                - (s_in / two_m - (s_tot / two_m) ** 2 - kk))
             for c in sorted(weights):
                 if use_total_formula:
-                    score = _total_score(state, i, c)
+                    score = total.score(i, c)
                 else:
                     score = ((sigma_in[c] + 2.0 * weights[c]) / two_m - ((sigma_tot[c] + ki) / two_m) ** 2
                              - (base[c] - kk))
@@ -164,6 +230,8 @@ def _visit(state, order, use_total_formula=False, move=True):
             else:
                 c_new = c_old
         if move and c_new != c_old:
+            if use_total_formula:
+                total.join(i, c_new)
             in_new = sigma_in[c_new] + (2.0 * weights[c_new] + 2.0 * loop)
             tot_new = sigma_tot[c_new] + ki
             sigma_in[c_new] = in_new
@@ -190,8 +258,8 @@ def local_move_pass(state, order, use_total_formula=False):
     threshold, so modularity strictly increases with every applied move
     and the pass loop always terminates. Each visit scans the node's
     adjacency once and costs O(degree + c log c) for c neighbouring
-    communities, plus one modularity evaluation per candidate with
-    `use_total_formula`.
+    communities. With `use_total_formula` each candidate also re-folds
+    its community plus the node, and sums n slots.
     """
     return state, bool(_visit(state, order, use_total_formula))
 

@@ -82,6 +82,29 @@ def small_integer_weighted_graphs(draw, max_nodes=11):
     return Graph(n, [(u, v, w) for (u, v), w in zip(chosen, weights)])
 
 
+FRACTIONAL_WEIGHTS = (0.1, 0.3, 0.7, 1.1)
+
+
+def fractional_weights(g, salt):
+    """Copy of g whose edge weights cycle through FRACTIONAL_WEIGHTS.
+
+    None of these weights has an exact binary form, so sums of them keep
+    rounding residue that depends on the order they are added in.
+    """
+    w = FRACTIONAL_WEIGHTS
+    return Graph(g.node_count, [(u, v, w[(u * 7 + v + salt) % 4]) for u, v, _ in g.edges()])
+
+
+@st.composite
+def small_fractional_weighted_graphs(draw, max_nodes=11):
+    """small_integer_weighted_graphs with every weight drawn from
+    FRACTIONAL_WEIGHTS instead."""
+    g = draw(small_integer_weighted_graphs(max_nodes))
+    count = g.edge_count
+    weights = draw(st.lists(st.sampled_from(FRACTIONAL_WEIGHTS), min_size=count, max_size=count))
+    return Graph(g.node_count, [(u, v, w) for (u, v, _), w in zip(g.edges(), weights)])
+
+
 def relabeled(g, perm):
     """Copy of g with node i renamed to perm[i]."""
     edges = [(perm[u], perm[v], w) for u, v, w in g.edges()]

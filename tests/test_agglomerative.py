@@ -13,9 +13,9 @@ from commdetect import (
     agglomerate,
     cut,
     euclidean_distance,
-    linkage_distance,
     neighbor_matrix,
 )
+from commdetect.agglomerative import linkage_distance
 from helpers import complete_graph, path_graph, random_suite, star_graph
 from oracles import agglomerate_direct
 

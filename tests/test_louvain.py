@@ -20,10 +20,13 @@ from commdetect.louvain import (
     local_move_pass,
 )
 from helpers import (
+    FRACTIONAL_WEIGHTS,
+    fractional_weights,
     move_gain_checks,
     path_graph,
     random_suite,
     relabeled,
+    small_fractional_weighted_graphs,
     small_integer_weighted_graphs,
     two_triangles,
 )
@@ -151,11 +154,11 @@ def _pick(monkeypatch, c_old, scores):
     """Where one visit moves node 0 of c_old, given every community's score.
 
     The closed-form path that normal uses and the total-formula path, with
-    _total_score replaced by the given scores, must agree.
+    the evaluator's candidate score replaced by the given scores, must agree.
     """
     closed = _scored_state(c_old, scores)
     local_move_pass(closed, [0])
-    monkeypatch.setattr(louvain_module, "_total_score", lambda state, i, c: scores[c])
+    monkeypatch.setattr(louvain_module._TotalModularity, "score", lambda self, i, c: scores[c])
     total = _scored_state(c_old, scores)
     local_move_pass(total, [0], use_total_formula=True)
     assert closed.assignment[0] == total.assignment[0]
@@ -206,11 +209,33 @@ def test_total_formula_golden(karate):
     assert digest == "1db8376727f05a165f000088a5541f99ed6e6f24d3e15e35c0a6ed10db225f44"
 
 
+def test_total_formula_golden_on_fractional_weights():
+    # Digest of (variant, seed, labels, q.hex(), passes) recorded while
+    # every total-formula score was a full graph.modularity call. Each of
+    # 40 graphs is weighted twice: cycling through FRACTIONAL_WEIGHTS, and
+    # with one of them on every edge, whose exact ties leave the pick to
+    # rounding residue that shifts with summation order. Every other graph
+    # is contracted so it carries self-loops.
+    rows = []
+    for idx, base in enumerate(random_suite(40, 5, 18, (0.25, 0.5), 12100)):
+        w = FRACTIONAL_WEIGHTS[idx % 4]
+        uniform = Graph(base.node_count, [(u, v, w) for u, v, _ in base.edges()])
+        for g in (fractional_weights(base, idx), uniform):
+            if idx % 2:
+                g = aggregate(g, [i // 2 for i in range(g.node_count)]).graph
+            for variant in ("total", "totalNoMerge"):
+                for seed in range(2):
+                    part, q, passes = louvain(g, variant, seed)
+                    rows.append((variant, seed, part.labels, q.hex(), passes))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "3173bdcc699ce886df81c70b30eee6b82a255524bdbc7778e86c651d95df5ddb"
+
+
 @st.composite
-def _louvain_inputs(draw):
+def _louvain_inputs(draw, graphs=small_integer_weighted_graphs()):
     """A small weighted graph, half of the time contracted through
     aggregate so that it carries self-loops, and a seed."""
-    g = draw(small_integer_weighted_graphs())
+    g = draw(graphs)
     if draw(st.booleans()):
         groups = draw(st.lists(st.integers(0, 3), min_size=g.node_count, max_size=g.node_count))
         g = aggregate(g, groups).graph
@@ -229,14 +254,45 @@ def test_louvain_matches_the_scanning_replay(inputs):
         assert (part.labels, q.hex(), passes) == (replay.labels, q_replay.hex(), passes_replay)
 
 
+@settings(max_examples=150, deadline=None)
+@given(_louvain_inputs(small_fractional_weighted_graphs()))
+def test_total_formula_scores_are_bit_exact_modularity(inputs):
+    # Every score the evaluator hands a total-formula visit, staying
+    # included, is the very float graph.modularity gives the moved
+    # assignment, at every level of both variants.
+    g, seed = inputs
+    evaluator = louvain_module._TotalModularity
+    original_init, original_score = evaluator.__init__, evaluator.score
+    level_graph = []
+    scored = []
+
+    def init(self, state):
+        level_graph[:] = [state.graph]
+        original_init(self, state)
+
+    def score(self, i, c):
+        q = original_score(self, i, c)
+        moved = list(self.assignment)
+        moved[i] = c
+        assert q.hex() == modularity(level_graph[0], moved).hex()
+        scored.append(c)
+        return q
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator, "__init__", init)
+        mp.setattr(evaluator, "score", score)
+        for variant in ("total", "totalNoMerge"):
+            louvain(g, variant, seed)
+    assert scored or not any(u != v for u, v, _ in g.edges())
+
+
 def test_local_move_pass_sums_match_the_scanning_replay():
     # Weights with no exact binary form leave rounding residue in the sums
     # wherever the two formulations differ in a single operation: an
     # emptied community not reset to 0.0, or a staying node whose sums are
     # not taken out and added back.
-    weights = (0.1, 0.3, 0.7, 1.1)
     for idx, g in enumerate(random_suite(30, 4, 14, (0.3, 0.6), 9900)):
-        g = Graph(g.node_count, [(u, v, weights[(u * 7 + v + idx) % 4]) for u, v, _ in g.edges()])
+        g = fractional_weights(g, idx)
         if idx % 2:
             g = aggregate(g, [i % 3 for i in range(g.node_count)]).graph
         state, replay = CommunityState(g), CommunityState(g)
