@@ -11,7 +11,7 @@ be cut into a flat partition.
 import heapq
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from .graph import Partition, neighbor_matrix
@@ -36,7 +36,7 @@ class Linkage(str, Enum):
 
 @dataclass(frozen=True)
 class Merge:
-    """One merge event: clusters `left` and `right` become `merged`."""
+    """One merge event: clusters `left` and `right`, `distance` apart, become `merged`."""
 
     left: int
     right: int
@@ -45,13 +45,7 @@ class Merge:
     step: int
 
     def to_record(self):
-        return {
-            "left": self.left,
-            "right": self.right,
-            "merged": self.merged,
-            "distance": self.distance,
-            "step": self.step,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -60,6 +54,8 @@ class Dendrogram:
 
     Leaves are clusters 0..leaves-1; merge step s creates cluster
     leaves + s. A complete agglomeration has exactly leaves - 1 merges.
+    `cut` reads only the cluster ids of the records, so it also cuts
+    fastgreedy's `Join`s.
     """
 
     leaves: int

@@ -14,6 +14,7 @@ and call every algorithm through it.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -95,15 +96,6 @@ def _write_all(files):
         raise CliError(f"cannot write output: {exc}") from None
 
 
-def _trace_rows(g, dendrogram):
-    q = modularity(g, list(range(g.node_count)))
-    rows = []
-    for merge in dendrogram.merges:
-        q += merge.distance
-        rows.append([merge.step + 1, q, dendrogram.leaves - merge.step - 1])
-    return rows
-
-
 # Each `call` below names its algorithm as a module global, looked up when
 # it runs, so a wrapper set on this module sees every run and bench call.
 # It returns the partition, the algorithm's own Q (None where it has none)
@@ -129,9 +121,10 @@ def _louvain(g, params, seed):
 
 def _fastgreedy(g, _params, _seed):
     dendrogram, part, _ = fastgreedy(g)
+    n = dendrogram.leaves
     return part, None, lambda: [
         (".dendrogram.json", dendrogram.to_records()),
-        (".trace.json", _trace_rows(g, dendrogram)),
+        (".trace.json", [[m.step + 1, m.q, n - m.step - 1] for m in dendrogram.merges]),
     ]
 
 
@@ -392,6 +385,8 @@ def _add_tuning_flags(parser):
     parser.add_argument("--target-communities", type=int)
 
 
+# Built once per process: building the tree costs about ten times a parse.
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="commdetect",
@@ -427,8 +422,7 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except CliError as exc:

@@ -19,9 +19,9 @@ The chosen pair depends only on the stored gains, not on heap layout.
 """
 
 import heapq
+from dataclasses import dataclass
 
-from .agglomerative import Dendrogram, Merge
-from .graph import Partition
+from .agglomerative import Dendrogram, HslSpec, cut
 
 __all__ = [
     "DeltaQStore",
@@ -50,12 +50,32 @@ def _sift_down(entries, k, entry):
     entries[k] = entry
 
 
+@dataclass(frozen=True)
+class Join:
+    """One join: communities `left` and `right` become `merged`.
+
+    `gain` is the modularity change of the join and `q` the modularity
+    of the partition right after it.
+    """
+
+    left: int
+    right: int
+    merged: int
+    gain: float
+    q: float
+    step: int
+
+    def to_record(self):
+        # The keys of an agglomerative `Merge` record, the gain as "distance".
+        return {"left": self.left, "right": self.right, "merged": self.merged,
+                "distance": self.gain, "step": self.step}
+
+
 class DeltaQStore:
-    """Symmetric sparse map of merge gains between live communities."""
+    """Symmetric sparse map of merge gains; `rows` is keyed by the live communities."""
 
     def __init__(self, node_count):
         self.rows = {i: {} for i in range(node_count)}
-        self.alive = set(range(node_count))
 
     def get(self, i, j):
         return self.rows[i][j]
@@ -71,7 +91,6 @@ class DeltaQStore:
         """Drop community i: its row and every mirrored cell disappear."""
         for k in self.rows.pop(i):
             del self.rows[k][i]
-        self.alive.remove(i)
 
     def pairs(self):
         for i, row in self.rows.items():
@@ -232,7 +251,7 @@ def join(store, heap, a, i, j):
     """
     if i == j:
         raise ValueError("cannot join a community with itself")
-    if i not in store.alive or j not in store.alive:
+    if i not in store.rows or j not in store.rows:
         raise ValueError(f"cannot join dead community in pair ({i}, {j})")
     if not store.has(i, j):
         raise ValueError(f"no stored gain for pair ({i}, {j})")
@@ -245,40 +264,32 @@ def fastgreedy(g):
 
     Joins the best pair until none remains, then force-joins leftover
     components pairwise in ascending id order (each such join changes
-    modularity by exactly -2*a_i*a_j). Returns the complete dendrogram,
-    the partition at the running-modularity maximum, and that maximum.
+    modularity by exactly -2*a_i*a_j). Returns the complete dendrogram of
+    `Join` records, each with its gain and the running modularity Q after
+    it; the partition where Q first reaches its maximum, cut from that
+    dendrogram; and that maximum.
     """
     store, heap, a = init_fastgreedy(g)
     n = g.node_count
-    assignment = list(range(n))
-    members = {i: [i] for i in range(n)}
-    cluster_id = {i: i for i in range(n)}
+    cluster_id = list(range(n))
     q = -sum(v * v for v in a.values())
     best_q = q
-    best_assignment = list(assignment)
-    merges = []
-    step = 0
-    while len(store.alive) > 1:
+    best_joins = 0
+    joins = []
+    for step in range(n - 1):
         picked = heap.pop_best()
         if picked is None:
             # Disconnected remnants: join the two lowest-numbered ones.
-            i, j = sorted(store.alive)[:2]
-            dq = -2.0 * a[i] * a[j]
-            _apply_join(store, heap, a, i, j, dq)
+            i, j = sorted(store.rows)[:2]
+            dq = _apply_join(store, heap, a, i, j, -2.0 * a[i] * a[j])
         else:
             i, j, _ = picked
             dq = join(store, heap, a, i, j)
         q += dq
-        merges.append(Merge(cluster_id[i], cluster_id[j], n + step, dq, step))
+        joins.append(Join(cluster_id[i], cluster_id[j], n + step, dq, q, step))
         cluster_id[j] = n + step
-        del cluster_id[i]
-        for node in members[i]:
-            assignment[node] = j
-        members[j].extend(members[i])
-        del members[i]
-        step += 1
         if q > best_q:
             best_q = q
-            best_assignment = list(assignment)
-    dendrogram = Dendrogram(n, tuple(merges))
-    return dendrogram, Partition(best_assignment).canonicalize(), best_q
+            best_joins = step + 1
+    dendrogram = Dendrogram(n, tuple(joins))
+    return dendrogram, cut(dendrogram, HslSpec("absolute", n - 1 - best_joins)), best_q

@@ -270,10 +270,9 @@ class AggregateGraph:
 
     graph: Graph
     origin: tuple
-    level: int
 
 
-def aggregate(g, partition, level=0):
+def aggregate(g, partition):
     """Contract each community of `partition` to a single node.
 
     Intra-community weight becomes a self-loop on the contracted node, so
@@ -298,7 +297,7 @@ def aggregate(g, partition, level=0):
             cu, cv = cv, cu
         weights[(cu, cv)] = weights.get((cu, cv), 0.0) + w
     edges = [(u, v, w) for (u, v), w in weights.items()]
-    return AggregateGraph(Graph(len(index), edges), tuple(origin), level)
+    return AggregateGraph(Graph(len(index), edges), tuple(origin))
 
 
 def _passes_until_stable(state, rng, use_total_formula):
@@ -323,7 +322,6 @@ def _fold(labels, assignment, agg):
 def _louvain_merging(g, rng, use_total_formula):
     labels = list(range(g.node_count))
     level_graph = g
-    level = 0
     passes = 0
     while True:
         state = CommunityState(level_graph)
@@ -331,10 +329,9 @@ def _louvain_merging(g, rng, use_total_formula):
         passes += done
         if not moved:
             break
-        agg = aggregate(level_graph, state.assignment, level)
+        agg = aggregate(level_graph, state.assignment)
         labels = _fold(labels, state.assignment, agg)
         level_graph = agg.graph
-        level += 1
     return labels, passes
 
 
@@ -371,7 +368,6 @@ def _louvain_exp(g):
     # the next pass evaluates whole-community moves as single nodes.
     labels = list(range(g.node_count))
     level_graph = g
-    level = 0
     passes = 0
     while True:
         n = level_graph.node_count
@@ -383,10 +379,9 @@ def _louvain_exp(g):
         for source, target in proposals:
             uf.union(source, target)
         united = [uf.find(c) for c in range(n)]
-        agg = aggregate(level_graph, united, level)
+        agg = aggregate(level_graph, united)
         labels = _fold(labels, united, agg)
         level_graph = agg.graph
-        level += 1
     return labels, passes
 
 

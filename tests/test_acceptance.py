@@ -164,11 +164,8 @@ def test_criterion_6_greedy_merging_against_oracle(karate):
             got.append((left, right))
             label_of[merge.merged] = right
         assert got == joins
-        two_m = 2.0 * g.total_weight
-        q = -sum((g.weighted_degree(i) / two_m) ** 2 for i in range(g.node_count))
         for merge, expected in zip(dend.merges, q_after):
-            q += merge.distance
-            assert q == pytest.approx(expected, abs=1e-9)
+            assert merge.q == pytest.approx(expected, abs=1e-9)
         assert best_q == pytest.approx(oracle_best_q, abs=1e-9)
         matched += 1
 

@@ -370,6 +370,26 @@ def test_cli_outputs_golden_on_karate(tmp_path, capsys):
     assert digest == "b708529d285466c62b1ff5e805755dba76ec4671a1dadc33884c3d4bb0e13c5b"
 
 
+def test_fastgreedy_outputs_golden_on_a_disconnected_graph(tmp_path):
+    # random:60,0.02,1 has 40 edges in 20 components, so 19 of its 59
+    # joins are force-joins between components. Digests of the three
+    # output files, recorded before fastgreedy read its partition and
+    # trace off its own dendrogram.
+    out = tmp_path / "fg.json"
+    assert run_cli(
+        "run", "--algorithm", "fastgreedy", "--dataset", "random:60,0.02,1", "--out", str(out),
+    ) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("fg.json", "fg.dendrogram.json", "fg.trace.json")
+    }
+    assert digests == {
+        "fg.json": "a67ffa9329aa48bc7ea1164aa067c0bb5c35a64d87311ac6dfb0410b693053cd",
+        "fg.dendrogram.json": "5683f1add3c11a858551b7948ec4ba392898cbd7e92a504cfeb2570c1407d3c0",
+        "fg.trace.json": "d2aadefab6c87a3789650c18524b949b4992b2c6762ce63ea95ba0f544ca9083",
+    }
+
+
 def test_parameters_are_checked_before_the_dataset_is_built(tmp_path, monkeypatch, capsys):
     def no_dataset(spec):
         raise AssertionError(f"dataset {spec!r} built before the parameters were checked")

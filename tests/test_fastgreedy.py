@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from commdetect import Graph, fastgreedy, karate_club, modularity, random_graph
+from commdetect import Graph, HslSpec, cut, fastgreedy, karate_club, modularity, random_graph
 from commdetect.fastgreedy import _TIE_EPS, DeltaQStore, GlobalHeap, init_fastgreedy, join
 from helpers import (
     path_graph,
@@ -176,7 +176,7 @@ def test_fastgreedy_single_edge():
     assert best_q == pytest.approx(0.0, abs=1e-12)
     assert best.num_communities == 1
     assert len(dend.merges) == 1
-    assert dend.merges[0].distance == pytest.approx(0.5, abs=1e-12)
+    assert dend.merges[0].gain == pytest.approx(0.5, abs=1e-12)
 
 
 def test_fastgreedy_two_triangles_is_optimal():
@@ -195,8 +195,8 @@ def test_fastgreedy_disconnected_force_joins():
     assert len(dend.merges) == 4
     assert modularity(g, best) == pytest.approx(best_q, abs=1e-12)
     # the forced merges happen after the gainful ones, at a strict loss
-    assert dend.merges[0].distance > 0 and dend.merges[1].distance > 0
-    assert dend.merges[2].distance <= 0 and dend.merges[3].distance <= 0
+    assert dend.merges[0].gain > 0 and dend.merges[1].gain > 0
+    assert dend.merges[2].gain <= 0 and dend.merges[3].gain <= 0
 
 
 def test_fastgreedy_matches_naive_greedy_oracle():
@@ -204,11 +204,8 @@ def test_fastgreedy_matches_naive_greedy_oracle():
         dend, best, best_q = fastgreedy(g)
         joins, q_after, oracle_best_q, _ = greedy_merge_direct(g)
         assert _joins(dend, g.node_count) == joins
-        two_m = 2.0 * g.total_weight
-        q = -sum((g.weighted_degree(i) / two_m) ** 2 for i in range(g.node_count))
         for merge, expected_q in zip(dend.merges, q_after):
-            q += merge.distance
-            assert q == pytest.approx(expected_q, abs=1e-9)
+            assert merge.q == pytest.approx(expected_q, abs=1e-9)
         assert best_q == pytest.approx(oracle_best_q, abs=1e-9)
 
 
@@ -225,12 +222,18 @@ def test_fastgreedy_karate_regression(karate):
 def test_fastgreedy_matches_oracle_on_integer_weight_ties(g):
     dend, best, best_q = fastgreedy(g)
     joins, _, oracle_best_q, _ = greedy_merge_direct(g)
-    assert _joins(dend, g.node_count) == joins
+    n = g.node_count
+    assert _joins(dend, n) == joins
     two_m = 2.0 * g.total_weight
-    q = -sum(x * x for x in (g.weighted_degree(i) / two_m for i in range(g.node_count)))
+    q = -sum(x * x for x in (g.weighted_degree(i) / two_m for i in range(n)))
     running = [q]
     for merge in dend.merges:
-        q += merge.distance
+        # each join's Q is its predecessor's plus its gain, float for
+        # float, and is the modularity of the dendrogram cut right after it
+        assert q + merge.gain == merge.q
+        q = merge.q
+        after = cut(dend, HslSpec("absolute", n - 2 - merge.step))
+        assert q == pytest.approx(modularity(g, after), abs=1e-9)
         running.append(q)
     assert best_q == max(running)
     assert best_q == pytest.approx(oracle_best_q, abs=1e-9)
@@ -256,7 +259,7 @@ def _tied_suite(count, seed):
 
 
 def test_fastgreedy_golden():
-    # Digest of every merge record (distance.hex()), the labels and
+    # Digest of every merge record (gain.hex()), the labels and
     # best_q.hex(), recorded before the band walk re-keyed junk entries
     # and before joins walked the two rows. The chosen pair depends only
     # on the stored gains, so neither change may move it.
@@ -269,7 +272,7 @@ def test_fastgreedy_golden():
     rows = []
     for g in graphs:
         dend, best, best_q = fastgreedy(g)
-        merges = [(m.left, m.right, m.merged, m.distance.hex(), m.step) for m in dend.merges]
+        merges = [(m.left, m.right, m.merged, m.gain.hex(), m.step) for m in dend.merges]
         rows.append((merges, best.labels, best_q.hex()))
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == "c32f1d82758311cf5b3fc77612ddcf8f1cda28c9179e034c183c218140aa4967"
