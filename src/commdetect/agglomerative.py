@@ -81,8 +81,9 @@ class HslSpec:
         if self.mode not in ("absolute", "relative"):
             raise ValueError(f"unknown cut mode {self.mode!r}")
         if self.mode == "absolute":
-            if self.value != int(self.value) or self.value < 0:
-                raise ValueError("absolute cut value must be a non-negative integer")
+            value = self.value
+            if type(value) is bool or not math.isfinite(value) or value != int(value) or value < 0:
+                raise ValueError(f"absolute cut value must be a non-negative integer, got {value!r}")
         else:
             if not 0.0 <= self.value <= 1.0:
                 raise ValueError("relative cut value must lie in [0, 1]")

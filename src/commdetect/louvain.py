@@ -1,22 +1,31 @@
 """Greedy modularity optimization with local moves and graph contraction.
 
-A pass visits every node, pulls it out of its community, and re-inserts
-it where the modularity gain is largest; staying put always scores
-exactly zero because the comparison is between insertion gains computed
-on the same node-removed state. When a level stabilizes, communities are
-contracted to single nodes (intra-community weight becoming a self-loop)
-and the process repeats one level up.
+Every variant runs one level loop: build a CommunityState on the level's
+graph (node i starting in community i), optimise it, then either stop or
+contract each community to a single node (intra-community weight
+becoming a self-loop) and repeat one level up. The variants differ only
+in how a level is optimised and whether it is contracted:
 
-Variants:
-  normal        gains via the closed-form insertion delta, with merging.
-  total         scores are graph.modularity of the moved partition, bit
-                for bit, re-folding only the two communities it changes.
-  noMerge       closed-form gains, never contracts the graph.
-  totalNoMerge  whole-partition scores, never contracts.
-  Exp           per pass, every node's best target is computed against a
-                frozen state and all assignments are applied at once by
-                uniting the proposed community pairs; deterministic and
-                independent of visiting order.
+  normal        seeded local-move passes with closed-form gains until a
+                pass moves nothing; a level that moved nothing ends the
+                run, any other is contracted.
+  total         as normal, but scores are graph.modularity of the moved
+                partition, bit for bit, re-folding only the two
+                communities a move changes.
+  noMerge       as normal, but stops after level 0 and returns its
+                assignment.
+  totalNoMerge  as total, but stops after level 0.
+  Exp           one proposal pass per level: every node's best target is
+                computed against the frozen state, and the proposed
+                community pairs are united, each group labelled by its
+                smallest node. A level with no proposal ends the run, any
+                other is contracted. Deterministic; it ignores the seed.
+
+A visit takes the node out of its community c_old and scores staying
+and every neighbouring community on the node-removed sums. Staying
+scores the insertion gain back into c_old, which is in general not
+zero; a move's net change in modularity is its score minus that. The
+best target is taken only when it beats staying by more than _GAIN_EPS.
 """
 
 import random
@@ -300,89 +309,22 @@ def aggregate(g, partition):
     return AggregateGraph(Graph(len(index), edges), tuple(origin))
 
 
-def _passes_until_stable(state, rng, use_total_formula):
-    n = state.graph.node_count
-    passes = 0
-    moved_any = False
-    while True:
-        order = list(range(n))
-        rng.shuffle(order)
-        _, improved = local_move_pass(state, order, use_total_formula)
-        passes += 1
-        if not improved:
-            return passes, moved_any
-        moved_any = True
+def _unite(n, pairs):
+    """Label each of n nodes with the smallest node of its group, the
+    groups being the connected components of the (a, b) `pairs`."""
+    root = list(range(n))
 
+    def find(x):
+        while root[x] != x:
+            # Path halving: point x at its grandparent, then step there.
+            root[x] = x = root[root[x]]
+        return x
 
-def _fold(labels, assignment, agg):
-    new_of = {lab: idx for idx, lab in enumerate(agg.origin)}
-    return [new_of[assignment[c]] for c in labels]
-
-
-def _louvain_merging(g, rng, use_total_formula):
-    labels = list(range(g.node_count))
-    level_graph = g
-    passes = 0
-    while True:
-        state = CommunityState(level_graph)
-        done, moved = _passes_until_stable(state, rng, use_total_formula)
-        passes += done
-        if not moved:
-            break
-        agg = aggregate(level_graph, state.assignment)
-        labels = _fold(labels, state.assignment, agg)
-        level_graph = agg.graph
-    return labels, passes
-
-
-def _louvain_flat(g, rng, use_total_formula):
-    state = CommunityState(g)
-    passes, _ = _passes_until_stable(state, rng, use_total_formula)
-    return list(state.assignment), passes
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            # Smaller root id wins, keeping labels order-independent.
-            if ry < rx:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
-
-
-def _louvain_exp(g):
-    # Each pass proposes one move per node against the frozen pass-start
-    # state, unites all proposals at once, and contracts immediately, so
-    # the next pass evaluates whole-community moves as single nodes.
-    labels = list(range(g.node_count))
-    level_graph = g
-    passes = 0
-    while True:
-        n = level_graph.node_count
-        proposals = _visit(CommunityState(level_graph), range(n), move=False)
-        passes += 1
-        if not proposals:
-            break
-        uf = _UnionFind(n)
-        for source, target in proposals:
-            uf.union(source, target)
-        united = [uf.find(c) for c in range(n)]
-        agg = aggregate(level_graph, united)
-        labels = _fold(labels, united, agg)
-        level_graph = agg.graph
-    return labels, passes
+    for a, b in pairs:
+        a, b = find(a), find(b)
+        # The smaller root wins, so every root is its group's smallest node.
+        root[max(a, b)] = min(a, b)
+    return [find(x) for x in range(n)]
 
 
 def louvain(g, variant, seed=0):
@@ -395,14 +337,39 @@ def louvain(g, variant, seed=0):
     variant = LouvainVariant(variant)
     if g.total_weight == 0:
         raise ValueError("modularity optimization needs at least one edge")
-    if variant is LouvainVariant.EXP:
-        labels, passes = _louvain_exp(g)
-    else:
-        rng = random.Random(seed)
-        use_total = variant in (LouvainVariant.TOTAL, LouvainVariant.TOTAL_NO_MERGE)
-        if variant in (LouvainVariant.NORMAL, LouvainVariant.TOTAL):
-            labels, passes = _louvain_merging(g, rng, use_total)
+    rng = random.Random(seed)
+    use_total = variant in (LouvainVariant.TOTAL, LouvainVariant.TOTAL_NO_MERGE)
+    no_merge = variant in (LouvainVariant.NO_MERGE, LouvainVariant.TOTAL_NO_MERGE)
+    labels = list(range(g.node_count))
+    level_graph = g
+    passes = 0
+    while True:
+        n = level_graph.node_count
+        state = CommunityState(level_graph)
+        if variant is LouvainVariant.EXP:
+            proposals = _visit(state, range(n), move=False)
+            passes += 1
+            if not proposals:
+                break
+            communities = _unite(n, proposals)
         else:
-            labels, passes = _louvain_flat(g, rng, use_total)
+            moved = False
+            while True:
+                order = list(range(n))
+                rng.shuffle(order)
+                passes += 1
+                if not local_move_pass(state, order, use_total)[1]:
+                    break
+                moved = True
+            communities = state.assignment
+            if no_merge:
+                labels = communities
+                break
+            if not moved:
+                break
+        agg = aggregate(level_graph, communities)
+        new_of = {lab: idx for idx, lab in enumerate(agg.origin)}
+        labels = [new_of[communities[c]] for c in labels]
+        level_graph = agg.graph
     part = Partition(labels).canonicalize()
     return part, modularity(g, part), passes

@@ -245,6 +245,27 @@ def best_partition_exhaustive(g):
     return best_q, best_labels
 
 
+def smallest_member_labels(n, pairs):
+    """Label each of n nodes with the smallest node of its connected group
+    under the undirected edges `pairs`, by breadth-first search."""
+    adj = [[] for _ in range(n)]
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    labels = [None] * n
+    # Roots are taken in ascending order, so each group's root is its smallest node.
+    for root in range(n):
+        if labels[root] is None:
+            labels[root] = root
+            queue = deque([root])
+            while queue:
+                for y in adj[queue.popleft()]:
+                    if labels[y] is None:
+                        labels[y] = root
+                        queue.append(y)
+    return labels
+
+
 # The scanning formulation of Louvain's local move: every link weight is
 # rescanned from the adjacency and every step is a separate call. The
 # fused visit in commdetect.louvain must reproduce it bit for bit. Each

@@ -154,6 +154,9 @@ def test_hsl_spec_validation():
         HslSpec("relative", 1.01)
     with pytest.raises(ValueError):
         HslSpec("relative", -0.01)
+    for value in (float("inf"), float("-inf"), float("nan"), True, False):
+        with pytest.raises(ValueError, match=rf"absolute cut value .* got {value!r}$"):
+            HslSpec("absolute", value)
 
 
 def test_cut_extremes_and_absolute():

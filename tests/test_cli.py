@@ -132,6 +132,19 @@ def test_run_rejects_foreign_and_missing_parameters(tmp_path, capsys):
     assert "requires --target-communities" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_run_rejects_non_finite_absolute_cut(tmp_path, capsys, value):
+    out = tmp_path / "x.json"
+    assert run_cli(
+        "run", "--algorithm", "agglomerative", "--dataset", "karate",
+        "--linkage", "average", "--hsl-mode", "absolute", "--hsl-value", value,
+        "--out", str(out),
+    ) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: absolute cut value") and f"got {value}" in err
+    assert not out.exists()
+
+
 def test_run_rejects_bad_datasets(tmp_path, capsys):
     out = tmp_path / "x.json"
     for dataset in ("random:8", "random:a,b,c", "nope", "edgelist:/missing/f.txt"):

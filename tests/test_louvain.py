@@ -16,6 +16,7 @@ from commdetect.louvain import (
     _GAIN_EPS,
     CommunityState,
     LouvainVariant,
+    _unite,
     aggregate,
     local_move_pass,
 )
@@ -40,6 +41,7 @@ from oracles import (
     neighbor_communities,
     neighbor_weights,
     remove,
+    smallest_member_labels,
 )
 
 # `commdetect.louvain` is also the name of the re-exported function.
@@ -252,6 +254,26 @@ def test_louvain_matches_the_scanning_replay(inputs):
         part, q, passes = louvain(g, variant, seed)
         replay, q_replay, passes_replay = louvain_scanning(g, variant, seed)
         assert (part.labels, q.hex(), passes) == (replay.labels, q_replay.hex(), passes_replay)
+
+
+@st.composite
+def _proposals(draw):
+    """A node count up to 40 and (source, target) pairs in any order,
+    half of the time with a shuffled chain through every node added."""
+    n = draw(st.integers(1, 40))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=60))
+    if draw(st.booleans()):
+        path = draw(st.permutations(range(n)))
+        pairs += draw(st.permutations(list(zip(path, path[1:]))))
+    return n, draw(st.permutations(pairs))
+
+
+@settings(max_examples=300)
+@given(_proposals())
+def test_unite_labels_every_node_with_the_smallest_node_of_its_group(case):
+    n, pairs = case
+    assert _unite(n, pairs) == smallest_member_labels(n, pairs)
 
 
 @settings(max_examples=150, deadline=None)
