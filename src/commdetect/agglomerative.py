@@ -84,9 +84,8 @@ class HslSpec:
             value = self.value
             if type(value) is bool or not math.isfinite(value) or value != int(value) or value < 0:
                 raise ValueError(f"absolute cut value must be a non-negative integer, got {value!r}")
-        else:
-            if not 0.0 <= self.value <= 1.0:
-                raise ValueError("relative cut value must lie in [0, 1]")
+        elif type(self.value) is bool or not 0.0 <= self.value <= 1.0:
+            raise ValueError(f"relative cut value must lie in [0, 1], got {self.value!r}")
 
 
 def euclidean_distance(nm, i, j):

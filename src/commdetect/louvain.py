@@ -10,8 +10,9 @@ in how a level is optimised and whether it is contracted:
                 pass moves nothing; a level that moved nothing ends the
                 run, any other is contracted.
   total         as normal, but scores are graph.modularity of the moved
-                partition, bit for bit, re-folding only the two
-                communities a move changes.
+                partition, bit for bit: taken from the visit's sums when
+                every weight is integral and 2m <= 2**53, otherwise by
+                re-folding the two communities a move changes.
   noMerge       as normal, but stops after level 0 and returns its
                 assignment.
   totalNoMerge  as total, but stops after level 0.
@@ -95,56 +96,70 @@ class CommunityState:
 
 class _TotalModularity:
     """graph.modularity of one pass's assignment and of its single-node
-    moves, float for float, re-folding only the communities a move changes.
+    moves, float for float.
 
     modularity folds sigma_tot as 0.0 + k[x] over ascending members and
     sigma_in as + 2.0*w over intra edges in edges() order, and sums terms
     s_in/2m - (s_tot/2m)**2 by smallest member. Each term sits in an n-long
-    slot list at that member, 0.0 elsewhere: adding 0.0 is exact.
+    slot list at that member, 0.0 elsewhere: adding 0.0 is exact. When every
+    weight is integral and 2m <= 2**53, every partial sum of those folds is
+    an exact integer, so any order gives modularity's sums: a term's sums
+    are then the ones the visit holds. Otherwise only that fold order
+    reproduces modularity's rounding, and the communities a move changes
+    are re-folded in it.
     """
 
     def __init__(self, state):
+        self.state = state
         self.assignment = assignment = state.assignment
         self.k = state.k
         self.two_m = 2.0 * state.m
         n = len(assignment)
-        # Each node's doubled edges to itself and higher ids, in edges() order.
-        self.fwd = fwd = [[] for _ in range(n)]
-        for u, v, w in state.graph.edges():
-            fwd[u].append((v, 2.0 * w))
+        self.exact = self.two_m <= 2.0 ** 53 and all(w.is_integer() for _, _, w in state.graph.edges())
+        if not self.exact:
+            # Each node's doubled edges to itself and higher ids, in edges() order.
+            self.fwd = fwd = [[] for _ in range(n)]
+            for u, v, w in state.graph.edges():
+                fwd[u].append((v, 2.0 * w))
         self.members = members = [[] for _ in range(n)]
         for x, c in enumerate(assignment):
             members[c].append(x)
         self.slots = [0.0] * n
         for c, mem in enumerate(members):
             if mem:
-                self.slots[mem[0]] = self._term(mem, c, mem[0], c)
+                self.slots[mem[0]] = self._term((state.sigma_in[c], state.sigma_tot[c]), mem, c, mem[0], c)
 
-    def _term(self, mem, c, i, c_i):
-        """Term of community c with ascending members `mem`, node i labelled c_i."""
-        assignment = self.assignment
-        fwd = self.fwd
-        c_was, assignment[i] = assignment[i], c_i
-        s_in = reduce(add, [w2 for u in mem for v, w2 in fwd[u] if assignment[v] == c], 0.0)
-        assignment[i] = c_was
-        s_tot = reduce(add, map(self.k.__getitem__, mem), 0.0)
+    def _term(self, sums, mem, c, i, c_i):
+        """Term of community c: from its exact (s_in, s_tot) `sums`, or else
+        re-folded over its ascending members `mem` with node i labelled c_i."""
+        if not self.exact:
+            assignment = self.assignment
+            c_was, assignment[i] = assignment[i], c_i
+            s_in = reduce(add, [w2 for u in mem for v, w2 in self.fwd[u] if assignment[v] == c], 0.0)
+            assignment[i] = c_was
+            sums = s_in, reduce(add, map(self.k.__getitem__, mem), 0.0)
+        s_in, s_tot = sums
         return s_in / self.two_m - (s_tot / self.two_m) ** 2
 
-    def leave(self, i):
-        """Start node i's visit: re-fold its community without it."""
+    def leave(self, i, s_in, s_tot, weights, loop):
+        """Start node i's visit, given its community's sums without it and
+        its link weights to the other communities and to itself."""
         self.c_old = c_old = self.assignment[i]
+        self.weights, self.loop = weights, loop
         mem = self.members[c_old]
         rest = [x for x in mem if x != i]
         self.out = [(mem[0], 0.0)]
         if rest:
-            self.out.append((rest[0], self._term(rest, c_old, i, -1)))
+            self.out.append((rest[0], self._term((s_in, s_tot), rest, c_old, i, -1)))
 
     def _patch(self, i, c):
         """Slot writes, zeros first, that move node i into community c."""
         mem = self.members[c]
         joined = mem[:]
         insort(joined, i)
-        return [(mem[0], 0.0), *self.out, (joined[0], self._term(joined, c, i, c))]
+        sums = (self.state.sigma_in[c] + (2.0 * self.weights[c] + 2.0 * self.loop),
+                self.state.sigma_tot[c] + self.k[i])
+        return [(mem[0], 0.0), *self.out, (joined[0], self._term(sums, joined, c, i, c))]
 
     def score(self, i, c):
         """Modularity with node i moved to community c; its own c scores staying."""
@@ -172,14 +187,16 @@ def _visit(state, order, use_total_formula=False, move=True):
     neighbouring community. Closed-form scores are insertion gains,
     [(sigma_in + 2*k_in)/2m - ((sigma_tot + k_i)/2m)^2] minus
     [sigma_in/2m - (sigma_tot/2m)^2 - (k_i/2m)^2] on the node-removed
-    sums; total-formula scores are full modularity values. Either way the
-    score difference against c_old is the net change of the move. Other
-    communities are tried in ascending label order and the first strict
-    maximum wins; it is taken only when it beats staying by more than
-    _GAIN_EPS. The node is then inserted into the winner when `move` is
-    set, and back into c_old otherwise. Staying adds the node's sums back
-    onto the removed ones, so every float matches a separate remove and
-    insert.
+    sums. Total-formula scores are full modularity values; when every
+    weight is integral and 2m <= 2**53 their terms are built from these
+    same sums, handed to the evaluator through its leave(). Either way
+    the score difference against c_old is the net change of the move.
+    Other communities are tried in ascending label order and the first
+    strict maximum wins; it is taken only when it beats staying by more
+    than _GAIN_EPS. The node is then inserted into the winner when `move`
+    is set, and back into c_old otherwise. Staying adds the node's sums
+    back onto the removed ones, so every float matches a separate remove
+    and insert.
     """
     if state.m == 0:
         raise ValueError("modularity gain is undefined for a graph with no edges")
@@ -220,7 +237,7 @@ def _visit(state, order, use_total_formula=False, move=True):
         c_new = c_old
         if weights:
             if use_total_formula:
-                total.leave(i)
+                total.leave(i, s_in, s_tot, weights, loop)
                 stay = best = total.score(i, c_old)
             else:
                 kk = (ki / two_m) ** 2
@@ -267,8 +284,9 @@ def local_move_pass(state, order, use_total_formula=False):
     threshold, so modularity strictly increases with every applied move
     and the pass loop always terminates. Each visit scans the node's
     adjacency once and costs O(degree + c log c) for c neighbouring
-    communities. With `use_total_formula` each candidate also re-folds
-    its community plus the node, and sums n slots.
+    communities. With `use_total_formula` each candidate also sums n
+    slots and, unless every weight is integral and 2m <= 2**53, re-folds
+    its community plus the node.
     """
     return state, bool(_visit(state, order, use_total_formula))
 

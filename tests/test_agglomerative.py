@@ -157,6 +157,9 @@ def test_hsl_spec_validation():
     for value in (float("inf"), float("-inf"), float("nan"), True, False):
         with pytest.raises(ValueError, match=rf"absolute cut value .* got {value!r}$"):
             HslSpec("absolute", value)
+    for value in (1.01, -0.01, float("inf"), float("-inf"), float("nan"), True, False):
+        with pytest.raises(ValueError, match=rf"relative cut value must lie in \[0, 1\], got {value!r}$"):
+            HslSpec("relative", value)
 
 
 def test_cut_extremes_and_absolute():

@@ -145,6 +145,17 @@ def test_run_rejects_non_finite_absolute_cut(tmp_path, capsys, value):
     assert not out.exists()
 
 
+def test_run_rejects_nan_relative_cut(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run_cli(
+        "run", "--algorithm", "agglomerative", "--dataset", "karate",
+        "--linkage", "average", "--hsl-mode", "relative", "--hsl-value", "nan",
+        "--out", str(out),
+    ) == 1
+    assert capsys.readouterr().err == "error: relative cut value must lie in [0, 1], got nan\n"
+    assert not out.exists()
+
+
 def test_run_rejects_bad_datasets(tmp_path, capsys):
     out = tmp_path / "x.json"
     for dataset in ("random:8", "random:a,b,c", "nope", "edgelist:/missing/f.txt"):

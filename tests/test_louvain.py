@@ -276,21 +276,24 @@ def test_unite_labels_every_node_with_the_smallest_node_of_its_group(case):
     assert _unite(n, pairs) == smallest_member_labels(n, pairs)
 
 
-@settings(max_examples=150, deadline=None)
-@given(_louvain_inputs(small_fractional_weighted_graphs()))
-def test_total_formula_scores_are_bit_exact_modularity(inputs):
-    # Every score the evaluator hands a total-formula visit, staying
-    # included, is the very float graph.modularity gives the moved
-    # assignment, at every level of both variants.
-    g, seed = inputs
+def _assert_scores_are_bit_exact_modularity(g, seed):
+    """Every score the evaluator hands a total-formula visit, staying
+    included, is the very float graph.modularity gives the moved
+    assignment, at every level of both variants. A level whose weights
+    are all integral with 2m <= 2**53 must take the sums path, any other
+    the fold path. Returns the paths taken."""
     evaluator = louvain_module._TotalModularity
     original_init, original_score = evaluator.__init__, evaluator.score
     level_graph = []
     scored = []
+    paths = set()
 
     def init(self, state):
-        level_graph[:] = [state.graph]
+        h = state.graph
+        level_graph[:] = [h]
         original_init(self, state)
+        assert self.exact is (2.0 * h.total_weight <= 2.0**53 and all(w.is_integer() for _, _, w in h.edges()))
+        paths.add(self.exact)
 
     def score(self, i, c):
         q = original_score(self, i, c)
@@ -306,6 +309,24 @@ def test_total_formula_scores_are_bit_exact_modularity(inputs):
         for variant in ("total", "totalNoMerge"):
             louvain(g, variant, seed)
     assert scored or not any(u != v for u, v, _ in g.edges())
+    return paths
+
+
+@settings(max_examples=150, deadline=None)
+@given(_louvain_inputs(st.one_of(small_integer_weighted_graphs(), small_fractional_weighted_graphs())))
+def test_total_formula_scores_are_bit_exact_modularity(inputs):
+    _assert_scores_are_bit_exact_modularity(*inputs)
+
+
+@pytest.mark.parametrize("big", [2.0**52 - 77, 2.0**52])
+def test_total_formula_scores_are_bit_exact_at_the_2m_bound(karate, big):
+    # Karate with one of its 78 edges weighing `big` and the other 77
+    # weighing 1: 2m = 2**53 exactly takes the sums path; 77 more units of
+    # weight take the fold path, the only one exact once sums pass 2**53.
+    for heavy in (0, 40, 77):
+        edges = [(u, v, big if idx == heavy else 1.0) for idx, (u, v, _) in enumerate(karate.edges())]
+        for seed in range(2):
+            assert _assert_scores_are_bit_exact_modularity(Graph(karate.node_count, edges), seed) == {big < 2.0**52}
 
 
 def test_local_move_pass_sums_match_the_scanning_replay():
