@@ -14,7 +14,7 @@ import operator
 from dataclasses import asdict, dataclass
 from enum import Enum
 
-from .graph import Partition, neighbor_matrix
+from .graph import Partition, _unite, neighbor_matrix
 
 __all__ = [
     "Linkage",
@@ -179,19 +179,11 @@ def cut(dendrogram, spec):
             raise ValueError(f"cannot undo {undo} merges, only {total} were made")
     else:
         undo = math.floor(spec.value * total + 0.5)
-    parent = {}
+    # Step s creates cluster n + s, so each kept merge's ids index `leaf`,
+    # which maps every cluster to one of its leaves.
+    leaf = list(range(n))
+    pairs = []
     for merge in dendrogram.merges[: total - undo]:
-        parent[merge.left] = merge.merged
-        parent[merge.right] = merge.merged
-
-    def root(c):
-        seen = []
-        while c in parent:
-            seen.append(c)
-            c = parent[c]
-        for s in seen:
-            parent[s] = c
-        return c
-
-    labels = [root(i) for i in range(n)]
-    return Partition(labels).canonicalize()
+        pairs.append((leaf[merge.left], leaf[merge.right]))
+        leaf.append(leaf[merge.left])
+    return Partition(_unite(n, pairs)).canonicalize()

@@ -200,10 +200,11 @@ def run_command(args):
     entry = _checked(args.algorithm, params)
     g = _load_for(args.algorithm, entry, args.dataset)
     try:
-        part, _, siblings = entry.call(g, params, 0 if args.seed is None else args.seed)
+        part, q, siblings = entry.call(g, params, 0 if args.seed is None else args.seed)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    q = modularity(g, part) if g.total_weight > 0 else None
+    if q is None and g.total_weight > 0:
+        q = modularity(g, part)
     root, _ = os.path.splitext(args.out)
     files = [(args.out, part.to_dict(modularity=q))]
     files += [(root + suffix, payload) for suffix, payload in siblings()]
@@ -211,17 +212,6 @@ def run_command(args):
     print(f"communities: {part.num_communities}")
     print(f"q: {q!r}")
     return 0
-
-
-@dataclass
-class BenchReport:
-    """Per-variant statistics records plus a host environment note."""
-
-    environment: str
-    records: list
-
-    def to_dict(self):
-        return {"environment": self.environment, "records": self.records}
 
 
 def format_table(records):
@@ -247,10 +237,6 @@ def format_table(records):
     for row in rows:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
-
-
-def _environment_note():
-    return f"{platform.platform()} / Python {platform.python_version()}"
 
 
 def run_stats(label, runs, one):
@@ -283,7 +269,8 @@ def run_stats(label, runs, one):
 
 
 def bench(g, algorithm, variants, runs, base_seed, params=None):
-    """Benchmark one algorithm on one graph; returns a BenchReport.
+    """Benchmark one algorithm on one graph; returns the report
+    {"environment": host note, "records": [...]}.
 
     For louvain each requested variant becomes one record of the runs
     with seeds base_seed..base_seed+runs-1; other algorithms are
@@ -308,7 +295,8 @@ def bench(g, algorithm, variants, runs, base_seed, params=None):
             return modularity(g, part) if q is None else q
 
         records.append(run_stats(label, runs, one))
-    return BenchReport(_environment_note(), records)
+    environment = f"{platform.platform()} / Python {platform.python_version()}"
+    return {"environment": environment, "records": records}
 
 
 def bench_command(args):
@@ -328,8 +316,8 @@ def bench_command(args):
         report = bench(g, args.algorithm, variants, args.runs, args.seed, params=params)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    _write_all([(args.out, _dump(report.to_dict()))])
-    print(format_table(report.records))
+    _write_all([(args.out, _dump(report))])
+    print(format_table(report["records"]))
     return 0
 
 

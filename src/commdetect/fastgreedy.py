@@ -1,11 +1,12 @@
-"""Greedy modularity agglomeration over a sparse pair-gain store.
+"""Greedy modularity agglomeration over sparse rows of pair gains.
 
 Starting from singleton communities, the pair whose merge increases
-modularity the most is joined repeatedly. The pairwise gains live in a
-sparse symmetric store holding entries only for community pairs that
-share at least one edge, and a single global max-heap over the store's
-cells picks the next join. Gains are updated in place after each join
-instead of being recomputed.
+modularity the most is joined repeatedly. The pairwise gains live in
+sparse symmetric rows, as in Clauset, Newman & Moore 2004: `rows[i][j]`
+and its mirror `rows[j][i]` hold the gain of joining communities i and
+j, only for pairs that share at least one edge. A single global max-heap
+over the cells picks the next join. Gains are updated in place after
+each join instead of being recomputed.
 
 A queued gain is an upper bound on its cell's current gain, in the lazy
 style of accelerated greedy (Minoux; CELF in Leskovec et al. 2007): a
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 from .agglomerative import Dendrogram, HslSpec, cut
 
 __all__ = [
-    "DeltaQStore",
     "GlobalHeap",
     "init_fastgreedy",
     "join",
@@ -71,36 +71,8 @@ class Join:
                 "distance": self.gain, "step": self.step}
 
 
-class DeltaQStore:
-    """Symmetric sparse map of merge gains; `rows` is keyed by the live communities."""
-
-    def __init__(self, node_count):
-        self.rows = {i: {} for i in range(node_count)}
-
-    def get(self, i, j):
-        return self.rows[i][j]
-
-    def has(self, i, j):
-        return i in self.rows and j in self.rows[i]
-
-    def set(self, i, j, value):
-        self.rows[i][j] = value
-        self.rows[j][i] = value
-
-    def retire(self, i):
-        """Drop community i: its row and every mirrored cell disappear."""
-        for k in self.rows.pop(i):
-            del self.rows[k][i]
-
-    def pairs(self):
-        for i, row in self.rows.items():
-            for j, value in row.items():
-                if i < j:
-                    yield i, j, value
-
-
 class GlobalHeap:
-    """One max-heap over the store's cells, keyed on upper bounds.
+    """One max-heap over the cells of the gain rows, keyed on upper bounds.
 
     Every live cell has at least one queued entry whose gain is at least
     the cell's current gain, so a cell only needs a new entry when its
@@ -108,8 +80,8 @@ class GlobalHeap:
     above their cell's current gain, are dealt with lazily by `pop_best`.
     """
 
-    def __init__(self, store):
-        self._store = store
+    def __init__(self, rows):
+        self._rows = rows
         self._entries = []
 
     def push(self, i, j, dq):
@@ -130,7 +102,7 @@ class GlobalHeap:
         cell's current gain. The chosen pair stays queued until joined.
         """
         entries = self._entries
-        rows = self._store.rows
+        rows = self._rows
         while entries:
             neg_bound, i, j = entries[0]
             row = rows.get(i)
@@ -179,11 +151,13 @@ class GlobalHeap:
 
 
 def init_fastgreedy(g):
-    """Build the initial store, heap, and community weight fractions.
+    """Build the gain rows, the heap over them, and the weight fractions.
 
+    Returns (rows, heap, a): `rows` maps each live community to its row of
+    gains, and a[i] = k_i/2m is community i's share of the degree mass.
     For singleton communities the gain of joining connected i and j is
-    w_ij/m - 2*a_i*a_j with a_i = k_i/2m, the exact modularity change of
-    that merge. Requires a simple graph with at least one edge.
+    w_ij/m - 2*a_i*a_j, the exact modularity change of that merge.
+    Requires a simple graph with at least one edge.
     """
     m = g.total_weight
     if m == 0:
@@ -192,16 +166,16 @@ def init_fastgreedy(g):
         raise ValueError("greedy agglomeration requires a simple graph (no self-loops)")
     two_m = 2.0 * m
     a = {i: g.weighted_degree(i) / two_m for i in range(g.node_count)}
-    store = DeltaQStore(g.node_count)
-    heap = GlobalHeap(store)
+    rows = {i: {} for i in range(g.node_count)}
+    heap = GlobalHeap(rows)
     for u, v, w in g.edges():
         dq = w / m - 2.0 * a[u] * a[v]
-        store.set(u, v, dq)
+        rows[u][v] = rows[v][u] = dq
         heap.push(u, v, dq)
-    return store, heap, a
+    return rows, heap, a
 
 
-def _apply_join(store, heap, a, i, j, dq):
+def _apply_join(rows, heap, a, i, j):
     """Merge community i into j (the result keeps label j).
 
     Third communities connected to either side get their gain toward the
@@ -214,7 +188,6 @@ def _apply_join(store, heap, a, i, j, dq):
     cells are written directly. Queued gains are upper bounds, so only a
     created cell or a rising gain is pushed; "only j" always falls.
     """
-    rows = store.rows
     row_i = rows[i]
     row_j = rows[j]
     a_i = a[i]
@@ -236,27 +209,29 @@ def _apply_join(store, heap, a, i, j, dq):
             heap.push(j, k, new)
             row_j[k] = new
             rows[k][j] = new
-    store.retire(i)
+    for k in rows.pop(i):
+        del rows[k][i]
     a[j] = a_i + a_j
     del a[i]
-    return dq
 
 
-def join(store, heap, a, i, j):
-    """Merge the stored pair (i, j) into j and rewrite affected gains.
+def join(rows, heap, a, i, j):
+    """Merge the pair (i, j) into j, rewrite affected gains, and return
+    the gain of the join.
 
     Raises ValueError when either community is dead or the pair has no
-    stored entry (communities in different components cannot be joined
-    through the store).
+    gain cell (communities in different components cannot be joined
+    through the rows).
     """
     if i == j:
         raise ValueError("cannot join a community with itself")
-    if i not in store.rows or j not in store.rows:
+    if i not in rows or j not in rows:
         raise ValueError(f"cannot join dead community in pair ({i}, {j})")
-    if not store.has(i, j):
+    if j not in rows[i]:
         raise ValueError(f"no stored gain for pair ({i}, {j})")
-    dq = store.get(i, j)
-    return _apply_join(store, heap, a, i, j, dq)
+    dq = rows[i][j]
+    _apply_join(rows, heap, a, i, j)
+    return dq
 
 
 def fastgreedy(g):
@@ -269,7 +244,7 @@ def fastgreedy(g):
     it; the partition where Q first reaches its maximum, cut from that
     dendrogram; and that maximum.
     """
-    store, heap, a = init_fastgreedy(g)
+    rows, heap, a = init_fastgreedy(g)
     n = g.node_count
     cluster_id = list(range(n))
     q = -sum(v * v for v in a.values())
@@ -280,11 +255,12 @@ def fastgreedy(g):
         picked = heap.pop_best()
         if picked is None:
             # Disconnected remnants: join the two lowest-numbered ones.
-            i, j = sorted(store.rows)[:2]
-            dq = _apply_join(store, heap, a, i, j, -2.0 * a[i] * a[j])
+            i, j = sorted(rows)[:2]
+            dq = -2.0 * a[i] * a[j]
+            _apply_join(rows, heap, a, i, j)
         else:
             i, j, _ = picked
-            dq = join(store, heap, a, i, j)
+            dq = join(rows, heap, a, i, j)
         q += dq
         joins.append(Join(cluster_id[i], cluster_id[j], n + step, dq, q, step))
         cluster_id[j] = n + step

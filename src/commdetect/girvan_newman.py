@@ -13,7 +13,7 @@ initial score.
 
 from collections import deque
 
-from .graph import Partition, connected_components
+from .graph import _components, connected_components
 
 __all__ = [
     "edge_betweenness",
@@ -120,18 +120,6 @@ def _pick_cut(scores):
     return min(scores.items(), key=lambda item: (-item[1], item[0]))
 
 
-def _partition_from(adj):
-    # Components numbered in first-seen order, as connected_components does.
-    labels = [-1] * len(adj)
-    comp = 0
-    for start in range(len(adj)):
-        if labels[start] == -1:
-            for u in _component_nodes(adj, start):
-                labels[u] = comp
-            comp += 1
-    return Partition(labels)
-
-
 def _check_target(g, target):
     n = g.node_count
     if type(target) is not int:
@@ -170,7 +158,7 @@ def girvan_newman(g, target_communities):
             comp_count += 1
         for nodes in affected:
             scores.update(_component_scores(adj, nodes))
-    return _partition_from(adj), cuts
+    return _components(adj), cuts
 
 
 def girvan_newman_static(g, target_communities):
@@ -192,4 +180,4 @@ def girvan_newman_static(g, target_communities):
         cuts.append((u, v, score))
         if u != v and v not in _component_nodes(adj, u):
             comp_count += 1
-    return _partition_from(adj), cuts
+    return _components(adj), cuts

@@ -222,16 +222,11 @@ class NeighborMatrix:
     the other's set).
     """
 
-    __slots__ = ("_counts", "effective_degree", "self_neighboring")
+    __slots__ = ("_counts", "effective_degree")
 
-    def __init__(self, counts, effective_degree, self_neighboring):
+    def __init__(self, counts, effective_degree):
         self._counts = counts
         self.effective_degree = effective_degree
-        self.self_neighboring = self_neighboring
-
-    @property
-    def node_count(self):
-        return len(self.effective_degree)
 
     def shared(self, i, j):
         """Number of shared neighbors of the distinct nodes i and j."""
@@ -317,23 +312,47 @@ def random_graph(n, p, seed):
     return Graph(n, edges)
 
 
-def connected_components(g):
-    """Label nodes by connected component, numbered in first-seen order."""
-    labels = [-1] * g.node_count
+def _components(adj):
+    """Label the nodes of a list of neighbour mappings by connected
+    component, numbered in first-seen order; returns a Partition."""
+    labels = [-1] * len(adj)
     comp = 0
-    for start in range(g.node_count):
+    for start in range(len(adj)):
         if labels[start] != -1:
             continue
         labels[start] = comp
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for v in g.neighbors(u):
+            for v in adj[u]:
                 if labels[v] == -1:
                     labels[v] = comp
                     queue.append(v)
         comp += 1
     return Partition(labels)
+
+
+def connected_components(g):
+    """Label nodes by connected component, numbered in first-seen order."""
+    return _components(g._adj)
+
+
+def _unite(n, pairs):
+    """Label each of n nodes with the smallest node of its group, the
+    groups being the connected components of the (a, b) `pairs`."""
+    root = list(range(n))
+
+    def find(x):
+        while root[x] != x:
+            # Path halving: point x at its grandparent, then step there.
+            root[x] = x = root[root[x]]
+        return x
+
+    for a, b in pairs:
+        a, b = find(a), find(b)
+        # The smaller root wins, so every root is its group's smallest node.
+        root[max(a, b)] = min(a, b)
+    return [find(x) for x in range(n)]
 
 
 def modularity(g, partition):
@@ -389,4 +408,4 @@ def neighbor_matrix(g, self_neighboring=False):
             counts[(u, v)] = counts.get((u, v), 0) + 2
     bump = 1 if self_neighboring else 0
     effective = tuple(g.degree(i) + bump for i in range(g.node_count))
-    return NeighborMatrix(counts, effective, self_neighboring)
+    return NeighborMatrix(counts, effective)

@@ -36,7 +36,7 @@ from enum import Enum
 from functools import reduce
 from operator import add
 
-from .graph import Graph, Partition, modularity
+from .graph import Graph, Partition, _unite, modularity
 
 __all__ = [
     "LouvainVariant",
@@ -325,24 +325,6 @@ def aggregate(g, partition):
         weights[(cu, cv)] = weights.get((cu, cv), 0.0) + w
     edges = [(u, v, w) for (u, v), w in weights.items()]
     return AggregateGraph(Graph(len(index), edges), tuple(origin))
-
-
-def _unite(n, pairs):
-    """Label each of n nodes with the smallest node of its group, the
-    groups being the connected components of the (a, b) `pairs`."""
-    root = list(range(n))
-
-    def find(x):
-        while root[x] != x:
-            # Path halving: point x at its grandparent, then step there.
-            root[x] = x = root[root[x]]
-        return x
-
-    for a, b in pairs:
-        a, b = find(a), find(b)
-        # The smaller root wins, so every root is its group's smallest node.
-        root[max(a, b)] = min(a, b)
-    return [find(x) for x in range(n)]
 
 
 def louvain(g, variant, seed=0):

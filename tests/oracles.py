@@ -216,6 +216,22 @@ def agglomerate_direct(g, kind, self_neighboring):
     return merges
 
 
+def cut_direct(dendrogram, undo):
+    """Labels after the first n-1-undo merges of a complete dendrogram.
+
+    Replays each merge by relabelling every node of its two clusters with
+    the merged id, then renumbers labels 0..k-1 in first-seen order.
+    """
+    n = dendrogram.leaves
+    label = {i: i for i in range(n)}
+    for merge in dendrogram.merges[: n - 1 - undo]:
+        for node, lab in label.items():
+            if lab in (merge.left, merge.right):
+                label[node] = merge.merged
+    first = {}
+    return [first.setdefault(label[i], len(first)) for i in range(n)]
+
+
 def _set_partitions(items):
     """All partitions of `items` into non-empty blocks."""
     if not items:

@@ -47,7 +47,7 @@ from oracles import (
 
 def test_criterion_1_louvain_benchmark_scores_and_speed(karate):
     report = bench(karate, "louvain", ("normal",), runs=100, base_seed=0)
-    record = report.records[0]
+    record = report["records"][0]
     assert record["max"] == pytest.approx(0.41979, abs=1e-4)
     assert record["min"] >= 0.30
     worst_ms = 0.0
@@ -61,7 +61,7 @@ def test_criterion_1_louvain_benchmark_scores_and_speed(karate):
 
 
 def _record(g, variant, runs):
-    return bench(g, "louvain", (variant,), runs=runs, base_seed=0).records[0]
+    return bench(g, "louvain", (variant,), runs=runs, base_seed=0)["records"][0]
 
 
 def test_criterion_2_variant_quality_ordering(karate):

@@ -13,11 +13,12 @@ from commdetect import (
     agglomerate,
     cut,
     euclidean_distance,
+    fastgreedy,
     neighbor_matrix,
 )
 from commdetect.agglomerative import linkage_distance
-from helpers import complete_graph, path_graph, random_suite, star_graph
-from oracles import agglomerate_direct
+from helpers import complete_graph, path_graph, random_suite, small_integer_weighted_graphs, star_graph
+from oracles import agglomerate_direct, cut_direct
 
 
 def test_euclidean_distance_examples():
@@ -129,6 +130,23 @@ def test_agglomerate_matches_oracle_property(g, kind, self_neighboring):
     d = agglomerate(g, kind, self_neighboring)
     got = [(m.left, m.right, m.distance) for m in d.merges]
     assert got == agglomerate_direct(g, kind, self_neighboring)
+
+
+@st.composite
+def dendrograms(draw):
+    """Complete dendrograms from agglomerate, under every linkage with and
+    without self-neighbouring, and from fastgreedy, whose graphs are often
+    disconnected, so that its last joins are force-joins."""
+    if draw(st.booleans()):
+        return fastgreedy(draw(small_integer_weighted_graphs()))[0]
+    return agglomerate(draw(small_graphs()), draw(st.sampled_from(tuple(Linkage))), draw(st.booleans()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dendrograms())
+def test_cut_matches_direct_replay_at_every_undo(d):
+    for undo in range(d.leaves):
+        assert list(cut(d, HslSpec("absolute", undo)).labels) == cut_direct(d, undo)
 
 
 def test_average_linkage_ties_across_cluster_sizes():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from commdetect import Graph, HslSpec, cut, fastgreedy, karate_club, modularity, random_graph
-from commdetect.fastgreedy import _TIE_EPS, DeltaQStore, GlobalHeap, init_fastgreedy, join
+from commdetect.fastgreedy import _TIE_EPS, GlobalHeap, init_fastgreedy, join
 from helpers import (
     path_graph,
     random_suite,
@@ -30,30 +30,40 @@ def _joins(dend, n):
     return out
 
 
+def _pairs(rows):
+    """Every gain cell once, as (i, j, gain) with i < j."""
+    return [(i, j, gain) for i, row in rows.items() for j, gain in row.items() if i < j]
+
+
+def _set(rows, i, j, gain):
+    """Write a gain cell and its mirror."""
+    rows[i][j] = rows[j][i] = gain
+
+
 def test_init_reference_values():
-    store, heap, a = init_fastgreedy(Graph(2, [(0, 1)]))
-    assert store.get(0, 1) == pytest.approx(0.5, abs=1e-12)
+    rows, heap, a = init_fastgreedy(Graph(2, [(0, 1)]))
+    assert rows[0][1] == pytest.approx(0.5, abs=1e-12)
     assert a == {0: 0.5, 1: 0.5}
 
     tri = Graph(3, [(0, 1), (0, 2), (1, 2)])
-    store, heap, a = init_fastgreedy(tri)
+    rows, heap, a = init_fastgreedy(tri)
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        assert store.get(i, j) == pytest.approx(1.0 / 9.0, abs=1e-12)
+        assert rows[i][j] == pytest.approx(1.0 / 9.0, abs=1e-12)
         # the stored gain is the true modularity change of that merge
         merged = [j if x == i else x for x in range(3)]
         truth = modularity_direct(tri, merged) - modularity_direct(tri, [0, 1, 2])
-        assert store.get(i, j) == pytest.approx(truth, abs=1e-12)
+        assert rows[i][j] == pytest.approx(truth, abs=1e-12)
 
-    store, heap, a = init_fastgreedy(star_graph(3))
+    rows, heap, a = init_fastgreedy(star_graph(3))
     assert a[0] == pytest.approx(0.5, abs=1e-15)
     assert all(a[leaf] == pytest.approx(1.0 / 6.0, abs=1e-15) for leaf in (1, 2, 3))
 
 
 def test_init_entries_only_for_connected_pairs():
     g = path_graph(4)
-    store, heap, a = init_fastgreedy(g)
-    assert sorted((i, j) for i, j, _ in store.pairs()) == [(0, 1), (1, 2), (2, 3)]
-    assert not store.has(0, 2)
+    rows, heap, a = init_fastgreedy(g)
+    assert sorted((i, j) for i, j, _ in _pairs(rows)) == [(0, 1), (1, 2), (2, 3)]
+    assert 2 not in rows[0]
 
 
 def test_init_rejects_bad_graphs():
@@ -64,43 +74,43 @@ def test_init_rejects_bad_graphs():
 
 
 def test_pop_best_and_tie_break():
-    store, heap, a = init_fastgreedy(Graph(2, [(0, 1)]))
+    rows, heap, a = init_fastgreedy(Graph(2, [(0, 1)]))
     assert heap.pop_best() == (0, 1, pytest.approx(0.5, abs=1e-12))
 
     # two disjoint unit edges: both pairs gain the same, smallest wins
-    store, heap, a = init_fastgreedy(Graph(4, [(0, 1), (2, 3)]))
+    rows, heap, a = init_fastgreedy(Graph(4, [(0, 1), (2, 3)]))
     picked = heap.pop_best()
     assert picked[:2] == (0, 1)
-    join(store, heap, a, *picked[:2])
+    join(rows, heap, a, *picked[:2])
     picked = heap.pop_best()
     assert picked[:2] == (2, 3)
-    join(store, heap, a, *picked[:2])
+    join(rows, heap, a, *picked[:2])
     # the two remaining communities share no edge: nothing joinable
     assert heap.pop_best() is None
 
 
 def test_falling_gain_is_not_requeued():
     # path 0-1-2, join(0,1): cell (1, 2) only loses 2*a_0*a_2
-    store, heap, a = init_fastgreedy(path_graph(3))
+    rows, heap, a = init_fastgreedy(path_graph(3))
     before = len(heap)
-    join(store, heap, a, 0, 1)
+    join(rows, heap, a, 0, 1)
     assert len(heap) == before
 
 
 def test_pop_best_reads_tie_band_in_place():
     top = 0.25
-    store = DeltaQStore(6)
-    heap = GlobalHeap(store)
+    rows = {i: {} for i in range(6)}
+    heap = GlobalHeap(rows)
     # the maximum, at the larger pair
-    store.set(2, 3, top)
+    _set(rows, 2, 3, top)
     heap.push(2, 3, top)
     # a smaller pair tied with it, less than _TIE_EPS below
-    store.set(0, 4, top - _TIE_EPS / 2)
+    _set(rows, 0, 4, top - _TIE_EPS / 2)
     heap.push(0, 4, top - _TIE_EPS / 2)
     # stale bounds: one above the maximum, one inside the tie band
-    store.set(0, 1, 0.1)
+    _set(rows, 0, 1, 0.1)
     heap.push(0, 1, 0.5)
-    store.set(0, 2, 0.1)
+    _set(rows, 0, 2, 0.1)
     heap.push(0, 2, top - _TIE_EPS / 4)
     assert heap.pop_best() == (0, 4, top - _TIE_EPS / 2)
     assert (-0.1, 0, 1) in heap._entries
@@ -108,55 +118,56 @@ def test_pop_best_reads_tie_band_in_place():
 
 
 def test_pop_best_with_only_retired_entries_is_none():
-    store = DeltaQStore(3)
-    heap = GlobalHeap(store)
+    rows = {i: {} for i in range(3)}
+    heap = GlobalHeap(rows)
     for i, j in ((0, 1), (1, 2)):
-        store.set(i, j, 0.1)
+        _set(rows, i, j, 0.1)
         heap.push(i, j, 0.1)
-    store.retire(1)
+    for k in rows.pop(1):
+        del rows[k][1]
     assert heap.pop_best() is None
     assert len(heap) == 0
 
 
 def test_join_validation():
-    store, heap, a = init_fastgreedy(path_graph(3))
+    rows, heap, a = init_fastgreedy(path_graph(3))
     with pytest.raises(ValueError):
-        join(store, heap, a, 1, 1)
+        join(rows, heap, a, 1, 1)
     with pytest.raises(ValueError):
-        join(store, heap, a, 0, 2)
-    join(store, heap, a, 0, 1)
+        join(rows, heap, a, 0, 2)
+    join(rows, heap, a, 0, 1)
     with pytest.raises(ValueError):
-        join(store, heap, a, 0, 1)
+        join(rows, heap, a, 0, 1)
 
 
 def test_join_update_rules_match_direct_differences():
     # path 0-1-2, join(0,1): community 2 touches only the j side
     g = path_graph(3)
-    store, heap, a = init_fastgreedy(g)
-    before_bc = store.get(1, 2)
+    rows, heap, a = init_fastgreedy(g)
+    before_bc = rows[1][2]
     expected = before_bc - 2.0 * a[0] * a[2]
-    join(store, heap, a, 0, 1)
-    assert store.get(1, 2) == pytest.approx(expected, abs=1e-12)
+    join(rows, heap, a, 0, 1)
+    assert rows[1][2] == pytest.approx(expected, abs=1e-12)
     truth = modularity_direct(g, [1, 1, 1]) - modularity_direct(g, [1, 1, 2])
-    assert store.get(1, 2) == pytest.approx(truth, abs=1e-12)
+    assert rows[1][2] == pytest.approx(truth, abs=1e-12)
 
     # triangle, join(0,1): community 2 touches both sides
     tri = Graph(3, [(0, 1), (0, 2), (1, 2)])
-    store, heap, a = init_fastgreedy(tri)
-    expected = store.get(0, 2) + store.get(1, 2)
-    join(store, heap, a, 0, 1)
-    assert store.get(1, 2) == pytest.approx(expected, abs=1e-12)
-    assert store.get(1, 2) == pytest.approx(2.0 / 9.0, abs=1e-12)
+    rows, heap, a = init_fastgreedy(tri)
+    expected = rows[0][2] + rows[1][2]
+    join(rows, heap, a, 0, 1)
+    assert rows[1][2] == pytest.approx(expected, abs=1e-12)
+    assert rows[1][2] == pytest.approx(2.0 / 9.0, abs=1e-12)
 
 
 def test_store_heap_and_mass_invariants_every_step():
     for g in random_suite(20, 2, 10, (0.3, 0.6), 11000):
-        store, heap, a = init_fastgreedy(g)
+        rows, heap, a = init_fastgreedy(g)
         labels = list(range(g.node_count))
         while True:
             assert sum(a.values()) == pytest.approx(1.0, abs=1e-12)
             q_now = modularity_direct(g, labels)
-            for i, j, dq in store.pairs():
+            for i, j, dq in _pairs(rows):
                 merged = [j if x == i else x for x in labels]
                 assert dq == pytest.approx(
                     modularity_direct(g, merged) - q_now, abs=1e-9
@@ -165,9 +176,9 @@ def test_store_heap_and_mass_invariants_every_step():
             if picked is None:
                 break
             i, j, dq = picked
-            top = max(value for _, _, value in store.pairs())
+            top = max(value for _, _, value in _pairs(rows))
             assert dq == pytest.approx(top, abs=1e-12)
-            join(store, heap, a, i, j)
+            join(rows, heap, a, i, j)
             labels = [j if x == i else x for x in labels]
 
 
@@ -278,7 +289,7 @@ def test_fastgreedy_golden():
     assert digest == "c32f1d82758311cf5b3fc77612ddcf8f1cda28c9179e034c183c218140aa4967"
 
 
-def _check_heap(store, heap):
+def _check_heap(rows, heap):
     """Heap order holds, and every live cell has a queued upper bound."""
     entries = heap._entries
     for k in range(1, len(entries)):
@@ -286,19 +297,19 @@ def _check_heap(store, heap):
     bound = {}
     for neg_bound, i, j in entries:
         bound[i, j] = max(bound.get((i, j), -neg_bound), -neg_bound)
-    for i, j, gain in store.pairs():
+    for i, j, gain in _pairs(rows):
         assert bound[i, j] >= gain
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_integer_weighted_graphs(max_nodes=16))
 def test_pop_best_matches_brute_force_and_keeps_bounds(g):
-    store, heap, a = init_fastgreedy(g)
-    _check_heap(store, heap)
+    rows, heap, a = init_fastgreedy(g)
+    _check_heap(rows, heap)
     while True:
         picked = heap.pop_best()
-        _check_heap(store, heap)
-        pairs = list(store.pairs())
+        _check_heap(rows, heap)
+        pairs = list(_pairs(rows))
         if not pairs:
             assert picked is None
             break
@@ -306,9 +317,8 @@ def test_pop_best_matches_brute_force_and_keeps_bounds(g):
         assert picked == min((i, j, gain) for i, j, gain in pairs if gain >= top - _TIE_EPS)
         # the band walk leaves no entry of a retired cell, and no bound
         # above its cell's gain, in the band behind
-        rows = store.rows
         for neg_bound, i, j in heap._entries:
             if -neg_bound >= top - _TIE_EPS:
                 assert j in rows.get(i, ()) and rows[i][j] >= -neg_bound
-        join(store, heap, a, *picked[:2])
-        _check_heap(store, heap)
+        join(rows, heap, a, *picked[:2])
+        _check_heap(rows, heap)

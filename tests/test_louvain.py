@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 from commdetect import Graph, Partition, louvain, modularity, random_graph
 from commdetect.cli import bench
+from commdetect.graph import _unite
 from commdetect.louvain import (
     _GAIN_EPS,
     CommunityState,
     LouvainVariant,
-    _unite,
     aggregate,
     local_move_pass,
 )
@@ -562,11 +562,11 @@ def test_exp_relabel_invariant_on_distinct_weights():
 
 def test_run_stats_contract(karate):
     g = two_triangles()
-    single = bench(g, "louvain", ("normal",), 1, 5).records[0]
+    single = bench(g, "louvain", ("normal",), 1, 5)["records"][0]
     assert single["max"] == single["min"] == single["mean"] == single["q_values"][0]
     assert single["runs"] == 1
 
-    stats = bench(g, "louvain", ("noMerge",), 6, 0).records[0]
+    stats = bench(g, "louvain", ("noMerge",), 6, 0)["records"][0]
     assert len(stats["q_values"]) == 6
     assert stats["max"] >= stats["mean"] >= stats["min"]
     assert stats["mean_runtime_ms"] >= 0.0
@@ -578,17 +578,17 @@ def test_run_stats_contract(karate):
     }
     assert stats["variant"] == "noMerge"
 
-    exp = bench(g, "louvain", ("Exp",), 5, 0).records[0]
+    exp = bench(g, "louvain", ("Exp",), 5, 0)["records"][0]
     assert exp["max"] == exp["min"]
 
     with pytest.raises(ValueError):
         bench(g, "louvain", ("normal",), 0, 0)
 
     for variant in ALL_VARIANTS:
-        record = bench(karate, "louvain", (variant,), 4, 7).records[0]
+        record = bench(karate, "louvain", (variant,), 4, 7)["records"][0]
         assert record["variant"] == LouvainVariant(variant).value
         assert record["q_values"] == [louvain(karate, variant, 7 + k)[1] for k in range(4)]
-    fg = bench(karate, "fastgreedy", (), 3, 0).records[0]
+    fg = bench(karate, "fastgreedy", (), 3, 0)["records"][0]
     assert fg["mean"] == statistics.fmean(fg["q_values"])
 
 
