@@ -13,6 +13,7 @@ import math
 import operator
 from dataclasses import asdict, dataclass
 from enum import Enum
+from numbers import Real
 
 from .graph import Partition, _unite, neighbor_matrix
 
@@ -80,12 +81,13 @@ class HslSpec:
     def __post_init__(self):
         if self.mode not in ("absolute", "relative"):
             raise ValueError(f"unknown cut mode {self.mode!r}")
+        value = self.value
+        number = type(value) is not bool and isinstance(value, Real)
         if self.mode == "absolute":
-            value = self.value
-            if type(value) is bool or not math.isfinite(value) or value != int(value) or value < 0:
+            if not number or not math.isfinite(value) or value != int(value) or value < 0:
                 raise ValueError(f"absolute cut value must be a non-negative integer, got {value!r}")
-        elif type(self.value) is bool or not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"relative cut value must lie in [0, 1], got {self.value!r}")
+        elif not number or not 0.0 <= value <= 1.0:
+            raise ValueError(f"relative cut value must lie in [0, 1], got {value!r}")
 
 
 def euclidean_distance(nm, i, j):

@@ -251,11 +251,16 @@ def fastgreedy(g):
     best_q = q
     best_joins = 0
     joins = []
+    remnants = None
     for step in range(n - 1):
         picked = heap.pop_best()
         if picked is None:
-            # Disconnected remnants: join the two lowest-numbered ones.
-            i, j = sorted(rows)[:2]
+            # Disconnected remnants: join the two lowest-numbered ones. No
+            # cell is left once the heap runs dry, so each join only retires
+            # the lowest id, and the ids sorted once stay in order.
+            if remnants is None:
+                remnants = sorted(rows, reverse=True)
+            i, j = remnants.pop(), remnants[-1]
             dq = -2.0 * a[i] * a[j]
             _apply_join(rows, heap, a, i, j)
         else:

@@ -9,6 +9,7 @@ import math
 import random
 from collections import deque
 from itertools import combinations
+from numbers import Real
 
 __all__ = [
     "Graph",
@@ -54,19 +55,23 @@ class Graph:
     __slots__ = ("_n", "_adj", "_edges", "_m")
 
     def __init__(self, node_count, edges=()):
-        if node_count < 0:
-            raise ValueError("node_count must be non-negative")
+        if type(node_count) is not int or node_count < 0:
+            raise ValueError(f"node_count must be a non-negative integer, got {node_count!r}")
         normalized = []
         for edge in edges:
-            if len(edge) == 2:
-                u, v = edge
-                w = 1.0
-            else:
-                u, v, w = edge
+            match edge:
+                case (u, v):
+                    w = 1.0
+                case (u, v, w):
+                    pass
+                case _:
+                    raise ValueError(f"edge {edge!r} is not a (u, v) or (u, v, w) sequence")
             if not (type(u) is int and type(v) is int):
                 raise ValueError(f"node ids must be integers, got ({u!r}, {v!r})")
             if not (0 <= u < node_count and 0 <= v < node_count):
                 raise ValueError(f"edge ({u}, {v}) outside node range 0..{node_count - 1}")
+            if type(w) is not float and (type(w) is bool or not isinstance(w, Real)):
+                raise ValueError(f"edge ({u}, {v}) has non-numeric weight {w!r}")
             w = float(w)
             if not w > 0:
                 raise ValueError(f"edge ({u}, {v}) has non-positive weight {w}")

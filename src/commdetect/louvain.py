@@ -21,19 +21,13 @@ in how a level is optimised and whether it is contracted:
                 community pairs are united, each group labelled by its
                 smallest node. A level with no proposal ends the run, any
                 other is contracted. Deterministic; it ignores the seed.
-
-A visit takes the node out of its community c_old and scores staying
-and every neighbouring community on the node-removed sums. Staying
-scores the insertion gain back into c_old, which is in general not
-zero; a move's net change in modularity is its score minus that. The
-best target is taken only when it beats staying by more than _GAIN_EPS.
 """
 
 import random
 from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
 
 from .graph import Graph, Partition, _unite, modularity
@@ -68,6 +62,10 @@ class CommunityState:
     inside: twice the intra-community edge weight, self-loops counting
     twice), sigma_tot (the sum of member weighted degrees) and size (the
     member count). An empty community's slots read exactly 0.0 and 0.
+
+    `base`, each community's sigma_in/2m - (sigma_tot/2m)^2, and `total`,
+    the total-formula evaluator, live for the whole level: built on first
+    read and kept current by passes, the only way a state may change.
     """
 
     def __init__(self, graph, assignment=None):
@@ -93,10 +91,17 @@ class CommunityState:
             if assignment[u] == assignment[v]:
                 sigma_in[assignment[u]] += 2.0 * w
 
+    @cached_property
+    def base(self):
+        two_m = 2.0 * self.m
+        return [s_in / two_m - (s_tot / two_m) ** 2 for s_in, s_tot in zip(self.sigma_in, self.sigma_tot)]
+
+    total = cached_property(lambda self: _TotalModularity(self))
+
 
 class _TotalModularity:
-    """graph.modularity of one pass's assignment and of its single-node
-    moves, float for float.
+    """graph.modularity of a level's current assignment and of its
+    single-node moves, float for float.
 
     modularity folds sigma_tot as 0.0 + k[x] over ascending members and
     sigma_in as + 2.0*w over intra edges in edges() order, and sums terms
@@ -110,7 +115,7 @@ class _TotalModularity:
     """
 
     def __init__(self, state):
-        self.state = state
+        self.sigma_in, self.sigma_tot = state.sigma_in, state.sigma_tot
         self.assignment = assignment = state.assignment
         self.k = state.k
         self.two_m = 2.0 * state.m
@@ -157,8 +162,8 @@ class _TotalModularity:
         mem = self.members[c]
         joined = mem[:]
         insort(joined, i)
-        sums = (self.state.sigma_in[c] + (2.0 * self.weights[c] + 2.0 * self.loop),
-                self.state.sigma_tot[c] + self.k[i])
+        sums = (self.sigma_in[c] + (2.0 * self.weights[c] + 2.0 * self.loop),
+                self.sigma_tot[c] + self.k[i])
         return [(mem[0], 0.0), *self.out, (joined[0], self._term(sums, joined, c, i, c))]
 
     def score(self, i, c):
@@ -187,16 +192,18 @@ def _visit(state, order, use_total_formula=False, move=True):
     neighbouring community. Closed-form scores are insertion gains,
     [(sigma_in + 2*k_in)/2m - ((sigma_tot + k_i)/2m)^2] minus
     [sigma_in/2m - (sigma_tot/2m)^2 - (k_i/2m)^2] on the node-removed
-    sums. Total-formula scores are full modularity values; when every
-    weight is integral and 2m <= 2**53 their terms are built from these
-    same sums, handed to the evaluator through its leave(). Either way
-    the score difference against c_old is the net change of the move.
-    Other communities are tried in ascending label order and the first
-    strict maximum wins; it is taken only when it beats staying by more
-    than _GAIN_EPS. The node is then inserted into the winner when `move`
-    is set, and back into c_old otherwise. Staying adds the node's sums
-    back onto the removed ones, so every float matches a separate remove
-    and insert.
+    sums. Total-formula scores are full modularity values from
+    `state.total`, whose terms, when every weight is integral and
+    2m <= 2**53, are built from these same sums, handed over through its
+    leave(). Either way the score difference against c_old is the net
+    change of the move. Other communities are tried in ascending label
+    order and the first strict maximum wins; it is taken only when it
+    beats staying by more than _GAIN_EPS. The node is then inserted into
+    the winner when `move` is set, and back into c_old otherwise.
+    Staying adds the node's sums back onto the removed ones, so every
+    float matches a separate remove and insert. Rewriting what the visit
+    changed keeps the level-long `base` and `total` equal, float for
+    float, to a rebuild.
     """
     if state.m == 0:
         raise ValueError("modularity gain is undefined for a graph with no edges")
@@ -208,10 +215,8 @@ def _visit(state, order, use_total_formula=False, move=True):
     size = state.size
     two_m = 2.0 * state.m
     gain_eps = _GAIN_EPS
-    total = _TotalModularity(state) if use_total_formula else None
-    # Each community's share of the "before" term, updated whenever its
-    # sums change, so a candidate's score costs one lookup for it.
-    base = [s_in / two_m - (s_tot / two_m) ** 2 for s_in, s_tot in zip(sigma_in, sigma_tot)]
+    base = state.base
+    total = state.total if use_total_formula else None
     changes = []
     for i in order:
         c_old = assignment[i]
@@ -279,14 +284,14 @@ def local_move_pass(state, order, use_total_formula=False):
     """Visit nodes in `order`, applying each node's best single move.
 
     Returns (state, improved) where improved reports whether any node
-    changed community; `state.assignment` is updated in place. A move is
-    applied only when its gain over staying exceeds a small positive
-    threshold, so modularity strictly increases with every applied move
-    and the pass loop always terminates. Each visit scans the node's
-    adjacency once and costs O(degree + c log c) for c neighbouring
-    communities. With `use_total_formula` each candidate also sums n
-    slots and, unless every weight is integral and 2m <= 2**53, re-folds
-    its community plus the node.
+    changed community. The state, with the `base` and `total` it keeps
+    for the whole level, is updated in place. A move is applied only
+    when its gain over staying exceeds a small positive threshold, so
+    modularity strictly increases with every applied move and the pass
+    loop always terminates. Each visit scans the node's adjacency once
+    and costs O(degree + c log c) for c neighbouring communities. With
+    `use_total_formula` each candidate also sums n slots and, unless
+    every weight is integral and 2m <= 2**53, re-folds the joined community.
     """
     return state, bool(_visit(state, order, use_total_formula))
 

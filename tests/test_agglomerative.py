@@ -1,5 +1,7 @@
 """Hierarchical clustering, dendrogram, and HSL-cut tests."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -175,9 +177,12 @@ def test_hsl_spec_validation():
     for value in (float("inf"), float("-inf"), float("nan"), True, False):
         with pytest.raises(ValueError, match=rf"absolute cut value .* got {value!r}$"):
             HslSpec("absolute", value)
-    for value in (1.01, -0.01, float("inf"), float("-inf"), float("nan"), True, False):
-        with pytest.raises(ValueError, match=rf"relative cut value must lie in \[0, 1\], got {value!r}$"):
+    for value in (1.01, -0.01, float("inf"), float("-inf"), float("nan"), True, False, "0.5", None):
+        with pytest.raises(ValueError, match=rf"relative cut value must lie in \[0, 1\], got {re.escape(repr(value))}$"):
             HslSpec("relative", value)
+    for value in (None, "3"):
+        with pytest.raises(ValueError, match=rf"absolute cut value .* got {re.escape(repr(value))}$"):
+            HslSpec("absolute", value)
 
 
 def test_cut_extremes_and_absolute():

@@ -211,7 +211,8 @@ def test_fastgreedy_disconnected_force_joins():
 
 
 def test_fastgreedy_matches_naive_greedy_oracle():
-    for g in random_suite(30, 2, 10, (0.2, 0.5), 12000):
+    # The last graph is mostly isolated nodes, so most of its joins are forced.
+    for g in [*random_suite(30, 2, 10, (0.2, 0.5), 12000), Graph(60, [(0, 1), (3, 4), (10, 11)])]:
         dend, best, best_q = fastgreedy(g)
         joins, q_after, oracle_best_q, _ = greedy_merge_direct(g)
         assert _joins(dend, g.node_count) == joins

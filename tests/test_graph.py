@@ -1,6 +1,7 @@
 """Graph container, loaders, modularity, and neighbor-matrix tests."""
 
 import math
+import re
 from itertools import combinations, islice
 
 import pytest
@@ -50,6 +51,15 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 1, 1e308), (1, 2, 1e308)])
     with pytest.raises(ValueError):
         Graph(-1)
+    for count in (3.5, "3", True, None):
+        with pytest.raises(ValueError, match=re.escape(f"got {count!r}")):
+            Graph(count, [(0, 1)])
+    for edge in ((0, 1, 1.0, 2), (0,), 5, None, "01"):
+        with pytest.raises(ValueError, match=re.escape(f"edge {edge!r} is not")):
+            Graph(3, [(1, 2), edge])
+    for w in ("x", None, True, [1.0]):
+        with pytest.raises(ValueError, match=re.escape(f"edge (0, 1) has non-numeric weight {w!r}")):
+            Graph(3, [(1, 2), (0, 1, w)])
 
 
 def test_graph_rejects_bool_node_ids():

@@ -329,6 +329,47 @@ def test_total_formula_scores_are_bit_exact_at_the_2m_bound(karate, big):
             assert _assert_scores_are_bit_exact_modularity(Graph(karate.node_count, edges), seed) == {big < 2.0**52}
 
 
+def test_level_structures_are_built_once_per_level(karate, monkeypatch):
+    # `base` and the total-formula evaluator are built by a level's first
+    # pass and kept by every later one, and after each pass they equal a
+    # rebuild from the state, float for float.
+    evaluator = louvain_module._TotalModularity
+    original_init, original_pass = evaluator.__init__, louvain_module.local_move_pass
+    built, kept, passes = [], {}, []
+
+    def init(self, state):
+        built.append(state)
+        original_init(self, state)
+
+    def checked_pass(state, order, use_total_formula=False):
+        result = original_pass(state, order, use_total_formula)
+        base, total = kept.setdefault(id(state), (state.base, state.total))
+        assert state.base is base and state.total is total
+        two_m = 2.0 * state.m
+        assert [x.hex() for x in base] == [
+            (s_in / two_m - (s_tot / two_m) ** 2).hex() for s_in, s_tot in zip(state.sigma_in, state.sigma_tot)
+        ]
+        fresh = object.__new__(evaluator)
+        original_init(fresh, state)
+        assert [x.hex() for x in total.slots] == [x.hex() for x in fresh.slots]
+        assert total.members == fresh.members
+        passes.append(state)
+        return result
+
+    monkeypatch.setattr(evaluator, "__init__", init)
+    monkeypatch.setattr(louvain_module, "local_move_pass", checked_pass)
+    integer = Graph(karate.node_count, [(u, v, 1 + (u + v) % 3) for u, v, _ in karate.edges()])
+    for g in (karate, integer, fractional_weights(karate, 0)):
+        for variant in ("total", "totalNoMerge"):
+            for seed in range(3):
+                built.clear()
+                kept.clear()
+                passes.clear()
+                louvain(g, variant, seed)
+                assert [id(s) for s in built] == list(kept)
+                assert len(passes) > len(built)
+
+
 def test_local_move_pass_sums_match_the_scanning_replay():
     # Weights with no exact binary form leave rounding residue in the sums
     # wherever the two formulations differ in a single operation: an
