@@ -165,7 +165,7 @@ def init_fastgreedy(g):
     if g.has_self_loops():
         raise ValueError("greedy agglomeration requires a simple graph (no self-loops)")
     two_m = 2.0 * m
-    a = {i: g.weighted_degree(i) / two_m for i in range(g.node_count)}
+    a = {i: k / two_m for i, k in enumerate(g._degrees())}
     rows = {i: {} for i in range(g.node_count)}
     heap = GlobalHeap(rows)
     for u, v, w in g.edges():

@@ -11,9 +11,7 @@ scores every edge once and removes edges in decreasing order of that
 initial score.
 """
 
-from collections import deque
-
-from .graph import _components, connected_components
+from .graph import _component_nodes, _component_sets, _components, connected_components
 
 __all__ = [
     "edge_betweenness",
@@ -24,18 +22,6 @@ __all__ = [
 
 def _adjacency(g):
     return [dict(g.neighbors(i)) for i in range(g.node_count)]
-
-
-def _component_nodes(adj, start):
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
 
 
 def _component_scores(adj, nodes):
@@ -105,12 +91,7 @@ def edge_betweenness(g):
     evenly across its shortest paths. Self-loops score zero."""
     adj = _adjacency(g)
     scores = {}
-    seen = set()
-    for start in range(g.node_count):
-        if start in seen:
-            continue
-        nodes = _component_nodes(adj, start)
-        seen |= nodes
+    for nodes in _component_sets(adj):
         scores.update(_component_scores(adj, nodes))
     return scores
 

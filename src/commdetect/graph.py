@@ -47,12 +47,10 @@ class Graph:
     Parallel edges are rejected. Self-loops are allowed (they appear when
     community graphs are contracted) and count twice toward the weighted
     degree, which keeps the degree sum equal to twice the total weight.
-
-    Instances are immutable once constructed and safe to share across
-    threads.
+    Instances are immutable once constructed.
     """
 
-    __slots__ = ("_n", "_adj", "_edges", "_m")
+    __slots__ = ("_n", "_adj", "_edges", "_m", "_k")
 
     def __init__(self, node_count, edges=()):
         if type(node_count) is not int or node_count < 0:
@@ -98,6 +96,7 @@ class Graph:
         self._adj = adj
         self._edges = tuple(normalized)
         self._m = m
+        self._k = None
 
     @property
     def node_count(self):
@@ -123,11 +122,6 @@ class Graph:
     def has_edge(self, u, v):
         return 0 <= u < self._n and v in self._adj[u]
 
-    def weight(self, u, v, default=0.0):
-        if not 0 <= u < self._n:
-            raise ValueError(f"node {u} out of range")
-        return self._adj[u].get(v, default)
-
     def degree(self, i):
         """Number of distinct neighbors of i, self-loops excluded."""
         self._check_node(i)
@@ -137,8 +131,14 @@ class Graph:
     def weighted_degree(self, i):
         """Total incident weight at node i; a self-loop contributes twice."""
         self._check_node(i)
-        adj = self._adj[i]
-        return sum(adj.values()) + adj.get(i, 0.0)
+        return self._degrees()[i]
+
+    def _degrees(self):
+        """Every node's weighted degree, folded on first read and shared by
+        all readers after it. Graphs whose degrees nobody reads never pay."""
+        if self._k is None:
+            self._k = tuple(sum(a.values()) + a.get(i, 0.0) for i, a in enumerate(self._adj))
+        return self._k
 
     def has_self_loops(self):
         return any(u == v for u, v, _ in self._edges)
@@ -191,13 +191,6 @@ class Partition:
                 mapping[lab] = len(mapping)
             out.append(mapping[lab])
         return Partition(out)
-
-    def communities(self):
-        """Map each label to the sorted list of its member nodes."""
-        groups = {}
-        for node, lab in enumerate(self._labels):
-            groups.setdefault(lab, []).append(node)
-        return groups
 
     def to_dict(self, modularity=None):
         return {
@@ -304,10 +297,10 @@ def karate_club():
 
 def random_graph(n, p, seed):
     """Erdos-Renyi G(n, p) graph drawn with the given seed."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must lie in [0, 1], got {p}")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    if type(p) is bool or not isinstance(p, Real) or not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability must be a number in [0, 1], got {p!r}")
     rng = random.Random(seed)
     edges = []
     for i in range(n):
@@ -317,23 +310,38 @@ def random_graph(n, p, seed):
     return Graph(n, edges)
 
 
+def _component_nodes(adj, start):
+    """Node set of start's component, added in BFS order, which fixes its iteration order."""
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return seen
+
+
+def _component_sets(adj):
+    """Yield the node set of each connected component of a list of
+    neighbour mappings, in order of smallest node."""
+    seen = [False] * len(adj)
+    for start in range(len(adj)):
+        if not seen[start]:
+            nodes = _component_nodes(adj, start)
+            for u in nodes:
+                seen[u] = True
+            yield nodes
+
+
 def _components(adj):
     """Label the nodes of a list of neighbour mappings by connected
     component, numbered in first-seen order; returns a Partition."""
-    labels = [-1] * len(adj)
-    comp = 0
-    for start in range(len(adj)):
-        if labels[start] != -1:
-            continue
-        labels[start] = comp
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if labels[v] == -1:
-                    labels[v] = comp
-                    queue.append(v)
-        comp += 1
+    labels = [0] * len(adj)
+    for comp, nodes in enumerate(_component_sets(adj)):
+        for u in nodes:
+            labels[u] = comp
     return Partition(labels)
 
 
@@ -360,14 +368,33 @@ def _unite(n, pairs):
     return [find(x) for x in range(n)]
 
 
+def _community_sums(g, labels):
+    """(sigma_in, sigma_tot) lists of a labelling of g's nodes into range(n).
+
+    sigma_in[c] is the adjacency mass inside community c: twice its
+    intra-community edge weight, self-loops counting twice. sigma_tot[c]
+    is the sum of its members' weighted degrees. sigma_tot folds 0.0 + k
+    over ascending nodes and sigma_in + 2.0*w over intra edges in edges()
+    order; Louvain's total-formula evaluator replays both folds float for
+    float, so their order is part of the contract. Unused labels read 0.0.
+    """
+    sigma_in = [0.0] * g._n
+    sigma_tot = [0.0] * g._n
+    for i, k in enumerate(g._degrees()):
+        sigma_tot[labels[i]] += k
+    for u, v, w in g._edges:
+        if labels[u] == labels[v]:
+            sigma_in[labels[u]] += 2.0 * w
+    return sigma_in, sigma_tot
+
+
 def modularity(g, partition):
     """Modularity Q of a node partition.
 
-    Computed per community as sigma_in/2m - (sigma_tot/2m)^2, where
-    sigma_in is the total adjacency mass inside the community (twice the
-    intra-community edge weight, self-loops contributing twice their
-    weight) and sigma_tot is the sum of member weighted degrees. Raises
-    ValueError for an edgeless graph or a label sequence of wrong length.
+    Computed per community as sigma_in/2m - (sigma_tot/2m)^2 over the sums
+    of _community_sums, added up in order of first appearance. Raises
+    ValueError for an edgeless graph, a label sequence of wrong length, or
+    a label that Partition rejects.
     """
     labels = partition.labels if isinstance(partition, Partition) else partition
     if len(labels) != g.node_count:
@@ -376,22 +403,10 @@ def modularity(g, partition):
     if m == 0:
         raise ValueError("modularity is undefined for a graph with no edges")
     two_m = 2.0 * m
-    sigma_in = {}
-    sigma_tot = {}
-    # Degrees as Graph.weighted_degree computes them, read straight from
-    # the adjacency. Louvain's total-formula evaluator replays every fold
-    # below float for float, so their order is part of the contract.
-    for i, adj in enumerate(g._adj):
-        c = labels[i]
-        sigma_tot[c] = sigma_tot.get(c, 0.0) + (sum(adj.values()) + adj.get(i, 0.0))
-    for u, v, w in g.edges():
-        if labels[u] == labels[v]:
-            c = labels[u]
-            sigma_in[c] = sigma_in.get(c, 0.0) + 2.0 * w
-    return sum(
-        sigma_in.get(c, 0.0) / two_m - (tot / two_m) ** 2
-        for c, tot in sigma_tot.items()
-    )
+    # Canonical labels put the terms in first-appearance order; an unused
+    # label's term is 0.0, and adding it is exact.
+    sigma_in, sigma_tot = _community_sums(g, Partition(labels).canonicalize().labels)
+    return sum(s_in / two_m - (s_tot / two_m) ** 2 for s_in, s_tot in zip(sigma_in, sigma_tot))
 
 
 def neighbor_matrix(g, self_neighboring=False):

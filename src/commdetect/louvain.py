@@ -30,7 +30,7 @@ from enum import Enum
 from functools import cached_property, reduce
 from operator import add
 
-from .graph import Graph, Partition, _unite, modularity
+from .graph import Graph, Partition, _community_sums, _unite, modularity
 
 __all__ = [
     "LouvainVariant",
@@ -58,10 +58,10 @@ class CommunityState:
 
     Community ids are node ids: every label must lie in range(n), as it
     does at the start of each level, where node i starts in community i.
-    Three lists indexed by community hold sigma_in (the adjacency mass
-    inside: twice the intra-community edge weight, self-loops counting
-    twice), sigma_tot (the sum of member weighted degrees) and size (the
-    member count). An empty community's slots read exactly 0.0 and 0.
+    Three lists indexed by community hold sigma_in and sigma_tot, as
+    graph._community_sums folds them, and size (the member count). An
+    empty community's slots read exactly 0.0 and 0. `k` is the graph's
+    own tuple of weighted degrees.
 
     `base`, each community's sigma_in/2m - (sigma_tot/2m)^2, and `total`,
     the total-formula evaluator, live for the whole level: built on first
@@ -77,19 +77,13 @@ class CommunityState:
         self.m = graph.total_weight
         self.assignment = assignment
         self.adj = [graph.neighbors(i) for i in range(n)]
-        # Weighted degrees as graph.modularity reads them: a self-loop counts twice.
-        self.k = k = [sum(adj.values()) + adj.get(i, 0.0) for i, adj in enumerate(self.adj)]
-        self.sigma_in = sigma_in = [0.0] * n
-        self.sigma_tot = sigma_tot = [0.0] * n
+        self.k = graph._degrees()
         self.size = size = [0] * n
         for i, c in enumerate(assignment):
             if type(c) is not int or not 0 <= c < n:
                 raise ValueError(f"community label {c!r} of node {i} is outside range({n})")
-            sigma_tot[c] += k[i]
             size[c] += 1
-        for u, v, w in graph.edges():
-            if assignment[u] == assignment[v]:
-                sigma_in[assignment[u]] += 2.0 * w
+        self.sigma_in, self.sigma_tot = _community_sums(graph, assignment)
 
     @cached_property
     def base(self):
@@ -103,15 +97,15 @@ class _TotalModularity:
     """graph.modularity of a level's current assignment and of its
     single-node moves, float for float.
 
-    modularity folds sigma_tot as 0.0 + k[x] over ascending members and
-    sigma_in as + 2.0*w over intra edges in edges() order, and sums terms
-    s_in/2m - (s_tot/2m)**2 by smallest member. Each term sits in an n-long
-    slot list at that member, 0.0 elsewhere: adding 0.0 is exact. When every
-    weight is integral and 2m <= 2**53, every partial sum of those folds is
-    an exact integer, so any order gives modularity's sums: a term's sums
-    are then the ones the visit holds. Otherwise only that fold order
-    reproduces modularity's rounding, and the communities a move changes
-    are re-folded in it.
+    graph._community_sums folds sigma_tot as 0.0 + k[x] over ascending
+    members and sigma_in as + 2.0*w over intra edges in edges() order, and
+    modularity sums terms s_in/2m - (s_tot/2m)**2 by smallest member. Each
+    term sits in an n-long slot list at that member, 0.0 elsewhere: adding
+    0.0 is exact. When every weight is integral and 2m <= 2**53, every
+    partial sum of those folds is an exact integer, so any order gives
+    modularity's sums: a term's sums are then the ones the visit holds.
+    Otherwise only that fold order reproduces modularity's rounding, and
+    the communities a move changes are re-folded in it.
     """
 
     def __init__(self, state):
@@ -301,7 +295,7 @@ class AggregateGraph:
     """One contraction level: nodes are the previous level's communities."""
 
     graph: Graph
-    origin: tuple
+    new_node: tuple
 
 
 def aggregate(g, partition):
@@ -310,26 +304,22 @@ def aggregate(g, partition):
     Intra-community weight becomes a self-loop on the contracted node, so
     total weight and the modularity of the corresponding partitions are
     preserved. New nodes are numbered by first appearance of their
-    community; `origin` maps each new node back to its community label.
+    community, as Partition.canonicalize numbers it; `new_node` maps each
+    old node to the new node that holds it.
     """
-    labels = partition.labels if isinstance(partition, Partition) else list(partition)
-    if len(labels) != g.node_count:
+    canonical = (partition if isinstance(partition, Partition) else Partition(partition)).canonicalize()
+    new_node = canonical.labels
+    if len(new_node) != g.node_count:
         raise ValueError("partition length does not match node count")
-    index = {}
-    origin = []
-    for lab in labels:
-        if lab not in index:
-            index[lab] = len(index)
-            origin.append(lab)
     weights = {}
     for u, v, w in g.edges():
-        cu = index[labels[u]]
-        cv = index[labels[v]]
+        cu = new_node[u]
+        cv = new_node[v]
         if cu > cv:
             cu, cv = cv, cu
         weights[(cu, cv)] = weights.get((cu, cv), 0.0) + w
     edges = [(u, v, w) for (u, v), w in weights.items()]
-    return AggregateGraph(Graph(len(index), edges), tuple(origin))
+    return AggregateGraph(Graph(canonical.num_communities, edges), new_node)
 
 
 def louvain(g, variant, seed=0):
@@ -373,8 +363,7 @@ def louvain(g, variant, seed=0):
             if not moved:
                 break
         agg = aggregate(level_graph, communities)
-        new_of = {lab: idx for idx, lab in enumerate(agg.origin)}
-        labels = [new_of[communities[c]] for c in labels]
+        labels = [agg.new_node[c] for c in labels]
         level_graph = agg.graph
     part = Partition(labels).canonicalize()
     return part, modularity(g, part), passes

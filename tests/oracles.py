@@ -436,8 +436,7 @@ def louvain_scanning(g, variant, seed=0):
                 break
             communities = state.assignment
         agg = aggregate(level_graph, communities)
-        new_of = {lab: idx for idx, lab in enumerate(agg.origin)}
-        labels = [new_of[communities[c]] for c in labels]
+        labels = [agg.new_node[c] for c in labels]
         level_graph = agg.graph
     part = Partition(labels).canonicalize()
     return part, modularity(g, part), passes

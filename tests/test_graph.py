@@ -5,6 +5,8 @@ import re
 from itertools import combinations, islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commdetect import (
     Graph,
@@ -17,7 +19,14 @@ from commdetect import (
     random_graph,
     serialize_edge_list,
 )
-from helpers import path_graph, random_suite, two_triangles
+from commdetect.louvain import aggregate
+from helpers import (
+    path_graph,
+    random_suite,
+    small_fractional_weighted_graphs,
+    small_integer_weighted_graphs,
+    two_triangles,
+)
 from oracles import modularity_direct
 
 
@@ -27,8 +36,8 @@ def test_graph_basics():
     assert g.edge_count == 2
     assert list(g.edges()) == [(0, 1, 1.0), (0, 2, 1.0)]
     assert g.has_edge(1, 0)
-    assert g.weight(0, 2) == 1.0
-    assert g.weight(1, 2) == 0.0
+    assert g.neighbors(0).get(2, 0.0) == 1.0
+    assert g.neighbors(1).get(2, 0.0) == 0.0
     assert g.degree(0) == 2
     assert g.total_weight == 2.0
 
@@ -107,8 +116,8 @@ def test_load_edge_list_basic():
     assert empty.edge_count == 0
 
     weighted = load_edge_list("# comment\n\n0 1 2.5\n1 2\n")
-    assert weighted.weight(0, 1) == 2.5
-    assert weighted.weight(1, 2) == 1.0
+    assert weighted.neighbors(0).get(1, 0.0) == 2.5
+    assert weighted.neighbors(1).get(2, 0.0) == 1.0
 
 
 def test_load_edge_list_errors_name_the_line():
@@ -131,7 +140,7 @@ def test_load_edge_list_errors_name_the_line():
 def test_load_edge_list_accepts_line_iterables():
     g = load_edge_list(iter(["0 1", "# skip", "1 2 4"]))
     assert g.node_count == 3
-    assert g.weight(1, 2) == 4.0
+    assert g.neighbors(1).get(2, 0.0) == 4.0
 
 
 def test_serialize_round_trip():
@@ -172,6 +181,10 @@ def test_random_graph():
         random_graph(5, -0.1, 1)
     with pytest.raises(ValueError):
         random_graph(-2, 0.5, 1)
+    for n, p in (("3", 0.5), (3.5, 0.5), (True, 0.5), (4, "0.5")):
+        bad = p if type(n) is int else n
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            random_graph(n, p, 0)
 
 
 def test_connected_components():
@@ -187,7 +200,10 @@ def test_partition_api():
     assert len(p) == 4
     assert p.num_communities == 3
     assert p.canonicalize().labels == (0, 1, 0, 2)
-    assert p.communities() == {4: [0, 2], 7: [1], 9: [3]}
+    groups = {}
+    for node, lab in enumerate(p.labels):
+        groups.setdefault(lab, []).append(node)
+    assert groups == {4: [0, 2], 7: [1], 9: [3]}
     d = p.to_dict(modularity=0.25)
     assert d == {"labels": [4, 7, 4, 9], "num_communities": 3, "modularity": 0.25}
     assert Partition([0, 1]) == Partition((0, 1))
@@ -227,12 +243,38 @@ def test_modularity_errors():
         modularity(Graph(3), [0, 0, 0])
     with pytest.raises(ValueError):
         modularity(g, [0, 0])
+    for labels in ([0, 0.5, 1], [0, 0, "a"], [1.0, 1, 0], [0, -1, 0]):
+        bad = next(lab for lab in labels if type(lab) is not int or lab < 0)
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            modularity(Graph(3, [(0, 1), (1, 2)]), labels)
 
 
 def test_modularity_accepts_partition_objects():
     g = path_graph(4)
     labels = [0, 0, 1, 1]
     assert modularity(g, Partition(labels)) == modularity(g, labels)
+
+
+@st.composite
+def _weighted_graphs_and_labels(draw):
+    """A fractional- or integer-weighted graph, possibly contracted so that
+    it carries self-loops, with labels drawn from 0..10**9."""
+    g = draw(st.one_of(small_integer_weighted_graphs(), small_fractional_weighted_graphs()))
+    if draw(st.booleans()):
+        g = aggregate(g, draw(st.lists(st.integers(0, 3), min_size=g.node_count, max_size=g.node_count))).graph
+    labels = draw(st.lists(st.integers(0, 10**9), min_size=g.node_count, max_size=g.node_count))
+    return g, labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weighted_graphs_and_labels())
+def test_modularity_ignores_label_names_bit_for_bit(case):
+    g, labels = case
+    for i in range(g.node_count):
+        adj = g.neighbors(i)
+        assert g.weighted_degree(i).hex() == (sum(adj.values()) + adj.get(i, 0.0)).hex()
+    canonical = Partition(labels).canonicalize()
+    assert modularity(g, labels).hex() == modularity(g, canonical).hex()
 
 
 def test_neighbor_matrix_examples():

@@ -503,17 +503,20 @@ def test_aggregate_examples():
     whole = aggregate(tri, Partition([0, 0, 0]))
     assert whole.graph == Graph(1, [(0, 0, 3.0)])
     assert whole.graph.weighted_degree(0) == 6.0
-    assert whole.origin == (0,)
+    assert whole.new_node == (0, 0, 0)
 
     identity = aggregate(tri, Partition([0, 1, 2]))
     assert identity.graph == Graph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
 
     named = aggregate(path_graph(3), [5, 2, 5])
-    assert named.origin == (5, 2)
+    assert named.new_node == (0, 1, 0)
     assert named.graph == Graph(2, [(0, 1, 2.0)])
 
     with pytest.raises(ValueError):
         aggregate(tri, [0, 0])
+    for labels in ([0, 0.5, 1], [0, "a", 0], [1.0, 1, 0]):
+        with pytest.raises(ValueError, match="community labels must be non-negative integers"):
+            aggregate(tri, labels)
 
 
 def test_aggregate_preserves_weight_and_modularity():
