@@ -4,19 +4,21 @@ Starting from singleton communities, the pair whose merge increases
 modularity the most is joined repeatedly. The pairwise gains live in
 sparse symmetric rows, as in Clauset, Newman & Moore 2004: `rows[i][j]`
 and its mirror `rows[j][i]` hold the gain of joining communities i and
-j, only for pairs that share at least one edge. A single global max-heap
-over the cells picks the next join. Gains are updated in place after
-each join instead of being recomputed.
+j, only for pairs that share at least one edge; a retired community's
+row is None. A global max-heap over the cells picks each join, and
+gains are updated in place after it instead of being recomputed.
 
 A queued gain is an upper bound on its cell's current gain, in the lazy
 style of accelerated greedy (Minoux; CELF in Leskovec et al. 2007): a
 join pushes only cells it creates or whose gain rises, never a falling
 gain. Selection re-queues stale bounds at the top until the top is
-exact, then reads the band of gains tied with that maximum in place in
-the heap array, so a tie group is never drained and re-pushed. The walk
-re-keys each junk entry the first time it meets it: a retired cell's
-entry sinks to the bottom and a stale bound drops to its cell's gain.
-The chosen pair depends only on the stored gains, not on heap layout.
+exact, which gives the maximum M and the tie floor M - _TIE_EPS. The
+pairs at or above the floor, the tie band, are carried from one
+selection to the next while the floor does not fall, since a cell only
+climbs into the band by a push. When the floor falls, the band is read
+afresh in place in the heap array, re-keying each junk entry met: a
+retired cell's entry sinks to the bottom and a stale bound drops to its
+cell's gain. The chosen pair depends only on the stored gains.
 """
 
 import heapq
@@ -24,12 +26,7 @@ from dataclasses import dataclass
 
 from .agglomerative import Dendrogram, HslSpec, cut
 
-__all__ = [
-    "GlobalHeap",
-    "init_fastgreedy",
-    "join",
-    "fastgreedy",
-]
+__all__ = ["GlobalHeap", "init_fastgreedy", "join", "fastgreedy"]
 
 # Gains closer together than this are treated as tied, so the smallest
 # (i, j) pair wins regardless of which float happens to be a few ulps
@@ -78,16 +75,24 @@ class GlobalHeap:
     the cell's current gain, so a cell only needs a new entry when its
     gain rises or it is created. Entries of retired cells, and bounds
     above their cell's current gain, are dealt with lazily by `pop_best`.
+    The tie band `_band`, carried between selections, is a min-heap of
+    (i, j) pairs holding every live cell whose gain is at least `_floor`,
+    the tie floor of the last `pop_best` (+inf before the first), and
+    maybe pairs retired or fallen below that floor since.
     """
 
     def __init__(self, rows):
         self._rows = rows
         self._entries = []
+        self._band = []
+        self._floor = float("inf")
 
     def push(self, i, j, dq):
         if i > j:
             i, j = j, i
         heapq.heappush(self._entries, (-dq, i, j))
+        if dq >= self._floor:
+            heapq.heappush(self._band, (i, j))
 
     def pop_best(self):
         """Return (i, j, dq) for the best current pair, or None if empty.
@@ -95,17 +100,16 @@ class GlobalHeap:
         Pairs whose gains sit within _TIE_EPS of the maximum count as
         tied and the smallest (i, j) among them wins. Stale bounds on top
         of the heap are re-queued at their current gain until the top is
-        exact, which makes it the maximum M; the tie band is then read in
-        place by walking the heap array and pruning every subtree whose
-        bound is below M - _TIE_EPS, then re-keying and sifting down each
-        junk entry it met: a retired cell's to +inf, a stale bound to its
-        cell's current gain. The chosen pair stays queued until joined.
+        exact, which makes it the maximum M. The band is read afresh only
+        if the floor M - _TIE_EPS fell; dead or fallen pairs are dropped
+        off its top, and the pair left there wins, staying queued and in
+        the band until joined.
         """
         entries = self._entries
         rows = self._rows
         while entries:
             neg_bound, i, j = entries[0]
-            row = rows.get(i)
+            row = rows[i]
             if row is None or j not in row:
                 heapq.heappop(entries)
             elif row[j] < -neg_bound:
@@ -116,35 +120,55 @@ class GlobalHeap:
         else:
             return None
         floor = -entries[0][0] - _TIE_EPS
-        best = None
+        if floor < self._floor:
+            self._band = self._walk_band(floor)
+        self._floor = floor
+        band = self._band
+        while True:
+            i, j = band[0]
+            row = rows[i]
+            if row is not None and j in row and row[j] >= floor:
+                return i, j, row[j]
+            heapq.heappop(band)
+
+    def _walk_band(self, floor):
+        """Every live pair with a gain of at least `floor`, as a min-heap,
+        read by walking the heap array down through bounds at or above the
+        floor; then each junk entry met is re-keyed and sifted down: a
+        retired cell's to +inf, a stale bound to its cell's current gain.
+        """
+        entries = self._entries
+        rows = self._rows
+        neg_floor = -floor
+        band = []
         junk = []
         stack = [0]
         size = len(entries)
         while stack:
             k = stack.pop()
             neg_bound, i, j = entries[k]
-            if -neg_bound < floor:
-                continue
-            row = rows.get(i)
+            row = rows[i]
             if row is None or j not in row:
                 junk.append((k, (float("inf"), i, j)))
             else:
                 gain = row[j]
                 if gain < -neg_bound:
                     junk.append((k, (-gain, i, j)))
-                if gain >= floor and (best is None or (i, j) < best[:2]):
-                    best = (i, j, gain)
+                if gain >= floor:
+                    band.append((i, j))
             child = 2 * k + 1
-            if child < size:
+            if child < size and entries[child][0] <= neg_floor:
                 stack.append(child)
-                if child + 1 < size:
-                    stack.append(child + 1)
+            child += 1
+            if child < size and entries[child][0] <= neg_floor:
+                stack.append(child)
         # Keys only grow and a sift moves entries inside one subtree, so
         # going from the largest position down keeps pending ones valid.
         junk.sort(reverse=True)
         for k, entry in junk:
             _sift_down(entries, k, entry)
-        return best
+        heapq.heapify(band)
+        return band
 
     def __len__(self):
         return len(self._entries)
@@ -153,11 +177,11 @@ class GlobalHeap:
 def init_fastgreedy(g):
     """Build the gain rows, the heap over them, and the weight fractions.
 
-    Returns (rows, heap, a): `rows` maps each live community to its row of
-    gains, and a[i] = k_i/2m is community i's share of the degree mass.
-    For singleton communities the gain of joining connected i and j is
-    w_ij/m - 2*a_i*a_j, the exact modularity change of that merge.
-    Requires a simple graph with at least one edge.
+    Returns (rows, heap, a), both lists indexed by community id: `rows[i]`
+    is community i's row of gains, and a[i] = k_i/2m is its share of the
+    degree mass. For singleton communities the gain of joining connected
+    i and j is w_ij/m - 2*a_i*a_j, the exact modularity change of that
+    merge. Requires a simple graph with at least one edge.
     """
     m = g.total_weight
     if m == 0:
@@ -165,8 +189,8 @@ def init_fastgreedy(g):
     if g.has_self_loops():
         raise ValueError("greedy agglomeration requires a simple graph (no self-loops)")
     two_m = 2.0 * m
-    a = {i: k / two_m for i, k in enumerate(g._degrees())}
-    rows = {i: {} for i in range(g.node_count)}
+    a = [k / two_m for k in g._degrees()]
+    rows = [{} for _ in range(g.node_count)]
     heap = GlobalHeap(rows)
     for u, v, w in g.edges():
         dq = w / m - 2.0 * a[u] * a[v]
@@ -183,49 +207,55 @@ def _apply_join(rows, heap, a, i, j):
       both sides:  dq_ik + dq_jk
       only i:      dq_ik - 2*a_j*a_k
       only j:      dq_jk - 2*a_i*a_k
-    using the pre-merge weight fractions, after which a_j absorbs a_i.
-    Row j is walked, then the cells only row i has, and both mirrored
-    cells are written directly. Queued gains are upper bounds, so only a
+    using the pre-merge weight fractions; then a_j absorbs a_i and a_i is
+    0. Row j's "both" cells are copied aside, one test-free loop gives
+    every cell of row j and its mirror the "only j" fall, and one loop
+    over row i writes the "both" and "only i" cells and deletes row i's
+    mirrors; row i becomes None. Queued gains are upper bounds, so only a
     created cell or a rising gain is pushed; "only j" always falls.
     """
     row_i = rows[i]
     row_j = rows[j]
     a_i = a[i]
     a_j = a[j]
+    shared = {k: row_j[k] for k in row_i if k in row_j}
+    t = 2.0 * a_i
     for k, old in row_j.items():
-        if k == i:
-            continue
-        if k in row_i:
-            new = row_i[k] + old
-            if new > old:
+        row_j[k] = rows[k][j] = old - t * a[k]
+    row_i.pop(j, None)
+    row_j.pop(i, None)
+    t = 2.0 * a_j
+    for k, old in row_i.items():
+        row_k = rows[k]
+        del row_k[i]
+        if k in shared:
+            both = shared[k]
+            new = old + both
+            if new > both:
                 heap.push(j, k, new)
         else:
-            new = old - 2.0 * a_i * a[k]
-        row_j[k] = new
-        rows[k][j] = new
-    for k, old in row_i.items():
-        if k != j and k not in row_j:
-            new = old - 2.0 * a_j * a[k]
+            new = old - t * a[k]
             heap.push(j, k, new)
-            row_j[k] = new
-            rows[k][j] = new
-    for k in rows.pop(i):
-        del rows[k][i]
+        row_j[k] = row_k[j] = new
+    rows[i] = None
     a[j] = a_i + a_j
-    del a[i]
+    a[i] = 0.0
 
 
 def join(rows, heap, a, i, j):
     """Merge the pair (i, j) into j, rewrite affected gains, and return
     the gain of the join.
 
-    Raises ValueError when either community is dead or the pair has no
-    gain cell (communities in different components cannot be joined
-    through the rows).
+    Raises ValueError when an id is not an int in range(len(rows)),
+    either community is dead, or the pair has no gain cell (communities
+    in different components cannot be joined through the rows).
     """
+    for x in (i, j):
+        if type(x) is not int or not 0 <= x < len(rows):
+            raise ValueError(f"community id must be an int in 0..{len(rows) - 1}, got {x!r}")
     if i == j:
         raise ValueError("cannot join a community with itself")
-    if i not in rows or j not in rows:
+    if rows[i] is None or rows[j] is None:
         raise ValueError(f"cannot join dead community in pair ({i}, {j})")
     if j not in rows[i]:
         raise ValueError(f"no stored gain for pair ({i}, {j})")
@@ -247,7 +277,7 @@ def fastgreedy(g):
     rows, heap, a = init_fastgreedy(g)
     n = g.node_count
     cluster_id = list(range(n))
-    q = -sum(v * v for v in a.values())
+    q = -sum(v * v for v in a)
     best_q = q
     best_joins = 0
     joins = []
@@ -257,9 +287,9 @@ def fastgreedy(g):
         if picked is None:
             # Disconnected remnants: join the two lowest-numbered ones. No
             # cell is left once the heap runs dry, so each join only retires
-            # the lowest id, and the ids sorted once stay in order.
+            # the lowest id, and the ids listed once stay in order.
             if remnants is None:
-                remnants = sorted(rows, reverse=True)
+                remnants = [k for k in range(n - 1, -1, -1) if rows[k] is not None]
             i, j = remnants.pop(), remnants[-1]
             dq = -2.0 * a[i] * a[j]
             _apply_join(rows, heap, a, i, j)

@@ -167,7 +167,7 @@ class Partition:
     def __init__(self, labels):
         labels = tuple(labels)
         for lab in labels:
-            if not isinstance(lab, int) or lab < 0:
+            if type(lab) is bool or not isinstance(lab, int) or lab < 0:
                 raise ValueError(f"community labels must be non-negative integers, got {lab!r}")
         self._labels = labels
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,10 @@ from hypothesis import given, settings
 from commdetect import Graph, HslSpec, cut, fastgreedy, karate_club, modularity, random_graph
 from commdetect.fastgreedy import _TIE_EPS, GlobalHeap, init_fastgreedy, join
 from helpers import (
+    fractional_weights,
     path_graph,
     random_suite,
+    small_fractional_weighted_graphs,
     small_integer_weighted_graphs,
     star_graph,
     two_triangles,
@@ -32,7 +35,13 @@ def _joins(dend, n):
 
 def _pairs(rows):
     """Every gain cell once, as (i, j, gain) with i < j."""
-    return [(i, j, gain) for i, row in rows.items() for j, gain in row.items() if i < j]
+    return [
+        (i, j, gain)
+        for i, row in enumerate(rows)
+        if row is not None
+        for j, gain in row.items()
+        if i < j
+    ]
 
 
 def _set(rows, i, j, gain):
@@ -43,7 +52,7 @@ def _set(rows, i, j, gain):
 def test_init_reference_values():
     rows, heap, a = init_fastgreedy(Graph(2, [(0, 1)]))
     assert rows[0][1] == pytest.approx(0.5, abs=1e-12)
-    assert a == {0: 0.5, 1: 0.5}
+    assert a == [0.5, 0.5]
 
     tri = Graph(3, [(0, 1), (0, 2), (1, 2)])
     rows, heap, a = init_fastgreedy(tri)
@@ -99,7 +108,7 @@ def test_falling_gain_is_not_requeued():
 
 def test_pop_best_reads_tie_band_in_place():
     top = 0.25
-    rows = {i: {} for i in range(6)}
+    rows = [{} for _ in range(6)]
     heap = GlobalHeap(rows)
     # the maximum, at the larger pair
     _set(rows, 2, 3, top)
@@ -118,13 +127,14 @@ def test_pop_best_reads_tie_band_in_place():
 
 
 def test_pop_best_with_only_retired_entries_is_none():
-    rows = {i: {} for i in range(3)}
+    rows = [{} for _ in range(3)]
     heap = GlobalHeap(rows)
     for i, j in ((0, 1), (1, 2)):
         _set(rows, i, j, 0.1)
         heap.push(i, j, 0.1)
-    for k in rows.pop(1):
+    for k in rows[1]:
         del rows[k][1]
+    rows[1] = None
     assert heap.pop_best() is None
     assert len(heap) == 0
 
@@ -138,6 +148,12 @@ def test_join_validation():
     join(rows, heap, a, 0, 1)
     with pytest.raises(ValueError):
         join(rows, heap, a, 0, 1)
+    # ids that are not ints in range(len(rows)) are named, never indexed
+    for bad in (-1, 3, True, 1.0, "1", None):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            join(rows, heap, a, bad, 2)
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            join(rows, heap, a, 2, bad)
 
 
 def test_join_update_rules_match_direct_differences():
@@ -165,7 +181,7 @@ def test_store_heap_and_mass_invariants_every_step():
         rows, heap, a = init_fastgreedy(g)
         labels = list(range(g.node_count))
         while True:
-            assert sum(a.values()) == pytest.approx(1.0, abs=1e-12)
+            assert sum(a) == pytest.approx(1.0, abs=1e-12)
             q_now = modularity_direct(g, labels)
             for i, j, dq in _pairs(rows):
                 merged = [j if x == i else x for x in labels]
@@ -229,9 +245,7 @@ def test_fastgreedy_karate_regression(karate):
     assert modularity(karate, best) == pytest.approx(best_q, abs=1e-12)
 
 
-@settings(max_examples=150, deadline=None)
-@given(small_integer_weighted_graphs())
-def test_fastgreedy_matches_oracle_on_integer_weight_ties(g):
+def _check_against_oracle(g):
     dend, best, best_q = fastgreedy(g)
     joins, _, oracle_best_q, _ = greedy_merge_direct(g)
     n = g.node_count
@@ -249,6 +263,18 @@ def test_fastgreedy_matches_oracle_on_integer_weight_ties(g):
         running.append(q)
     assert best_q == max(running)
     assert best_q == pytest.approx(oracle_best_q, abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_integer_weighted_graphs())
+def test_fastgreedy_matches_oracle_on_integer_weight_ties(g):
+    _check_against_oracle(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_fractional_weighted_graphs())
+def test_fastgreedy_matches_oracle_on_fractional_weights(g):
+    _check_against_oracle(g)
 
 
 def _tied_suite(count, seed):
@@ -290,6 +316,25 @@ def test_fastgreedy_golden():
     assert digest == "c32f1d82758311cf5b3fc77612ddcf8f1cda28c9179e034c183c218140aa4967"
 
 
+def test_fastgreedy_fractional_golden():
+    # Digest of every merge record (gain.hex(), q.hex()), the labels and
+    # best_q.hex() on fractional weights, whose sums keep rounding residue:
+    # unequal gains within _TIE_EPS of each other come from these. Recorded
+    # before the tie band was carried between joins and rows became lists.
+    graphs = [
+        *(fractional_weights(g, k) for k, g in enumerate(random_suite(40, 4, 40, (0.1, 0.3), 13000))),
+        *(fractional_weights(random_graph(500, 0.016, s), s) for s in (0, 1, 2)),
+        random_graph(2000, 0.004, 1),
+    ]
+    rows = []
+    for g in graphs:
+        dend, best, best_q = fastgreedy(g)
+        merges = [(m.left, m.right, m.merged, m.gain.hex(), m.q.hex(), m.step) for m in dend.merges]
+        rows.append((merges, best.labels, best_q.hex()))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "09e1567523cd84229b1320430d74e2403bff0e778bb1b411c31c6dfe9fbadb42"
+
+
 def _check_heap(rows, heap):
     """Heap order holds, and every live cell has a queued upper bound."""
     entries = heap._entries
@@ -302,9 +347,19 @@ def _check_heap(rows, heap):
         assert bound[i, j] >= gain
 
 
-@settings(max_examples=150, deadline=None)
-@given(small_integer_weighted_graphs(max_nodes=16))
-def test_pop_best_matches_brute_force_and_keeps_bounds(g):
+def _check_band(rows, heap):
+    """The carried band is a min-heap holding every live cell whose gain is
+    at least the floor of the last pick."""
+    band = heap._band
+    for k in range(1, len(band)):
+        assert band[(k - 1) // 2] <= band[k]
+    in_band = set(band)
+    for i, j, gain in _pairs(rows):
+        if gain >= heap._floor:
+            assert (i, j) in in_band
+
+
+def _check_pop_best_against_brute_force(g):
     rows, heap, a = init_fastgreedy(g)
     _check_heap(rows, heap)
     while True:
@@ -316,10 +371,20 @@ def test_pop_best_matches_brute_force_and_keeps_bounds(g):
             break
         top = max(gain for _, _, gain in pairs)
         assert picked == min((i, j, gain) for i, j, gain in pairs if gain >= top - _TIE_EPS)
-        # the band walk leaves no entry of a retired cell, and no bound
-        # above its cell's gain, in the band behind
-        for neg_bound, i, j in heap._entries:
-            if -neg_bound >= top - _TIE_EPS:
-                assert j in rows.get(i, ()) and rows[i][j] >= -neg_bound
+        assert heap._floor == top - _TIE_EPS
+        _check_band(rows, heap)
         join(rows, heap, a, *picked[:2])
         _check_heap(rows, heap)
+        _check_band(rows, heap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_integer_weighted_graphs(max_nodes=16))
+def test_pop_best_matches_brute_force_and_keeps_bounds(g):
+    _check_pop_best_against_brute_force(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_fractional_weighted_graphs(max_nodes=16))
+def test_pop_best_matches_brute_force_on_fractional_weights(g):
+    _check_pop_best_against_brute_force(g)

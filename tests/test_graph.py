@@ -211,6 +211,9 @@ def test_partition_api():
         Partition([0, -1])
     with pytest.raises(ValueError):
         Partition([0.5, 1])
+    # a bool would otherwise share a community with the int it equals
+    with pytest.raises(ValueError, match="got True"):
+        Partition([True, 1, 0])
 
 
 def test_modularity_reference_values():
@@ -243,7 +246,7 @@ def test_modularity_errors():
         modularity(Graph(3), [0, 0, 0])
     with pytest.raises(ValueError):
         modularity(g, [0, 0])
-    for labels in ([0, 0.5, 1], [0, 0, "a"], [1.0, 1, 0], [0, -1, 0]):
+    for labels in ([0, 0.5, 1], [0, 0, "a"], [1.0, 1, 0], [0, -1, 0], [True, 1, 0]):
         bad = next(lab for lab in labels if type(lab) is not int or lab < 0)
         with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
             modularity(Graph(3, [(0, 1), (1, 2)]), labels)
