@@ -144,7 +144,7 @@ class Graph:
         return any(u == v for u, v, _ in self._edges)
 
     def _check_node(self, i):
-        if not isinstance(i, int) or not 0 <= i < self._n:
+        if type(i) is not int or not 0 <= i < self._n:
             raise ValueError(f"node {i!r} out of range 0..{self._n - 1}")
 
     def __eq__(self, other):

@@ -12,7 +12,6 @@ from commdetect import (
     Graph,
     Partition,
     connected_components,
-    karate_club,
     load_edge_list,
     modularity,
     neighbor_matrix,
@@ -95,8 +94,10 @@ def test_weighted_degree():
     loops = Graph(2, [(0, 0, 3.0), (0, 1)])
     assert loops.weighted_degree(0) == 7.0
     assert loops.degree(0) == 1
-    with pytest.raises(ValueError):
-        g.weighted_degree(4)
+    for bad in (4, True, False):
+        for read in (g.weighted_degree, g.degree):
+            with pytest.raises(ValueError, match=rf"node {bad!r} out of range"):
+                read(bad)
 
 
 def test_degree_sum_is_twice_total_weight():
