@@ -15,6 +15,7 @@ second lists every record that a change moves against its parent.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -23,6 +24,7 @@ import random
 import re
 import shlex
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 from commdetect import (Graph, agglomerate, edge_betweenness, fastgreedy, girvan_newman,
@@ -134,56 +136,91 @@ def _command(argv):
     return None if argv[0] == "bench" else stdout.getvalue(), files
 
 
-def records():
-    """Yield (key, record) over the whole corpus, in manifest order."""
-    karate = ("karate", karate_club())
-    r60 = ("random:60,0.02,1", random_graph(60, 0.02, 1))
-    r100 = ("random:100,0.08,1", random_graph(100, 0.08, 1))
-    yield from _louvain([("random:500,0.016,1", random_graph(500, 0.016, 1))], ("normal", "noMerge", "Exp"), range(3))
-    yield from _louvain([karate], ("total", "totalNoMerge"), range(5))
-    yield from _louvain([("random:60,0.1,1", random_graph(60, 0.1, 1))], ("total", "totalNoMerge"), range(2))
-    yield from _louvain(_weighted_twice(), ("total", "totalNoMerge"), range(2))
-    yield from _louvain(mirrored_suite(20, 15000), ("total", "totalNoMerge"), range(2))
-    yield from _louvain([r60], [v.value for v in LouvainVariant], range(2))
+def _random(n, p, seed):
+    return f"random:{n},{p},{seed}", random_graph(n, p, seed)
 
-    r500s = [(f"random:500,0.016,{s}", random_graph(500, 0.016, s)) for s in range(3)]
-    for name, g in [
-        karate, *r500s, ("random:2000,0.004,0", random_graph(2000, 0.004, 0)),
-        *tied_suite(60, 8),
-        *((f"suite:13000#{k}+fractional", fractional_weights(g, k))
-          for k, g in enumerate(random_suite(40, 4, 40, (0.1, 0.3), 13000))),
-        *((f"{name}+fractional", fractional_weights(g, s)) for s, (name, g) in enumerate(r500s)),
-        ("random:2000,0.004,1", random_graph(2000, 0.004, 1)),
-    ]:
+
+def _fastgreedy(graphs):
+    for name, g in graphs:
         dend, best, best_q = fastgreedy(g)
         merges = [(m.left, m.right, m.merged, m.gain.hex(), m.q.hex(), m.step) for m in dend.merges]
         yield f"fastgreedy - - {name}", (merges, best.labels, best_q.hex())
 
-    for name, g in [karate, r100, *looped_suite(80, 77)]:
+
+def _girvan_newman(graphs):
+    for name, g in graphs:
         yield f"edge_betweenness - - {name}", sorted((key, s.hex()) for key, s in edge_betweenness(g).items())
         for target in sorted({t for t in (1, 2, 5, g.node_count) if t <= g.node_count}):
             for run in (girvan_newman, girvan_newman_static):
                 part, cuts = run(g, target)
                 yield f"{run.__name__} {target} - {name}", (part.labels, [(u, v, s.hex()) for u, v, s in cuts])
 
-    for name, g in (karate, r100, r60):
+
+def _agglomerative(graphs):
+    for name, g in graphs:
         for linkage in ("single", "complete", "average"):
             for self_neighboring in (False, True):
                 merges = agglomerate(g, linkage, self_neighboring).merges
                 yield (f"agglomerative {linkage}{'+self' * self_neighboring} - {name}",
                        [(m.left, m.right, m.merged, m.distance.hex(), m.step) for m in merges])
 
-    # CI's console-script step: the files its printf lines write, then its commands.
+
+def _commands():
+    """CI's console-script step (the files its printf lines write, then its
+    commands), then the KARATE commands."""
     ci = [line.strip() for line in CI.read_text().splitlines()]
     inputs = [re.fullmatch(r"printf '(.*)' > (\S+)", line).groups() for line in ci if line.startswith("printf ")]
     lines = [line for line in ci if line.startswith("commdetect ")]
     lines += [f"commdetect {line} --dataset karate --out k{k}.json" for k, line in enumerate(KARATE)]
-    yield from _command_records([(name, text.replace("\\n", "\n")) for text, name in inputs], lines)
+    return _command_records([(name, text.replace("\\n", "\n")) for text, name in inputs], lines)
+
+
+# The manifest in order, by section: the goldens in the test modules each
+# check one section (`check`), and test_identity.py checks all of them.
+TOTAL, KARATE_CLUB = ("total", "totalNoMerge"), ("karate", karate_club())
+SECTIONS = {
+    "louvain_random_500": lambda: _louvain([_random(500, 0.016, 1)], ("normal", "noMerge", "Exp"), range(3)),
+    "total_formula": lambda: chain(_louvain([KARATE_CLUB], TOTAL, range(5)),
+                                   _louvain([_random(60, 0.1, 1)], TOTAL, range(2))),
+    "total_formula_fractional": lambda: _louvain(_weighted_twice(), TOTAL, range(2)),
+    "total_formula_mirrored": lambda: _louvain(mirrored_suite(20, 15000), TOTAL, range(2)),
+    "louvain_disconnected": lambda: _louvain([_random(60, 0.02, 1)], [v.value for v in LouvainVariant],
+                                             range(2)),
+    "fastgreedy_tied": lambda: _fastgreedy([KARATE_CLUB, *(_random(500, 0.016, s) for s in range(3)),
+                                            _random(2000, 0.004, 0), *tied_suite(60, 8)]),
+    "fastgreedy_fractional": lambda: _fastgreedy([
+        *((f"suite:13000#{k}+fractional", fractional_weights(g, k))
+          for k, g in enumerate(random_suite(40, 4, 40, (0.1, 0.3), 13000))),
+        *((f"random:500,0.016,{s}+fractional", fractional_weights(random_graph(500, 0.016, s), s)) for s in range(3)),
+        _random(2000, 0.004, 1),
+    ]),
+    "girvan_newman_cuts": lambda: _girvan_newman([KARATE_CLUB, _random(100, 0.08, 1), *looped_suite(80, 77)]),
+    "agglomerative": lambda: _agglomerative([KARATE_CLUB, _random(100, 0.08, 1), _random(60, 0.02, 1)]),
+    "commands": _commands,
+}
+
+
+@functools.cache
+def digests(section):
+    """The (key, sha256) lines of one section, computed once per process."""
+    return [(key, hashlib.sha256(repr(record).encode()).hexdigest())
+            for key, record in SECTIONS[section]()]
 
 
 def manifest():
-    for key, record in records():
-        yield key, hashlib.sha256(repr(record).encode()).hexdigest()
+    for section in SECTIONS:
+        yield from digests(section)
+
+
+def check(section, dataset=""):
+    """Every record of `section`, or only its commands run on `--dataset
+    <dataset>` if that is given, has its digest in tests/identity.txt."""
+    recorded = dict(line.split("\t") for line in MANIFEST.read_text().splitlines())
+    lines = [(key, digest) for key, digest in digests(section)
+             if not dataset or f"--dataset {dataset} " in key]
+    assert lines, f"no record of {section!r} matches {dataset!r}"
+    for key, digest in lines:
+        assert recorded.get(key) == digest, f"record {key!r} differs from tests/identity.txt or is missing there"
 
 
 if __name__ == "__main__":

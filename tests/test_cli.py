@@ -9,6 +9,8 @@ import pytest
 from commdetect import cli
 from commdetect.cli import main
 
+import identity
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -356,6 +358,17 @@ _FLAG_ARGS = {
     "--variant": ["--variant", "Exp"],
     "--seed": ["--seed", "4"],
 }
+
+
+# The goldens check their records in the identity manifest (identity.py):
+# stdout and every output file of each command on karate, bench reports
+# without runtimes, and of fastgreedy on a graph of 20 components.
+def test_cli_outputs_golden_on_karate():
+    identity.check("commands", "karate")
+
+
+def test_fastgreedy_outputs_golden_on_a_disconnected_graph():
+    identity.check("commands", "random:60,0.02,1")
 
 
 def test_parameters_are_checked_before_the_dataset_is_built(tmp_path, monkeypatch, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from commdetect import Graph, HslSpec, cut, fastgreedy, modularity
 from commdetect.fastgreedy import _TIE_EPS, GlobalHeap, init_fastgreedy, join
+import identity
 from helpers import (
     path_graph,
     random_suite,
@@ -272,6 +273,17 @@ def test_fastgreedy_matches_oracle_on_integer_weight_ties(g):
 @given(small_fractional_weighted_graphs())
 def test_fastgreedy_matches_oracle_on_fractional_weights(g):
     _check_against_oracle(g)
+
+
+# The goldens check their records in the identity manifest (identity.py):
+# every merge with gain.hex() and q.hex(), the labels and best_q.hex() on
+# karate, random graphs and tied integer weights, and on fractional weights.
+def test_fastgreedy_golden():
+    identity.check("fastgreedy_tied")
+
+
+def test_fastgreedy_fractional_golden():
+    identity.check("fastgreedy_fractional")
 
 
 def _check_heap(rows, heap):

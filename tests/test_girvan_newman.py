@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commdetect import Graph, edge_betweenness, girvan_newman, girvan_newman_static
+import identity
 from helpers import (
     bridged_cliques,
     cycle_graph,
@@ -201,3 +202,10 @@ def test_static_path_five_needs_two_cuts():
     part, cuts = girvan_newman_static(path_graph(5), 3)
     assert part.num_communities == 3
     assert [c[:2] for c in cuts] == [(1, 2), (2, 3)]
+
+
+def test_girvan_newman_golden():
+    # Its records in the identity manifest (identity.py): every
+    # edge_betweenness score.hex() and both variants' labels and cuts at
+    # targets 1, 2, 5 and n, on karate, random:100,0.08,1 and looped graphs.
+    identity.check("girvan_newman_cuts")

@@ -19,6 +19,7 @@ from commdetect.louvain import (
     aggregate,
     local_move_pass,
 )
+import identity
 from helpers import (
     fractional_weights,
     move_gain_checks,
@@ -181,6 +182,22 @@ def test_best_move_breaks_ties_by_smaller_label(monkeypatch):
 def test_best_move_first_strict_maximum_wins(monkeypatch):
     assert _pick(monkeypatch, 0, {0: 0.0, 1: 0.2, 2: 0.7, 3: 0.4}) == 2
     assert _pick(monkeypatch, 0, {0: 0.0, 5: 0.1, 2: 0.3, 8: 0.9}) == 8
+
+
+# The goldens check their records in the identity manifest (identity.py):
+# labels, q.hex() and passes of Louvain on random:500,0.016,1 (normal,
+# noMerge, Exp), and of the total-formula variants on karate and
+# random:60,0.1,1, and on 40 graphs weighted twice, half of them contracted.
+def test_louvain_golden_on_random_500():
+    identity.check("louvain_random_500")
+
+
+def test_total_formula_golden():
+    identity.check("total_formula")
+
+
+def test_total_formula_golden_on_fractional_weights():
+    identity.check("total_formula_fractional")
 
 
 @st.composite
