@@ -3,15 +3,17 @@
 Edge betweenness counts, for every node pair, the fraction of shortest
 paths between them that cross each edge. It is computed with Brandes'
 accumulation: one breadth-first pass per root over list-indexed
-per-node state, where a node's parents are the neighbors one level
-closer to the root, found by level rather than stored. The divisive
-scheme removes the busiest edge, rescores, and repeats until the graph
-falls apart into the requested number of components. A static variant
-scores every edge once and removes edges in decreasing order of that
-initial score.
+per-node state, where the pass stores each node's parents (the
+neighbours one level closer to the root) with their edges' indices,
+and back-propagation sums shares into a list indexed by edge. The
+divisive scheme removes the busiest edge, rescores, and repeats until
+the graph falls apart into the requested number of components. A
+static variant scores every edge once and removes edges in decreasing
+order of that initial score.
 """
 
-from .graph import _component_nodes, _component_sets, _components, connected_components
+# connected_components is not called here; perfbench/tracing.py hooks it under this module.
+from .graph import _component_nodes, _component_sets, _components, connected_components  # noqa: F401
 
 __all__ = [
     "edge_betweenness",
@@ -21,7 +23,7 @@ __all__ = [
 
 
 def _adjacency(g):
-    return [dict(g.neighbors(i)) for i in range(g.node_count)]
+    return [dict(a) for a in g._adj]
 
 
 def _component_scores(adj, nodes):
@@ -34,66 +36,71 @@ def _component_scores(adj, nodes):
     halved. Each root costs one pass over the component's edges, so a
     component of c nodes and e edges scores in O(c*(c+e)).
 
+    The edges are numbered once, in the key order of the returned dict.
     The per-node state lives in lists indexed by node and is reset only
     at the nodes a root reached; `order` is both the BFS queue and the
-    back-propagation order. The float sums are fixed by two orders that
-    do not depend on how parents are listed: an edge takes at most one
-    share per root, so its score adds up in the iteration order of
-    `nodes`, and `credit[p]` adds its children's shares in reverse BFS
-    order.
+    back-propagation order, and `parents[v]` lists the (parent, edge
+    index) pairs through which the BFS reached v. The float sums are
+    fixed by two orders that do not depend on how parents are listed: an
+    edge takes at most one share per root, so its score adds up in the
+    iteration order of `nodes`, and `credit[p]` adds its children's
+    shares in reverse BFS order.
     """
     n = len(adj)
-    scores = {}
-    # Each node's neighbors without its self-loop, paired with the edge key.
+    keys = [(u, v) for u in nodes for v in adj[u] if u <= v]
+    index = {key: e for e, key in enumerate(keys)}
+    # Each node u's neighbors v without its self-loop, each paired with the
+    # (u, edge index) entry that v's parent list takes when u is its parent.
     nbrs = [None] * n
     for u in nodes:
-        row = []
-        for v in adj[u]:
-            if u <= v:
-                scores[(u, v)] = 0.0
-            if u != v:
-                row.append((v, (u, v) if u < v else (v, u)))
-        nbrs[u] = row
+        nbrs[u] = [(v, (u, index[(u, v) if u < v else (v, u)])) for v in adj[u] if v != u]
+    totals = [0.0] * len(keys)
     level = [-1] * n
     paths = [0] * n
     credit = [1.0] * n
+    parents = [None] * n
     for root in nodes:
         level[root] = 0
         paths[root] = 1
         order = [root]
         for u in order:
             next_level = level[u] + 1
-            for v, _ in nbrs[u]:
+            for v, link in nbrs[u]:
                 if level[v] < 0:
                     level[v] = next_level
                     paths[v] = paths[u]
+                    parents[v] = [link]
                     order.append(v)
                 elif level[v] == next_level:
                     paths[v] += paths[u]
-        for v in reversed(order):
-            parent_level = level[v] - 1
-            for p, key in nbrs[v]:
-                if level[p] == parent_level:
-                    share = credit[v] * paths[p] / paths[v]
-                    scores[key] += share
-                    credit[p] += share
+                    parents[v].append(link)
+        for v in reversed(order[1:]):
+            credit_v, paths_v = credit[v], paths[v]
+            for p, e in parents[v]:
+                share = credit_v * paths[p] / paths_v
+                totals[e] += share
+                credit[p] += share
         for v in order:
             level[v] = -1
             paths[v] = 0
             credit[v] = 1.0
-    for key in scores:
-        scores[key] /= 2.0
-    return scores
+    return {key: total / 2.0 for key, total in zip(keys, totals)}
+
+
+def _score_components(adj):
+    """Scores of every edge of the neighbour mappings `adj`, and the number
+    of their connected components, from one component walk."""
+    scores = {}
+    count = 0
+    for count, nodes in enumerate(_component_sets(adj), 1):
+        scores.update(_component_scores(adj, nodes))
+    return scores, count
 
 
 def edge_betweenness(g):
     """Score every edge of `g`; each node pair contributes one unit split
     evenly across its shortest paths. Self-loops score zero."""
-    adj = _adjacency(g)
-    scores = {}
-    for nodes in _component_sets(adj):
-        scores.update(_component_scores(adj, nodes))
-    return scores
+    return _score_components(g._adj)[0]
 
 
 def _pick_cut(scores):
@@ -121,8 +128,7 @@ def girvan_newman(g, target_communities):
     """
     _check_target(g, target_communities)
     adj = _adjacency(g)
-    scores = edge_betweenness(g)
-    comp_count = connected_components(g).num_communities
+    scores, comp_count = _score_components(adj)
     cuts = []
     while comp_count < target_communities and scores:
         (u, v), score = _pick_cut(scores)
@@ -148,9 +154,8 @@ def girvan_newman_static(g, target_communities):
     weights are ignored."""
     _check_target(g, target_communities)
     adj = _adjacency(g)
-    scores = edge_betweenness(g)
+    scores, comp_count = _score_components(adj)
     order = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    comp_count = connected_components(g).num_communities
     cuts = []
     for (u, v), score in order:
         if comp_count >= target_communities:

@@ -117,10 +117,13 @@ class Graph:
 
     def neighbors(self, i):
         """Neighbor-to-weight mapping for node i. Treat as read-only."""
+        self._check_node(i)
         return self._adj[i]
 
     def has_edge(self, u, v):
-        return 0 <= u < self._n and v in self._adj[u]
+        self._check_node(u)
+        self._check_node(v)
+        return v in self._adj[u]
 
     def degree(self, i):
         """Number of distinct neighbors of i, self-loops excluded."""
@@ -420,7 +423,7 @@ def neighbor_matrix(g, self_neighboring=False):
         raise ValueError("neighbor matrix requires a simple graph (no self-loops)")
     counts = {}
     for mid in range(g.node_count):
-        for i, j in combinations(sorted(g.neighbors(mid)), 2):
+        for i, j in combinations(sorted(g._adj[mid]), 2):
             key = (i, j)
             counts[key] = counts.get(key, 0) + 1
     if self_neighboring:

@@ -76,7 +76,7 @@ class CommunityState:
         self.graph = graph
         self.m = graph.total_weight
         self.assignment = assignment
-        self.adj = [graph.neighbors(i) for i in range(n)]
+        self.adj = graph._adj
         self.k = graph._degrees()
         self.size = size = [0] * n
         for i, c in enumerate(assignment):

@@ -33,6 +33,18 @@ def complete_graph(n):
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def grid_graph(rows, cols):
+    """rows x cols lattice with node r * cols + c at row r, column c."""
+    edges = [(i, i + 1) for i in range(rows * cols) if (i + 1) % cols]
+    edges += [(i, i + cols) for i in range((rows - 1) * cols)]
+    return Graph(rows * cols, edges)
+
+
+def complete_bipartite(a, b):
+    """K_{a,b} with nodes 0..a-1 on one side and a..a+b-1 on the other."""
+    return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
 def two_triangles():
     return Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
 

@@ -10,14 +10,17 @@ from commdetect import Graph, edge_betweenness, girvan_newman, girvan_newman_sta
 import identity
 from helpers import (
     bridged_cliques,
+    complete_bipartite,
     cycle_graph,
+    grid_graph,
     path_graph,
     random_suite,
     random_tree,
+    relabeled,
     star_graph,
     triangles_with_bridge,
 )
-from oracles import bfs_tree, edge_betweenness_direct
+from oracles import bfs_tree, edge_betweenness_direct, edge_betweenness_level_scan
 
 
 def test_bfs_tree_path():
@@ -105,6 +108,28 @@ def test_edge_betweenness_matches_oracle_property(g):
     assert scores.keys() == expected.keys()
     for key in expected:
         assert scores[key] == pytest.approx(expected[key], abs=1e-9)
+
+
+@st.composite
+def tied_graphs(draw):
+    """A grid, complete bipartite graph or cycle, whose shortest paths tie
+    often, beside a looped graph, with the node ids shuffled so that each
+    component's node set iterates in a drawn order."""
+    sides = st.integers(1, 5)
+    shape = draw(st.one_of(st.builds(grid_graph, sides, sides), st.builds(complete_bipartite, sides, sides),
+                           st.builds(cycle_graph, st.integers(3, 12))))
+    extra = draw(looped_graphs(max_nodes=8))
+    n = shape.node_count
+    g = Graph(n + extra.node_count, [*shape.edges(), *((u + n, v + n) for u, v, _ in extra.edges())])
+    return relabeled(g, draw(st.permutations(range(g.node_count))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(looped_graphs(), tied_graphs()))
+def test_edge_betweenness_matches_level_scan_bit_for_bit(g):
+    # The order-sensitive oracle: the same float sums, so the same bits.
+    expected = [(key, score.hex()) for key, score in edge_betweenness_level_scan(g).items()]
+    assert [(key, score.hex()) for key, score in edge_betweenness(g).items()] == expected
 
 
 def test_edge_betweenness_tree_side_product():

@@ -76,6 +76,17 @@ def test_graph_rejects_bool_node_ids():
             Graph(3, [(0, 1), edge])
 
 
+def test_neighbors_and_has_edge_reject_bad_node_ids(karate):
+    # Negative and bool ids used to index the adjacency list silently.
+    for bad in (-1, 34, True, False, 1.0, "0"):
+        with pytest.raises(ValueError, match=rf"node {re.escape(repr(bad))} out of range 0\.\.33"):
+            karate.neighbors(bad)
+        for pair in ((bad, 0), (0, bad)):
+            with pytest.raises(ValueError, match=rf"node {re.escape(repr(bad))} out of range"):
+                karate.has_edge(*pair)
+    assert karate.has_edge(33, 32) and not karate.has_edge(0, 33)
+
+
 def test_graph_equality_and_hash():
     a = Graph(3, [(0, 1), (1, 2)])
     b = Graph(3, [(1, 2), (0, 1)])
