@@ -1,10 +1,12 @@
 """Independent reference computations the tests compare against.
 
 Everything here is deliberately naive: direct formula evaluation, path
-enumeration, and from-scratch recomputation. None of it shares code with
-the package internals beyond the Graph container itself, except the
-scanning Louvain replay, which drives the package's CommunityState
-bookkeeping, aggregate and modularity with its own local moves.
+enumeration, and from-scratch recomputation, plus the level-scanning
+edge betweenness, which pins the package's order of float sums. None of
+it shares code with the package internals beyond the Graph container
+itself, except the scanning Louvain replay, which drives the package's
+CommunityState bookkeeping, aggregate and modularity with its own local
+moves.
 """
 
 import random
@@ -168,7 +170,7 @@ def edge_betweenness_level_scan(g):
                         paths[v] += paths[u]
             for v in reversed(order):
                 for p in adj[v]:
-                    if p != v and level[p] == level[v] - 1:
+                    if level[p] == level[v] - 1:
                         share = credit[v] * paths[p] / paths[v]
                         comp[(p, v) if p < v else (v, p)] += share
                         credit[p] += share

@@ -77,7 +77,7 @@ def test_graph_rejects_bool_node_ids():
 
 
 def test_neighbors_and_has_edge_reject_bad_node_ids(karate):
-    # Negative and bool ids used to index the adjacency list silently.
+    # Unchecked, -1 and True would index the adjacency list as 33 and 1.
     for bad in (-1, 34, True, False, 1.0, "0"):
         with pytest.raises(ValueError, match=rf"node {re.escape(repr(bad))} out of range 0\.\.33"):
             karate.neighbors(bad)
