@@ -25,6 +25,7 @@ import heapq
 from dataclasses import dataclass
 
 from .agglomerative import Dendrogram, HslSpec, cut
+from .graph import _fold
 
 __all__ = ["GlobalHeap", "init_fastgreedy", "join", "fastgreedy"]
 
@@ -277,7 +278,7 @@ def fastgreedy(g):
     rows, heap, a = init_fastgreedy(g)
     n = g.node_count
     cluster_id = list(range(n))
-    q = -sum(v * v for v in a)
+    q = -_fold(v * v for v in a)
     best_q = q
     best_joins = 0
     joins = []

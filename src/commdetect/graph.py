@@ -7,9 +7,12 @@ NeighborMatrix.
 
 import math
 import random
+import sys
 from collections import deque
+from functools import reduce
 from itertools import combinations
 from numbers import Real
+from operator import add
 
 __all__ = [
     "Graph",
@@ -39,6 +42,12 @@ _KARATE_EDGES = (
     (27, 33), (28, 31), (28, 33), (29, 32), (29, 33), (30, 32), (30, 33),
     (31, 32), (31, 33), (32, 33),
 )
+
+
+# The one summation rule for every float sum that defines an output: a
+# left fold from int 0. Below CPython 3.12 that is sum(), about 4x faster
+# than reduce; from 3.12 on sum() compensates rounding, so it is spelled out.
+_fold = sum if sys.version_info < (3, 12) else lambda xs: reduce(add, xs, 0)
 
 
 class Graph:
@@ -72,7 +81,8 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) has non-numeric weight {w!r}")
             w = float(w)
             if not w > 0:
-                raise ValueError(f"edge ({u}, {v}) has non-positive weight {w}")
+                kind = "weight nan, which is not a number" if math.isnan(w) else f"non-positive weight {w}"
+                raise ValueError(f"edge ({u}, {v}) has {kind}")
             if u > v:
                 u, v = v, u
             normalized.append((u, v, w))
@@ -140,7 +150,7 @@ class Graph:
         """Every node's weighted degree, folded on first read and shared by
         all readers after it. Graphs whose degrees nobody reads never pay."""
         if self._k is None:
-            self._k = tuple(sum(a.values()) + a.get(i, 0.0) for i, a in enumerate(self._adj))
+            self._k = tuple(_fold(a.values()) + a.get(i, 0.0) for i, a in enumerate(self._adj))
         return self._k
 
     def has_self_loops(self):
@@ -409,7 +419,7 @@ def modularity(g, partition):
     # Canonical labels put the terms in first-appearance order; an unused
     # label's term is 0.0, and adding it is exact.
     sigma_in, sigma_tot = _community_sums(g, Partition(labels).canonicalize().labels)
-    return sum(s_in / two_m - (s_tot / two_m) ** 2 for s_in, s_tot in zip(sigma_in, sigma_tot))
+    return _fold(s_in / two_m - (s_tot / two_m) ** 2 for s_in, s_tot in zip(sigma_in, sigma_tot))
 
 
 def neighbor_matrix(g, self_neighboring=False):

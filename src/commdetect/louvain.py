@@ -27,10 +27,9 @@ import random
 from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, reduce
-from operator import add
+from functools import cached_property
 
-from .graph import Graph, Partition, _community_sums, _unite, modularity
+from .graph import Graph, Partition, _community_sums, _fold, _unite, modularity
 
 __all__ = [
     "LouvainVariant",
@@ -105,7 +104,7 @@ class _TotalModularity:
     partial sum of those folds is an exact integer, so any order gives
     modularity's sums: a term's sums are then the ones the visit holds.
     Otherwise only that fold order reproduces modularity's rounding, and
-    the communities a move changes are re-folded in it.
+    the communities a move changes are re-folded in it by graph._fold.
     """
 
     def __init__(self, state):
@@ -134,9 +133,9 @@ class _TotalModularity:
         if not self.exact:
             assignment = self.assignment
             c_was, assignment[i] = assignment[i], c_i
-            s_in = reduce(add, [w2 for u in mem for v, w2 in self.fwd[u] if assignment[v] == c], 0.0)
+            s_in = _fold([w2 for u in mem for v, w2 in self.fwd[u] if assignment[v] == c])
             assignment[i] = c_was
-            sums = s_in, reduce(add, map(self.k.__getitem__, mem), 0.0)
+            sums = s_in, _fold(map(self.k.__getitem__, mem))
         s_in, s_tot = sums
         return s_in / self.two_m - (s_tot / self.two_m) ** 2
 
@@ -166,7 +165,7 @@ class _TotalModularity:
         if c != self.c_old:
             for x, t in self._patch(i, c):
                 slots[x] = t
-        return sum(slots)
+        return _fold(slots)
 
     def join(self, i, c):
         """Commit node i's move into community c."""

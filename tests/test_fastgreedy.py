@@ -1,6 +1,8 @@
 """Greedy modularity agglomeration tests."""
 
 import re
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -249,7 +251,7 @@ def _check_against_oracle(g):
     n = g.node_count
     assert _joins(dend, n) == joins
     two_m = 2.0 * g.total_weight
-    q = -sum(x * x for x in (g.weighted_degree(i) / two_m for i in range(n)))
+    q = -reduce(add, (x * x for x in (g.weighted_degree(i) / two_m for i in range(n))), 0)
     running = [q]
     for merge in dend.merges:
         # each join's Q is its predecessor's plus its gain, float for

@@ -2,7 +2,9 @@
 
 import math
 import re
+from functools import reduce
 from itertools import combinations, islice
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from commdetect import (
     random_graph,
     serialize_edge_list,
 )
+from commdetect.graph import _fold
 from commdetect.louvain import aggregate
 from helpers import (
     path_graph,
@@ -48,9 +51,9 @@ def test_graph_rejects_bad_edges():
         Graph(2, [(0, 2)])
     with pytest.raises(ValueError):
         Graph(2, [(0, 1, 0.0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"non-positive weight -3\.0"):
         Graph(2, [(0, 1, -3.0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) has weight nan, which is not a number"):
         Graph(2, [(0, 1, math.nan)])
     for w in (math.inf, -math.inf):
         with pytest.raises(ValueError, match=r"edge \(0, 1\)"):
@@ -287,9 +290,23 @@ def test_modularity_ignores_label_names_bit_for_bit(case):
     g, labels = case
     for i in range(g.node_count):
         adj = g.neighbors(i)
-        assert g.weighted_degree(i).hex() == (sum(adj.values()) + adj.get(i, 0.0)).hex()
+        assert g.weighted_degree(i).hex() == (reduce(add, adj.values(), 0) + adj.get(i, 0.0)).hex()
     canonical = Partition(labels).canonicalize()
     assert modularity(g, labels).hex() == modularity(g, canonical).hex()
+
+
+def test_fold_is_a_plain_left_fold():
+    # Compensated summation, which sum() does from CPython 3.12 on, gives
+    # 1.0 for both of these.
+    assert _fold([1e16, 1.0, -1e16]).hex() == (0.0).hex()
+    assert _fold([0.1] * 10).hex() == (0.9999999999999999).hex()
+
+
+@given(st.lists(st.floats(allow_nan=False)))
+def test_fold_matches_reduce_on_every_interpreter(xs):
+    # reduce adds left to right on every CPython, so _fold must too.
+    assert repr(_fold(xs)) == repr(reduce(add, xs, 0))
+    assert repr(_fold(iter(xs))) == repr(reduce(add, xs, 0))
 
 
 def test_neighbor_matrix_examples():
