@@ -99,40 +99,18 @@ def edge_betweenness(g):
     return _score_components(g._adj)[0]
 
 
-def _divide(g, target, rescore):
-    """Remove edges from a copy of `g` until it has `target` components or
-    no edges remain; returns the partition and the (u, v, score) removals.
-
-    Each removal takes the highest score, ties going to the smallest
-    (u, v). With `rescore` the scores are recomputed on the component(s)
-    a removal touched; without it they stay the initial ones.
-    """
-    n = g.node_count
+def _start(g, target):
+    """Check `target`; returns a copy of g's adjacency, its scores and its component count."""
     if type(target) is not int:
         raise ValueError(f"target communities must be an int, got {target!r}")
-    if not 1 <= target <= n:
-        raise ValueError(f"target communities must lie in 1..{n}, got {target}")
+    if not 1 <= target <= g.node_count:
+        raise ValueError(f"target communities must lie in 1..{g.node_count}, got {target}")
     adj = [dict(a) for a in g._adj]
-    scores, comp_count = _score_components(adj)
-    rank = lambda item: (-item[1], item[0])  # noqa: E731
-    # Static removals pop off the end of the initial ranking.
-    ranked = None if rescore else sorted(scores.items(), key=rank, reverse=True)
-    cuts = []
-    while comp_count < target and scores:
-        (u, v), score = min(scores.items(), key=rank) if rescore else ranked.pop()
-        del scores[(u, v)]
-        del adj[u][v]
-        if u != v:
-            del adj[v][u]
-        cuts.append((u, v, score))
-        comp_u = _component_nodes(adj, u)
-        split = v not in comp_u
-        comp_count += split
-        if rescore:
-            scores.update(_component_scores(adj, comp_u))
-            if split:
-                scores.update(_component_scores(adj, _component_nodes(adj, v)))
-    return _components(adj), cuts
+    return (adj, *_score_components(adj))
+
+
+# Highest score first; ties go to the smallest (u, v).
+_rank = lambda item: (-item[1], item[0])  # noqa: E731
 
 
 def girvan_newman(g, target_communities):
@@ -145,11 +123,36 @@ def girvan_newman(g, target_communities):
     (u, v, score) triples. Raises ValueError unless `target_communities`
     is an int (not a bool) in 1..node_count.
     """
-    return _divide(g, target_communities, rescore=True)
+    adj, scores, comp_count = _start(g, target_communities)
+    cuts = []
+    while comp_count < target_communities and scores:
+        (u, v), score = min(scores.items(), key=_rank)
+        del scores[(u, v)]
+        del adj[u][v]
+        if u != v:
+            del adj[v][u]
+        cuts.append((u, v, score))
+        comp_u = _component_nodes(adj, u)
+        scores.update(_component_scores(adj, comp_u))
+        if v not in comp_u:
+            comp_count += 1
+            scores.update(_component_scores(adj, _component_nodes(adj, v)))
+    return _components(adj), cuts
 
 
 def girvan_newman_static(g, target_communities):
     """Like girvan_newman but never rescores: edges are removed in order
     of decreasing initial betweenness until the target is reached. Edge
     weights are ignored."""
-    return _divide(g, target_communities, rescore=False)
+    adj, scores, comp_count = _start(g, target_communities)
+    cuts = []
+    for (u, v), score in sorted(scores.items(), key=_rank):
+        if comp_count >= target_communities:
+            break
+        del adj[u][v]
+        if u != v:
+            del adj[v][u]
+        cuts.append((u, v, score))
+        if u != v and v not in _component_nodes(adj, u):
+            comp_count += 1
+    return _components(adj), cuts

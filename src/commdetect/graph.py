@@ -7,7 +7,6 @@ NeighborMatrix.
 
 import math
 import random
-import sys
 from collections import deque
 from functools import reduce
 from itertools import combinations
@@ -44,10 +43,10 @@ _KARATE_EDGES = (
 )
 
 
-# The one summation rule for every float sum that defines an output: a
-# left fold from int 0. Below CPython 3.12 that is sum(), about 4x faster
-# than reduce; from 3.12 on sum() compensates rounding, so it is spelled out.
-_fold = sum if sys.version_info < (3, 12) else lambda xs: reduce(add, xs, 0)
+# The one summation rule for every float sum that defines an output: a left
+# fold from int 0, as sum() was before CPython 3.12 made it compensate.
+def _fold(xs):
+    return reduce(add, xs, 0)
 
 
 class Graph:

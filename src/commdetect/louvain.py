@@ -97,14 +97,16 @@ class _TotalModularity:
     single-node moves, float for float.
 
     graph._community_sums folds sigma_tot as 0.0 + k[x] over ascending
-    members and sigma_in as + 2.0*w over intra edges in edges() order, and
-    modularity sums terms s_in/2m - (s_tot/2m)**2 by smallest member. Each
-    term sits in an n-long slot list at that member, 0.0 elsewhere: adding
-    0.0 is exact. When every weight is integral and 2m <= 2**53, every
-    partial sum of those folds is an exact integer, so any order gives
-    modularity's sums: a term's sums are then the ones the visit holds.
-    Otherwise only that fold order reproduces modularity's rounding, and
-    the communities a move changes are re-folded in it by graph._fold.
+    members and sigma_in as + 2.0*w over intra edges in edges() order.
+    When every weight is integral and 2m <= 2**53, every partial sum of
+    those folds is an exact integer, so any order gives modularity's sums:
+    a term's sums are then the ones the visit holds. Otherwise only that
+    fold order reproduces modularity's rounding, and the communities a
+    move changes are re-folded in it by graph._fold. modularity folds the
+    terms s_in/2m - (s_tot/2m)**2 by smallest member; each sits in an
+    n-long slot list at that member, 0.0 elsewhere. No partial sum of that
+    fold is -0.0, so adding 0.0 is exact: a score folds only the non-zero
+    slots, and float() keeps 0.0 when there are none.
     """
 
     def __init__(self, state):
@@ -165,7 +167,7 @@ class _TotalModularity:
         if c != self.c_old:
             for x, t in self._patch(i, c):
                 slots[x] = t
-        return _fold(slots)
+        return float(_fold(filter(None, slots)))
 
     def join(self, i, c):
         """Commit node i's move into community c."""
