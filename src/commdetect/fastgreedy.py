@@ -1,24 +1,28 @@
-"""Greedy modularity agglomeration over sparse rows of pair gains.
+"""Greedy modularity agglomeration over sparse rows of shared gain cells.
 
 Starting from singleton communities, the pair whose merge increases
 modularity the most is joined repeatedly. The pairwise gains live in
-sparse symmetric rows, as in Clauset, Newman & Moore 2004: `rows[i][j]`
-and its mirror `rows[j][i]` hold the gain of joining communities i and
-j, only for pairs that share at least one edge; a retired community's
-row is None. A global max-heap over the cells picks each join, and
-gains are updated in place after it instead of being recomputed.
+sparse symmetric rows, as in Clauset, Newman & Moore 2004, only for
+pairs that share at least one edge; a retired community's row is None.
+Each pair has one mutable cell `[gain, i, j]`, named by its two
+communities with i < j, which `rows[i][j]` and `rows[j][i]` share, so a
+gain is written once. A global max-heap over the cells picks each join,
+and gains are updated in place after it instead of being recomputed.
+A join renames the cells the absorbed community brings alone, in place,
+to the absorbing one; a retired cell's gain is -inf.
 
 A queued gain is an upper bound on its cell's current gain, in the lazy
 style of accelerated greedy (Minoux; CELF in Leskovec et al. 2007): a
-join pushes only cells it creates or whose gain rises, never a falling
-gain. Selection re-queues stale bounds at the top until the top is
-exact, which gives the maximum M and the tie floor M - _TIE_EPS. The
-pairs at or above the floor, the tie band, are carried from one
-selection to the next while the floor does not fall, since a cell only
-climbs into the band by a push. When the floor falls, the band is read
-afresh in place in the heap array, re-keying each junk entry met: a
-retired cell's entry sinks to the bottom and a stale bound drops to its
-cell's gain. The chosen pair depends only on the stored gains.
+join pushes only cells whose gain rises, never a falling gain, and a
+renamed cell keeps its entries. Selection re-queues stale bounds at the
+top until the top is exact, which gives the maximum M and the tie floor
+M - _TIE_EPS. The pairs at or above the floor, the tie band, are carried
+from one selection to the next while the floor does not fall, since a
+cell only climbs into the band by a push; a renamed cell is re-added
+under its new names. When the floor falls, the band is read afresh in
+place in the heap array, re-keying each junk entry met: a retired cell's
+entry sinks to the bottom and a stale bound drops to its cell's gain.
+The chosen pair depends only on the stored gains.
 """
 
 import heapq
@@ -33,6 +37,9 @@ __all__ = ["GlobalHeap", "init_fastgreedy", "join", "fastgreedy"]
 # (i, j) pair wins regardless of which float happens to be a few ulps
 # ahead after incremental updates.
 _TIE_EPS = 1e-12
+
+# The gain of a retired cell: below every bound and every floor.
+_RETIRED = float("-inf")
 
 
 def _sift_down(entries, k, entry):
@@ -70,30 +77,40 @@ class Join:
 
 
 class GlobalHeap:
-    """One max-heap over the cells of the gain rows, keyed on upper bounds.
+    """One max-heap of (-bound, cell) entries over the shared gain cells.
 
-    Every live cell has at least one queued entry whose gain is at least
+    Every live cell has at least one queued entry whose bound is at least
     the cell's current gain, so a cell only needs a new entry when its
     gain rises or it is created. Entries of retired cells, and bounds
     above their cell's current gain, are dealt with lazily by `pop_best`.
     The tie band `_band`, carried between selections, is a min-heap of
-    (i, j) pairs holding every live cell whose gain is at least `_floor`,
-    the tie floor of the last `pop_best` (+inf before the first), and
-    maybe pairs retired or fallen below that floor since.
+    (i, j, cell) entries holding every live cell whose gain is at least
+    `_floor`, the tie floor of the last `pop_best` (+inf before the
+    first), under its current names; and maybe entries whose cell has
+    since retired, fallen below that floor or been renamed.
     """
 
-    def __init__(self, rows):
-        self._rows = rows
+    def __init__(self):
         self._entries = []
         self._band = []
         self._floor = float("inf")
 
-    def push(self, i, j, dq):
+    def push(self, cell):
+        """Queue `cell` at its current gain."""
+        gain = cell[0]
+        heapq.heappush(self._entries, (-gain, cell))
+        if gain >= self._floor:
+            heapq.heappush(self._band, (cell[1], cell[2], cell))
+
+    def rename(self, cell, i, j):
+        """Name `cell` after communities i and j. Its gain has not risen, so
+        its queued bounds still hold; only the band needs the new names."""
         if i > j:
             i, j = j, i
-        heapq.heappush(self._entries, (-dq, i, j))
-        if dq >= self._floor:
-            heapq.heappush(self._band, (i, j))
+        cell[1] = i
+        cell[2] = j
+        if cell[0] >= self._floor:
+            heapq.heappush(self._band, (i, j, cell))
 
     def pop_best(self):
         """Return (i, j, dq) for the best current pair, or None if empty.
@@ -102,20 +119,19 @@ class GlobalHeap:
         tied and the smallest (i, j) among them wins. Stale bounds on top
         of the heap are re-queued at their current gain until the top is
         exact, which makes it the maximum M. The band is read afresh only
-        if the floor M - _TIE_EPS fell; dead or fallen pairs are dropped
-        off its top, and the pair left there wins, staying queued and in
-        the band until joined.
+        if the floor M - _TIE_EPS fell; retired, fallen or renamed
+        entries are dropped off its top, and the pair left there wins,
+        staying queued and in the band until joined.
         """
         entries = self._entries
-        rows = self._rows
         while entries:
-            neg_bound, i, j = entries[0]
-            row = rows[i]
-            if row is None or j not in row:
+            neg_bound, cell = entries[0]
+            gain = cell[0]
+            if gain == _RETIRED:
                 heapq.heappop(entries)
-            elif row[j] < -neg_bound:
+            elif gain < -neg_bound:
                 heapq.heappop(entries)
-                self.push(i, j, row[j])
+                self.push(cell)
             else:
                 break
         else:
@@ -126,20 +142,18 @@ class GlobalHeap:
         self._floor = floor
         band = self._band
         while True:
-            i, j = band[0]
-            row = rows[i]
-            if row is not None and j in row and row[j] >= floor:
-                return i, j, row[j]
+            i, j, cell = band[0]
+            if cell[0] >= floor and cell[1] == i and cell[2] == j:
+                return i, j, cell[0]
             heapq.heappop(band)
 
     def _walk_band(self, floor):
-        """Every live pair with a gain of at least `floor`, as a min-heap,
-        read by walking the heap array down through bounds at or above the
-        floor; then each junk entry met is re-keyed and sifted down: a
-        retired cell's to +inf, a stale bound to its cell's current gain.
+        """Every live cell with a gain of at least `floor`, as a band
+        min-heap, read by walking the heap array down through bounds at or
+        above the floor; then each junk entry met is re-keyed and sifted
+        down to its cell's current gain, which sinks a retired cell's.
         """
         entries = self._entries
-        rows = self._rows
         neg_floor = -floor
         band = []
         junk = []
@@ -147,16 +161,12 @@ class GlobalHeap:
         size = len(entries)
         while stack:
             k = stack.pop()
-            neg_bound, i, j = entries[k]
-            row = rows[i]
-            if row is None or j not in row:
-                junk.append((k, (float("inf"), i, j)))
-            else:
-                gain = row[j]
-                if gain < -neg_bound:
-                    junk.append((k, (-gain, i, j)))
-                if gain >= floor:
-                    band.append((i, j))
+            neg_bound, cell = entries[k]
+            gain = cell[0]
+            if gain < -neg_bound:
+                junk.append((k, (-gain, cell)))
+            if gain >= floor:
+                band.append((cell[1], cell[2], cell))
             child = 2 * k + 1
             if child < size and entries[child][0] <= neg_floor:
                 stack.append(child)
@@ -179,10 +189,12 @@ def init_fastgreedy(g):
     """Build the gain rows, the heap over them, and the weight fractions.
 
     Returns (rows, heap, a), both lists indexed by community id: `rows[i]`
-    is community i's row of gains, and a[i] = k_i/2m is its share of the
-    degree mass. For singleton communities the gain of joining connected
-    i and j is w_ij/m - 2*a_i*a_j, the exact modularity change of that
-    merge. Requires a simple graph with at least one edge.
+    maps each community j that shares an edge with i to the cell
+    `[gain, min(i, j), max(i, j)]` that `rows[j][i]` also holds, and
+    a[i] = k_i/2m is i's share of the degree mass. For singleton
+    communities the gain of joining connected i and j is
+    w_ij/m - 2*a_i*a_j, the exact modularity change of that merge.
+    Requires a simple graph with at least one edge.
     """
     m = g.total_weight
     if m == 0:
@@ -192,11 +204,11 @@ def init_fastgreedy(g):
     two_m = 2.0 * m
     a = [k / two_m for k in g._degrees()]
     rows = [{} for _ in range(g.node_count)]
-    heap = GlobalHeap(rows)
+    heap = GlobalHeap()
     for u, v, w in g.edges():
-        dq = w / m - 2.0 * a[u] * a[v]
-        rows[u][v] = rows[v][u] = dq
-        heap.push(u, v, dq)
+        cell = [w / m - 2.0 * a[u] * a[v], u, v]
+        rows[u][v] = rows[v][u] = cell
+        heap.push(cell)
     return rows, heap, a
 
 
@@ -209,35 +221,42 @@ def _apply_join(rows, heap, a, i, j):
       only i:      dq_ik - 2*a_j*a_k
       only j:      dq_jk - 2*a_i*a_k
     using the pre-merge weight fractions; then a_j absorbs a_i and a_i is
-    0. Row j's "both" cells are copied aside, one test-free loop gives
-    every cell of row j and its mirror the "only j" fall, and one loop
-    over row i writes the "both" and "only i" cells and deletes row i's
-    mirrors; row i becomes None. Queued gains are upper bounds, so only a
-    created cell or a rising gain is pushed; "only j" always falls.
+    0. The joined cell retires, row j's "both" gains are copied aside,
+    and one test-free loop gives every cell of row j the "only j" fall.
+    One loop over row i then retires the i side of each "both" pair and
+    writes the sum into the j side, and lowers each "only i" cell and
+    renames it (i, k) -> (j, k) in place, moving it to row j; row i
+    becomes None. Queued gains are upper bounds, so only a rising "both"
+    gain is pushed; "only i" and "only j" always fall.
     """
     row_i = rows[i]
     row_j = rows[j]
     a_i = a[i]
     a_j = a[j]
-    shared = {k: row_j[k] for k in row_i if k in row_j}
+    joined = row_i.pop(j, None)
+    if joined is not None:
+        del row_j[i]
+        joined[0] = _RETIRED
+    shared = {k: row_j[k][0] for k in row_i if k in row_j}
     t = 2.0 * a_i
-    for k, old in row_j.items():
-        row_j[k] = rows[k][j] = old - t * a[k]
-    row_i.pop(j, None)
-    row_j.pop(i, None)
+    for k, cell in row_j.items():
+        cell[0] -= t * a[k]
     t = 2.0 * a_j
-    for k, old in row_i.items():
+    for k, cell in row_i.items():
         row_k = rows[k]
         del row_k[i]
         if k in shared:
             both = shared[k]
-            new = old + both
+            new = cell[0] + both
+            cell[0] = _RETIRED
+            kept = row_j[k]
+            kept[0] = new
             if new > both:
-                heap.push(j, k, new)
+                heap.push(kept)
         else:
-            new = old - t * a[k]
-            heap.push(j, k, new)
-        row_j[k] = row_k[j] = new
+            cell[0] -= t * a[k]
+            row_j[k] = row_k[j] = cell
+            heap.rename(cell, j, k)
     rows[i] = None
     a[j] = a_i + a_j
     a[i] = 0.0
@@ -260,7 +279,7 @@ def join(rows, heap, a, i, j):
         raise ValueError(f"cannot join dead community in pair ({i}, {j})")
     if j not in rows[i]:
         raise ValueError(f"no stored gain for pair ({i}, {j})")
-    dq = rows[i][j]
+    dq = rows[i][j][0]
     _apply_join(rows, heap, a, i, j)
     return dq
 

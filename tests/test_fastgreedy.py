@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from commdetect import Graph, HslSpec, cut, fastgreedy, modularity
-from commdetect.fastgreedy import _TIE_EPS, GlobalHeap, init_fastgreedy, join
+from commdetect.fastgreedy import _RETIRED, _TIE_EPS, GlobalHeap, init_fastgreedy, join
 import identity
 from helpers import (
     path_graph,
@@ -36,32 +36,35 @@ def _joins(dend, n):
 def _pairs(rows):
     """Every gain cell once, as (i, j, gain) with i < j."""
     return [
-        (i, j, gain)
+        (i, j, cell[0])
         for i, row in enumerate(rows)
         if row is not None
-        for j, gain in row.items()
+        for j, cell in row.items()
         if i < j
     ]
 
 
 def _set(rows, i, j, gain):
-    """Write a gain cell and its mirror."""
-    rows[i][j] = rows[j][i] = gain
+    """Store one gain cell for the pair (i, j), i < j, in both rows, and
+    return it."""
+    cell = rows[i][j] = rows[j][i] = [gain, i, j]
+    return cell
 
 
 def test_init_reference_values():
     rows, heap, a = init_fastgreedy(Graph(2, [(0, 1)]))
-    assert rows[0][1] == pytest.approx(0.5, abs=1e-12)
+    assert rows[0][1] == [pytest.approx(0.5, abs=1e-12), 0, 1]
+    assert rows[0][1] is rows[1][0]
     assert a == [0.5, 0.5]
 
     tri = Graph(3, [(0, 1), (0, 2), (1, 2)])
     rows, heap, a = init_fastgreedy(tri)
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        assert rows[i][j] == pytest.approx(1.0 / 9.0, abs=1e-12)
+        assert rows[i][j][0] == pytest.approx(1.0 / 9.0, abs=1e-12)
         # the stored gain is the true modularity change of that merge
         merged = [j if x == i else x for x in range(3)]
         truth = modularity_direct(tri, merged) - modularity_direct(tri, [0, 1, 2])
-        assert rows[i][j] == pytest.approx(truth, abs=1e-12)
+        assert rows[i][j][0] == pytest.approx(truth, abs=1e-12)
 
     rows, heap, a = init_fastgreedy(star_graph(3))
     assert a[0] == pytest.approx(0.5, abs=1e-15)
@@ -109,31 +112,31 @@ def test_falling_gain_is_not_requeued():
 def test_pop_best_reads_tie_band_in_place():
     top = 0.25
     rows = [{} for _ in range(6)]
-    heap = GlobalHeap(rows)
+    heap = GlobalHeap()
     # the maximum, at the larger pair
-    _set(rows, 2, 3, top)
-    heap.push(2, 3, top)
+    heap.push(_set(rows, 2, 3, top))
     # a smaller pair tied with it, less than _TIE_EPS below
-    _set(rows, 0, 4, top - _TIE_EPS / 2)
-    heap.push(0, 4, top - _TIE_EPS / 2)
-    # stale bounds: one above the maximum, one inside the tie band
-    _set(rows, 0, 1, 0.1)
-    heap.push(0, 1, 0.5)
-    _set(rows, 0, 2, 0.1)
-    heap.push(0, 2, top - _TIE_EPS / 4)
+    heap.push(_set(rows, 0, 4, top - _TIE_EPS / 2))
+    # stale bounds: one above the maximum, one inside the tie band,
+    # each queued before its cell's gain fell to 0.1
+    stale_above = _set(rows, 0, 1, 0.5)
+    heap.push(stale_above)
+    stale_above[0] = 0.1
+    stale_inside = _set(rows, 0, 2, top - _TIE_EPS / 4)
+    heap.push(stale_inside)
+    stale_inside[0] = 0.1
     assert heap.pop_best() == (0, 4, top - _TIE_EPS / 2)
-    assert (-0.1, 0, 1) in heap._entries
-    assert (-0.5, 0, 1) not in heap._entries
+    assert [entry for entry in heap._entries if entry[1] is stale_above] == [(-0.1, stale_above)]
 
 
 def test_pop_best_with_only_retired_entries_is_none():
     rows = [{} for _ in range(3)]
-    heap = GlobalHeap(rows)
+    heap = GlobalHeap()
     for i, j in ((0, 1), (1, 2)):
-        _set(rows, i, j, 0.1)
-        heap.push(i, j, 0.1)
-    for k in rows[1]:
+        heap.push(_set(rows, i, j, 0.1))
+    for k, cell in rows[1].items():
         del rows[k][1]
+        cell[0] = _RETIRED
     rows[1] = None
     assert heap.pop_best() is None
     assert len(heap) == 0
@@ -160,20 +163,20 @@ def test_join_update_rules_match_direct_differences():
     # path 0-1-2, join(0,1): community 2 touches only the j side
     g = path_graph(3)
     rows, heap, a = init_fastgreedy(g)
-    before_bc = rows[1][2]
+    before_bc = rows[1][2][0]
     expected = before_bc - 2.0 * a[0] * a[2]
     join(rows, heap, a, 0, 1)
-    assert rows[1][2] == pytest.approx(expected, abs=1e-12)
+    assert rows[1][2][0] == pytest.approx(expected, abs=1e-12)
     truth = modularity_direct(g, [1, 1, 1]) - modularity_direct(g, [1, 1, 2])
-    assert rows[1][2] == pytest.approx(truth, abs=1e-12)
+    assert rows[1][2][0] == pytest.approx(truth, abs=1e-12)
 
     # triangle, join(0,1): community 2 touches both sides
     tri = Graph(3, [(0, 1), (0, 2), (1, 2)])
     rows, heap, a = init_fastgreedy(tri)
-    expected = rows[0][2] + rows[1][2]
+    expected = rows[0][2][0] + rows[1][2][0]
     join(rows, heap, a, 0, 1)
-    assert rows[1][2] == pytest.approx(expected, abs=1e-12)
-    assert rows[1][2] == pytest.approx(2.0 / 9.0, abs=1e-12)
+    assert rows[1][2][0] == pytest.approx(expected, abs=1e-12)
+    assert rows[1][2][0] == pytest.approx(2.0 / 9.0, abs=1e-12)
 
 
 def test_store_heap_and_mass_invariants_every_step():
@@ -288,28 +291,40 @@ def test_fastgreedy_fractional_golden():
     identity.check("fastgreedy_fractional")
 
 
+def _check_cells(rows):
+    """Both rows of a pair hold one cell, named (min, max) of its row keys."""
+    for i, row in enumerate(rows):
+        if row is not None:
+            for j, cell in row.items():
+                assert rows[j][i] is cell
+                assert cell[1:] == [min(i, j), max(i, j)]
+
+
 def _check_heap(rows, heap):
-    """Heap order holds, and every live cell has a queued upper bound."""
+    """Heap order holds on the bounds, and every live cell has a queued
+    upper bound."""
+    _check_cells(rows)
     entries = heap._entries
     for k in range(1, len(entries)):
-        assert entries[(k - 1) // 2] <= entries[k]
+        assert entries[(k - 1) // 2][0] <= entries[k][0]
     bound = {}
-    for neg_bound, i, j in entries:
-        bound[i, j] = max(bound.get((i, j), -neg_bound), -neg_bound)
-    for i, j, gain in _pairs(rows):
-        assert bound[i, j] >= gain
+    for neg_bound, cell in entries:
+        bound[id(cell)] = max(bound.get(id(cell), -neg_bound), -neg_bound)
+    for row in rows:
+        for cell in row.values() if row is not None else ():
+            assert bound[id(cell)] >= cell[0]
 
 
 def _check_band(rows, heap):
     """The carried band is a min-heap holding every live cell whose gain is
-    at least the floor of the last pick."""
+    at least the floor of the last pick, under its current names."""
     band = heap._band
     for k in range(1, len(band)):
         assert band[(k - 1) // 2] <= band[k]
-    in_band = set(band)
+    in_band = {(i, j, id(cell)) for i, j, cell in band}
     for i, j, gain in _pairs(rows):
         if gain >= heap._floor:
-            assert (i, j) in in_band
+            assert (i, j, id(rows[i][j])) in in_band
 
 
 def _check_pop_best_against_brute_force(g):
@@ -340,4 +355,26 @@ def test_pop_best_matches_brute_force_and_keeps_bounds(g):
 @settings(max_examples=100, deadline=None)
 @given(small_fractional_weighted_graphs(max_nodes=16))
 def test_pop_best_matches_brute_force_on_fractional_weights(g):
+    _check_pop_best_against_brute_force(g)
+
+
+def test_renamed_cell_stays_in_the_carried_band():
+    # The heavy edge makes every other degree mass about 5e-8, so a join's
+    # fall 2*a_j*a_k stays far below _TIE_EPS and all unit edges tie.
+    g = Graph(7, [(0, 1), (0, 2), (3, 4), (5, 6, 1e7)])
+    rows, heap, a = init_fastgreedy(g)
+    assert heap.pop_best()[:2] == (5, 6)
+    join(rows, heap, a, 5, 6)
+    assert heap.pop_best()[:2] == (0, 1)
+    floor = heap._floor
+    renamed = rows[0][2]
+    join(rows, heap, a, 0, 1)
+    # (0, 2) touched only the absorbed side: the same cell, now (1, 2)
+    assert rows[1][2] is rows[2][1] is renamed
+    assert renamed[1:] == [1, 2]
+    # (3, 4), untouched, still holds the maximum, so the band is carried
+    # and must hold the renamed cell under its new names
+    assert heap.pop_best() == (1, 2, renamed[0])
+    assert heap._floor == floor
+    _check_band(rows, heap)
     _check_pop_best_against_brute_force(g)
