@@ -358,7 +358,7 @@ def plot_data_command(args):
             data = json.load(handle)
     except OSError as exc:
         raise CliError(f"cannot read {args.input!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise CliError(f"{args.input!r} is not valid JSON: {exc}") from None
     emit_plot_data(data, args.out)
     return 0

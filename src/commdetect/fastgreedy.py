@@ -14,15 +14,16 @@ to the absorbing one; a retired cell's gain is -inf.
 A queued gain is an upper bound on its cell's current gain, in the lazy
 style of accelerated greedy (Minoux; CELF in Leskovec et al. 2007): a
 join pushes only cells whose gain rises, never a falling gain, and a
-renamed cell keeps its entries. Selection re-queues stale bounds at the
-top until the top is exact, which gives the maximum M and the tie floor
-M - _TIE_EPS. The pairs at or above the floor, the tie band, are carried
-from one selection to the next while the floor does not fall, since a
-cell only climbs into the band by a push; a renamed cell is re-added
-under its new names. When the floor falls, the band is read afresh in
-place in the heap array, re-keying each junk entry met: a retired cell's
-entry sinks to the bottom and a stale bound drops to its cell's gain.
-The chosen pair depends only on the stored gains.
+renamed cell keeps its entries. Junk entries, a retired cell's or a
+bound above its cell's gain, are resolved in one place, the heap top:
+selection drops or re-queues them there until the top is exact, which
+gives the maximum M and the tie floor M - _TIE_EPS. The pairs at or
+above the floor, the tie band, are carried from one selection to the
+next while the floor does not fall, since a cell only climbs into the
+band by a push; a renamed cell is re-added under its new names. When
+the floor falls, the band is read afresh by a walk down the heap array
+that only reads it, taking each cell by its gain, not its bound. The
+chosen pair depends only on the stored gains.
 """
 
 import heapq
@@ -40,19 +41,6 @@ _TIE_EPS = 1e-12
 
 # The gain of a retired cell: below every bound and every floor.
 _RETIRED = float("-inf")
-
-
-def _sift_down(entries, k, entry):
-    """Place `entry` at position k of the heap array and sift it down."""
-    size = len(entries)
-    while (child := 2 * k + 1) < size:
-        if child + 1 < size and entries[child + 1] < entries[child]:
-            child += 1
-        if not entries[child] < entry:
-            break
-        entries[k] = entries[child]
-        k = child
-    entries[k] = entry
 
 
 @dataclass(frozen=True)
@@ -81,8 +69,9 @@ class GlobalHeap:
 
     Every live cell has at least one queued entry whose bound is at least
     the cell's current gain, so a cell only needs a new entry when its
-    gain rises or it is created. Entries of retired cells, and bounds
-    above their cell's current gain, are dealt with lazily by `pop_best`.
+    gain rises or it is created. Junk entries, those of retired cells and
+    bounds above their cell's current gain, are resolved only at the top,
+    by `pop_best`; the band walk reads past them and writes nothing.
     The tie band `_band`, carried between selections, is a min-heap of
     (i, j, cell) entries holding every live cell whose gain is at least
     `_floor`, the tie floor of the last `pop_best` (+inf before the
@@ -116,12 +105,13 @@ class GlobalHeap:
         """Return (i, j, dq) for the best current pair, or None if empty.
 
         Pairs whose gains sit within _TIE_EPS of the maximum count as
-        tied and the smallest (i, j) among them wins. Stale bounds on top
-        of the heap are re-queued at their current gain until the top is
-        exact, which makes it the maximum M. The band is read afresh only
-        if the floor M - _TIE_EPS fell; retired, fallen or renamed
-        entries are dropped off its top, and the pair left there wins,
-        staying queued and in the band until joined.
+        tied and the smallest (i, j) among them wins. Junk on top of the
+        heap is resolved until the top is exact, which makes it the
+        maximum M: a retired cell's entry is dropped and a stale bound is
+        re-queued at its cell's gain. The band is read afresh only if the
+        floor M - _TIE_EPS fell; retired, fallen or renamed band entries
+        are dropped off its top, and the pair left there wins, staying
+        queued and in the band until joined.
         """
         entries = self._entries
         while entries:
@@ -150,22 +140,18 @@ class GlobalHeap:
     def _walk_band(self, floor):
         """Every live cell with a gain of at least `floor`, as a band
         min-heap, read by walking the heap array down through bounds at or
-        above the floor; then each junk entry met is re-keyed and sifted
-        down to its cell's current gain, which sinks a retired cell's.
+        above the floor. A cell is taken by its gain, not its bound, and
+        junk entries met are left in place: `_entries` is only read.
         """
         entries = self._entries
         neg_floor = -floor
         band = []
-        junk = []
         stack = [0]
         size = len(entries)
         while stack:
             k = stack.pop()
-            neg_bound, cell = entries[k]
-            gain = cell[0]
-            if gain < -neg_bound:
-                junk.append((k, (-gain, cell)))
-            if gain >= floor:
+            cell = entries[k][1]
+            if cell[0] >= floor:
                 band.append((cell[1], cell[2], cell))
             child = 2 * k + 1
             if child < size and entries[child][0] <= neg_floor:
@@ -173,11 +159,6 @@ class GlobalHeap:
             child += 1
             if child < size and entries[child][0] <= neg_floor:
                 stack.append(child)
-        # Keys only grow and a sift moves entries inside one subtree, so
-        # going from the largest position down keeps pending ones valid.
-        junk.sort(reverse=True)
-        for k, entry in junk:
-            _sift_down(entries, k, entry)
         heapq.heapify(band)
         return band
 

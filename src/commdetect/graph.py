@@ -95,12 +95,12 @@ class Graph:
             adj[v][u] = w
             m += w
         # NaN and -inf fail the per-edge check above, so any other
-        # non-finite weight, or an overflowing sum, shows up here.
-        if m == math.inf:
+        # non-finite weight, or an m whose degree sum 2m overflows, shows up here.
+        if 2.0 * m == math.inf:
             for u, v, w in normalized:
                 if w == math.inf:
                     raise ValueError(f"edge ({u}, {v}) has infinite weight")
-            raise ValueError("total edge weight overflows to infinity")
+            raise ValueError("twice the total edge weight overflows to infinity")
         self._n = node_count
         self._adj = adj
         self._edges = tuple(normalized)

@@ -497,9 +497,10 @@ def test_plot_data_rejects_bad_input(tmp_path, capsys):
     capsys.readouterr()
 
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json", encoding="utf-8")
-    assert run_cli("plot-data", str(bad), "--out", str(out)) == 1
-    assert "not valid JSON" in capsys.readouterr().err
+    for data in (b"{not json", b"\xff\xfe"):
+        bad.write_bytes(data)
+        assert run_cli("plot-data", str(bad), "--out", str(out)) == 1
+        assert "not valid JSON" in capsys.readouterr().err
 
     neither = tmp_path / "neither.json"
     neither.write_text('{"x": 1}', encoding="utf-8")

@@ -128,6 +128,17 @@ def test_pop_best_reads_tie_band_in_place():
     assert heap.pop_best() == (0, 4, top - _TIE_EPS / 2)
     assert [entry for entry in heap._entries if entry[1] is stale_above] == [(-0.1, stale_above)]
 
+    # an in-band cell whose only queued entry is a stale bound is read by
+    # its gain, and the walk leaves that entry as it is
+    heap = GlobalHeap()
+    heap.push(_set(rows, 2, 3, 0.2))
+    stale_only = _set(rows, 0, 1, 0.2 - _TIE_EPS / 4)
+    heap.push(stale_only)
+    stale_only[0] = 0.2 - _TIE_EPS / 2
+    entries = list(heap._entries)
+    assert heap.pop_best() == (0, 1, 0.2 - _TIE_EPS / 2)
+    assert heap._entries == entries
+
 
 def test_pop_best_with_only_retired_entries_is_none():
     rows = [{} for _ in range(3)]

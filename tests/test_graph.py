@@ -58,8 +58,10 @@ def test_graph_rejects_bad_edges():
     for w in (math.inf, -math.inf):
         with pytest.raises(ValueError, match=r"edge \(0, 1\)"):
             Graph(3, [(1, 2), (0, 1, w)])
-    with pytest.raises(ValueError, match="overflows"):
-        Graph(3, [(0, 1, 1e308), (1, 2, 1e308)])
+    # the total weight m, or the degree sum 2m, overflows
+    for n, edges in ((3, [(0, 1, 1e308), (1, 2, 1e308)]), (2, [(0, 1, 1e308)]), (1, [(0, 0, 1e308)])):
+        with pytest.raises(ValueError, match="overflows"):
+            Graph(n, edges)
     with pytest.raises(ValueError):
         Graph(-1)
     for count in (3.5, "3", True, None):
