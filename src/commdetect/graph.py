@@ -78,7 +78,11 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) outside node range 0..{node_count - 1}")
             if type(w) is not float and (type(w) is bool or not isinstance(w, Real)):
                 raise ValueError(f"edge ({u}, {v}) has non-numeric weight {w!r}")
-            w = float(w)
+            try:
+                w = float(w)
+            except OverflowError:
+                # A weight past the largest double rounds to infinity, which _build names.
+                w = math.inf
             if not w > 0:
                 kind = "weight nan, which is not a number" if math.isnan(w) else f"non-positive weight {w}"
                 raise ValueError(f"edge ({u}, {v}) has {kind}")
@@ -86,24 +90,44 @@ class Graph:
                 u, v = v, u
             normalized.append((u, v, w))
         normalized.sort()
-        adj = [dict() for _ in range(node_count)]
+        self._build(node_count, normalized)
+        # Each distinct pair makes two adjacency entries, counting a self-loop's one
+        # entry twice; a repeated pair makes none.
+        adj = self._adj
+        if sum(map(len, adj)) + sum(map(dict.__contains__, adj, range(node_count))) != 2 * len(normalized):
+            for (u, v, _), (x, y, _) in zip(normalized, normalized[1:]):
+                if u == x and v == y:
+                    raise ValueError(f"duplicate edge ({u}, {v})")
+
+    @classmethod
+    def _from_sorted(cls, node_count, edges):
+        """Graph of `edges` already in __init__'s normal form: (u, v, w) with
+        u <= v < node_count and w a positive float, ascending, with distinct
+        (u, v) pairs. Only the 2m overflow is checked again."""
+        g = object.__new__(cls)
+        g._build(node_count, edges)
+        return g
+
+    def _build(self, node_count, edges):
+        """Fill the slots from edges in __init__'s normal form. Each
+        adjacency takes its keys in ascending order, and m folds the weights
+        in edges() order; both orders are part of the float-sum contract."""
+        adj = [{} for _ in range(node_count)]
         m = 0.0
-        for u, v, w in normalized:
-            if v in adj[u]:
-                raise ValueError(f"duplicate edge ({u}, {v})")
+        for u, v, w in edges:
             adj[u][v] = w
             adj[v][u] = w
             m += w
-        # NaN and -inf fail the per-edge check above, so any other
+        # NaN and -inf fail __init__'s per-edge check, so any other
         # non-finite weight, or an m whose degree sum 2m overflows, shows up here.
         if 2.0 * m == math.inf:
-            for u, v, w in normalized:
+            for u, v, w in edges:
                 if w == math.inf:
                     raise ValueError(f"edge ({u}, {v}) has infinite weight")
             raise ValueError("twice the total edge weight overflows to infinity")
         self._n = node_count
         self._adj = adj
-        self._edges = tuple(normalized)
+        self._edges = tuple(edges)
         self._m = m
         self._k = None
 
@@ -178,9 +202,11 @@ class Partition:
 
     def __init__(self, labels):
         labels = tuple(labels)
-        for lab in labels:
-            if type(lab) is bool or not isinstance(lab, int) or lab < 0:
-                raise ValueError(f"community labels must be non-negative integers, got {lab!r}")
+        # Exact non-negative ints pass at C speed; anything else is checked one by one.
+        if not set(map(type, labels)) <= {int} or min(labels, default=0) < 0:
+            for lab in labels:
+                if type(lab) is bool or not isinstance(lab, int) or lab < 0:
+                    raise ValueError(f"community labels must be non-negative integers, got {lab!r}")
         self._labels = labels
 
     @property
@@ -196,13 +222,8 @@ class Partition:
 
     def canonicalize(self):
         """Relabel communities 0..k-1 in order of first appearance."""
-        mapping = {}
-        out = []
-        for lab in self._labels:
-            if lab not in mapping:
-                mapping[lab] = len(mapping)
-            out.append(mapping[lab])
-        return Partition(out)
+        first = {lab: x for x, lab in enumerate(dict.fromkeys(self._labels))}
+        return Partition(map(first.__getitem__, self._labels))
 
     def to_dict(self, modularity=None):
         return {

@@ -60,7 +60,10 @@ class CommunityState:
     Three lists indexed by community hold sigma_in and sigma_tot, as
     graph._community_sums folds them, and size (the member count). An
     empty community's slots read exactly 0.0 and 0. `k` is the graph's
-    own tuple of weighted degrees.
+    own tuple of weighted degrees. With no assignment every node starts
+    alone, and its sums are the one-term folds 0.0 + 2.0*loop and 0.0 + k,
+    read straight off the graph in O(n); an explicit assignment is
+    checked and folded by _community_sums.
 
     `base`, each community's sigma_in/2m - (sigma_tot/2m)^2, and `total`,
     the total-formula evaluator, live for the whole level: built on first
@@ -69,14 +72,20 @@ class CommunityState:
 
     def __init__(self, graph, assignment=None):
         n = graph.node_count
-        assignment = list(range(n)) if assignment is None else list(assignment)
-        if len(assignment) != n:
-            raise ValueError("assignment length does not match node count")
         self.graph = graph
         self.m = graph.total_weight
-        self.assignment = assignment
-        self.adj = graph._adj
-        self.k = graph._degrees()
+        self.adj = adj = graph._adj
+        self.k = k = graph._degrees()
+        if assignment is None:
+            self.assignment = list(range(n))
+            self.size = [1] * n
+            # x + 0.0 is x for every weight and degree, none of them -0.0.
+            self.sigma_in = [2.0 * a.get(i, 0.0) for i, a in enumerate(adj)]
+            self.sigma_tot = list(k)
+            return
+        self.assignment = assignment = list(assignment)
+        if len(assignment) != n:
+            raise ValueError("assignment length does not match node count")
         self.size = size = [0] * n
         for i, c in enumerate(assignment):
             if type(c) is not int or not 0 <= c < n:
@@ -191,10 +200,13 @@ def _visit(state, order, use_total_formula=False, move=True):
     `state.total`, whose terms, when every weight is integral and
     2m <= 2**53, are built from these same sums, handed over through its
     leave(). Either way the score difference against c_old is the net
-    change of the move. Other communities are tried in ascending label
-    order and the first strict maximum wins; it is taken only when it
-    beats staying by more than _GAIN_EPS. The node is then inserted into
-    the winner when `move` is set, and back into c_old otherwise.
+    change of the move. Other communities are tried in the order the
+    adjacency first reaches them, and the highest score wins, the smaller
+    label on a tie: the ascending order's first strict maximum, found
+    without a sort, so a visit costs O(degree + c) for c neighbouring
+    communities. It is taken only when it beats staying by more than
+    _GAIN_EPS. The node is then inserted into the winner when `move` is
+    set, and back into c_old otherwise.
     Staying adds the node's sums back onto the removed ones, so every
     float matches a separate remove and insert. Rewriting what the visit
     changed keeps the level-long `base` and `total` equal, float for
@@ -243,13 +255,15 @@ def _visit(state, order, use_total_formula=False, move=True):
                 kk = (ki / two_m) ** 2
                 stay = best = ((s_in + 2.0 * k_old) / two_m - ((s_tot + ki) / two_m) ** 2
                                - (s_in / two_m - (s_tot / two_m) ** 2 - kk))
-            for c in sorted(weights):
+            for c, k_in in weights.items():
                 if use_total_formula:
                     score = total.score(i, c)
                 else:
-                    score = ((sigma_in[c] + 2.0 * weights[c]) / two_m - ((sigma_tot[c] + ki) / two_m) ** 2
+                    score = ((sigma_in[c] + 2.0 * k_in) / two_m - ((sigma_tot[c] + ki) / two_m) ** 2
                              - (base[c] - kk))
-                if score > best:
+                # A candidate that only ties staying may win here, but never
+                # beats staying by _GAIN_EPS, so the node still stays.
+                if score >= best and (score > best or c < c_new):
                     c_new, best = c, score
             if best - stay > gain_eps:
                 changes.append((c_old, c_new))
@@ -284,7 +298,7 @@ def local_move_pass(state, order, use_total_formula=False):
     when its gain over staying exceeds a small positive threshold, so
     modularity strictly increases with every applied move and the pass
     loop always terminates. Each visit scans the node's adjacency once
-    and costs O(degree + c log c) for c neighbouring communities. With
+    and costs O(degree + c) for c neighbouring communities. With
     `use_total_formula` each candidate also sums n slots and, unless
     every weight is integral and 2m <= 2**53, re-folds the joined community.
     """
@@ -306,31 +320,37 @@ def aggregate(g, partition):
     total weight and the modularity of the corresponding partitions are
     preserved. New nodes are numbered by first appearance of their
     community, as Partition.canonicalize numbers it; `new_node` maps each
-    old node to the new node that holds it.
+    old node to the new node that holds it. Each contracted weight sums
+    its pair's edges in edges() order, and the sorted pairs go straight
+    into the new Graph, which does not re-check them.
     """
     canonical = (partition if isinstance(partition, Partition) else Partition(partition)).canonicalize()
     new_node = canonical.labels
     if len(new_node) != g.node_count:
         raise ValueError("partition length does not match node count")
-    weights = {}
-    for u, v, w in g.edges():
+    # rows[cu][cv] for cu <= cv: int keys hash and sort faster than pairs.
+    rows = [{} for _ in range(canonical.num_communities)]
+    for u, v, w in g._edges:
         cu = new_node[u]
         cv = new_node[v]
         if cu > cv:
             cu, cv = cv, cu
-        weights[(cu, cv)] = weights.get((cu, cv), 0.0) + w
-    edges = [(u, v, w) for (u, v), w in weights.items()]
-    return AggregateGraph(Graph(canonical.num_communities, edges), new_node)
+        row = rows[cu]
+        row[cv] = row.get(cv, 0.0) + w
+    edges = [(cu, cv, row[cv]) for cu, row in enumerate(rows) for cv in sorted(row)]
+    return AggregateGraph(Graph._from_sorted(len(rows), edges), new_node)
 
 
 def louvain(g, variant, seed=0):
     """Run one seeded Louvain optimization; returns (partition, q, passes).
 
-    The seed drives the node visiting order for every variant except Exp,
-    which ignores it and always produces the same partition. Requires a
-    graph with at least one edge.
+    The seed, an int, drives the node visiting order for every variant
+    except Exp, which ignores it and always produces the same partition.
+    Requires a graph with at least one edge.
     """
     variant = LouvainVariant(variant)
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if g.total_weight == 0:
         raise ValueError("modularity optimization needs at least one edge")
     rng = random.Random(seed)

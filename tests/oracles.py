@@ -5,8 +5,8 @@ enumeration, and from-scratch recomputation, plus the level-scanning
 edge betweenness, which pins the package's order of float sums. None of
 it shares code with the package internals beyond the Graph container
 itself, except the scanning Louvain replay, which drives the package's
-CommunityState bookkeeping, aggregate and modularity with its own local
-moves.
+CommunityState bookkeeping, from an explicit assignment, and modularity
+with its own local moves and its own contraction.
 """
 
 import random
@@ -14,8 +14,8 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from commdetect import Partition, modularity
-from commdetect.louvain import CommunityState, aggregate
+from commdetect import Graph, Partition, modularity
+from commdetect.louvain import CommunityState
 
 
 def modularity_direct(g, labels):
@@ -445,6 +445,20 @@ def local_move_pass_scanning(state, order):
     return improved
 
 
+def contract(g, communities):
+    """(graph, new_node): each community of g made one node, numbered by
+    first appearance, through the public Graph constructor. A pair's
+    weight sums its edges in edges() order; intra-community weight
+    becomes a self-loop."""
+    first = {}
+    new_node = tuple(first.setdefault(c, len(first)) for c in communities)
+    sums = {}
+    for u, v, w in g.edges():
+        pair = tuple(sorted((new_node[u], new_node[v])))
+        sums[pair] = sums.get(pair, 0.0) + w
+    return Graph(len(first), [(u, v, w) for (u, v), w in sums.items()]), new_node
+
+
 def louvain_scanning(g, variant, seed=0):
     """louvain(g, variant, seed) for normal, noMerge and Exp, replayed with
     remove, best_move_scanning and insert; returns (partition, q, passes)."""
@@ -454,7 +468,7 @@ def louvain_scanning(g, variant, seed=0):
     passes = 0
     while True:
         nodes = range(level_graph.node_count)
-        state = CommunityState(level_graph)
+        state = CommunityState(level_graph, list(nodes))
         if variant == "Exp":
             proposals = []
             for i in nodes:
@@ -495,8 +509,7 @@ def louvain_scanning(g, variant, seed=0):
             if not moved:
                 break
             communities = state.assignment
-        agg = aggregate(level_graph, communities)
-        labels = [agg.new_node[c] for c in labels]
-        level_graph = agg.graph
+        level_graph, new_node = contract(level_graph, communities)
+        labels = [new_node[c] for c in labels]
     part = Partition(labels).canonicalize()
     return part, modularity(g, part), passes

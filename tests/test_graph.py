@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 from functools import reduce
 from itertools import combinations, islice
 from operator import add
@@ -45,8 +46,9 @@ def test_graph_basics():
 
 
 def test_graph_rejects_bad_edges():
-    with pytest.raises(ValueError):
-        Graph(2, [(0, 1), (1, 0)])
+    for edges, pair in (([(0, 1), (1, 0)], "(0, 1)"), ([(1, 1), (0, 1), (1, 1, 3.0)], "(1, 1)")):
+        with pytest.raises(ValueError, match=re.escape(f"duplicate edge {pair}")):
+            Graph(2, edges)
     with pytest.raises(ValueError):
         Graph(2, [(0, 2)])
     with pytest.raises(ValueError):
@@ -55,7 +57,8 @@ def test_graph_rejects_bad_edges():
         Graph(2, [(0, 1, -3.0)])
     with pytest.raises(ValueError, match=r"edge \(0, 1\) has weight nan, which is not a number"):
         Graph(2, [(0, 1, math.nan)])
-    for w in (math.inf, -math.inf):
+    # Past the largest double, float() of an int or a Fraction overflows.
+    for w in (math.inf, -math.inf, 10**400, Fraction(10**400, 3)):
         with pytest.raises(ValueError, match=r"edge \(0, 1\)"):
             Graph(3, [(1, 2), (0, 1, w)])
     # the total weight m, or the degree sum 2m, overflows
@@ -231,6 +234,15 @@ def test_partition_api():
     # a bool would otherwise share a community with the int it equals
     with pytest.raises(ValueError, match="got True"):
         Partition([True, 1, 0])
+    # Labels that are not all exact non-negative ints are checked in order.
+    with pytest.raises(ValueError, match="got -1"):
+        Partition([2, -1, 1.5])
+
+    class Label(int):
+        pass
+
+    assert Partition([Label(3), 1, Label(3)]).canonicalize().labels == (0, 1, 0)
+    assert Partition([]).canonicalize().labels == ()
 
 
 def test_modularity_reference_values():

@@ -21,6 +21,7 @@ from commdetect.louvain import (
 )
 import identity
 from helpers import (
+    FRACTIONAL_WEIGHTS,
     fractional_weights,
     move_gain_checks,
     path_graph,
@@ -31,6 +32,7 @@ from helpers import (
     two_triangles,
 )
 from oracles import (
+    contract,
     delta_q_insert,
     insert,
     k_in,
@@ -177,11 +179,23 @@ def test_best_move_breaks_ties_by_smaller_label(monkeypatch):
     assert _pick(monkeypatch, 9, {9: 0.0, 7: 0.5, 3: 0.5, 5: 0.5}) == 3
     # Staying is scored first, so a candidate that only ties it loses.
     assert _pick(monkeypatch, 9, {9: 0.5, 2: 0.5}) == 9
+    # Node 0's adjacency reaches the tied communities in descending label order.
+    assert _pick(monkeypatch, 9, {9: 0.0, 7: 0.5, 5: 0.5, 3: 0.5}) == 3
+    assert _pick(monkeypatch, 9, {9: 0.0, 8: 0.25, 6: 0.5, 4: 0.5, 2: 0.25}) == 4
 
 
 def test_best_move_first_strict_maximum_wins(monkeypatch):
     assert _pick(monkeypatch, 0, {0: 0.0, 1: 0.2, 2: 0.7, 3: 0.4}) == 2
     assert _pick(monkeypatch, 0, {0: 0.0, 5: 0.1, 2: 0.3, 8: 0.9}) == 8
+
+
+def test_visit_tie_goes_to_the_smaller_label_in_any_adjacency_order():
+    # The hub of K1,3 with leaf j in community 4 - j scores every leaf's
+    # community alike, float for float, and reaches them as 3, 2, 1.
+    for use_total_formula in (False, True):
+        state = CommunityState(Graph(4, [(0, 1), (0, 2), (0, 3)]), [0, 3, 2, 1])
+        local_move_pass(state, [0], use_total_formula)
+        assert state.assignment == [1, 3, 2, 1]
 
 
 # The goldens check their records in the identity manifest (identity.py):
@@ -212,10 +226,11 @@ def _louvain_inputs(draw, graphs=small_integer_weighted_graphs()):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_louvain_inputs())
+@given(_louvain_inputs(st.one_of(small_integer_weighted_graphs(), small_fractional_weighted_graphs())))
 def test_louvain_matches_the_scanning_replay(inputs):
     # The fused visit against separate remove / delta_q_insert / insert
-    # calls that rescan the adjacency, bit for bit.
+    # calls that rescan the adjacency and a contraction through the public
+    # Graph constructor, bit for bit.
     g, seed = inputs
     for variant in ("normal", "noMerge", "Exp"):
         part, q, passes = louvain(g, variant, seed)
@@ -486,6 +501,50 @@ def test_aggregate_examples():
             aggregate(tri, labels)
 
 
+@st.composite
+def _labelled_graphs(draw):
+    """A graph of 1-14 nodes with self-loops and integral or fractional
+    weights, whose edges stay inside up to three residue classes of the
+    node ids, so most have several components, and labels 0..n+2 for its
+    nodes, unused ones among them."""
+    n = draw(st.integers(1, 14))
+    parts = draw(st.integers(1, 3))
+    pairs = [(u, v) for u in range(n) for v in range(u, n) if (v - u) % parts == 0]
+    weight = st.one_of(st.integers(1, 3), st.sampled_from(FRACTIONAL_WEIGHTS))
+    edges = [(u, v, draw(weight)) for u, v in draw(st.lists(st.sampled_from(pairs), unique=True))]
+    return Graph(n, edges), draw(st.lists(st.integers(0, n + 2), min_size=n, max_size=n))
+
+
+def _bits(g):
+    return (g.node_count, [(u, v, w.hex()) for u, v, w in g.edges()],
+            [[(j, w.hex()) for j, w in a.items()] for a in g._adj],
+            g.total_weight.hex(), [k.hex() for k in g._degrees()])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_labelled_graphs())
+def test_aggregate_builds_what_the_public_constructor_builds(case):
+    # aggregate hands its sorted pairs to Graph unchecked; the result must
+    # be the public constructor's, down to each adjacency's key order.
+    g, labels = case
+    agg = aggregate(g, labels)
+    expected, new_node = contract(g, labels)
+    assert agg.new_node == new_node
+    assert _bits(agg.graph) == _bits(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_labelled_graphs())
+def test_a_level_starts_from_the_singleton_sums(case):
+    g, labels = case
+    for graph in (g, aggregate(g, labels).graph):
+        n = graph.node_count
+        fresh, folded = CommunityState(graph), CommunityState(graph, list(range(n)))
+        for field in ("sigma_in", "sigma_tot"):
+            assert [x.hex() for x in getattr(fresh, field)] == [x.hex() for x in getattr(folded, field)]
+        assert (fresh.size, fresh.assignment) == (folded.size, folded.assignment)
+
+
 def test_aggregate_preserves_weight_and_modularity():
     for idx, g in enumerate(random_suite(15, 3, 10, (0.4, 0.7), 8700)):
         labels = [(i * 7 + idx) % 3 for i in range(g.node_count)]
@@ -507,6 +566,11 @@ def test_louvain_basic_contract():
         louvain(Graph(3), "normal")
     with pytest.raises(ValueError):
         louvain(two_triangles(), "leiden")
+    # random.Random(None) would seed from the operating system.
+    for variant in ALL_VARIANTS:
+        for seed in (None, 1.0, "1", True):
+            with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+                louvain(g, variant, seed)
 
 
 def test_louvain_output_is_canonical_and_bounded():
