@@ -43,6 +43,10 @@ _KARATE_EDGES = (
 )
 
 
+# A Graph holds about 72 bytes per node, so "0 10000000" would build 0.7 GB.
+_MAX_EDGE_LIST_ID = 10**7
+
+
 # The one summation rule for every float sum that defines an output: a left
 # fold from int 0, as sum() was before CPython 3.12 made it compensate.
 def _fold(xs):
@@ -273,8 +277,9 @@ def load_edge_list(source):
     `source` is a string or an iterable of lines. Blank lines and lines
     starting with '#' are ignored. Each remaining line is either "u v" or
     "u v w"; the weight defaults to 1. Node count is the highest id plus
-    one. Malformed lines, non-positive or non-finite weights, and duplicate
-    edges raise ValueError naming the offending line.
+    one. Malformed lines, ids outside 0.._MAX_EDGE_LIST_ID-1, non-positive or
+    non-finite weights, and duplicate edges raise ValueError naming the
+    offending line before anything is built.
     """
     lines = source.splitlines() if isinstance(source, str) else source
     edges = []
@@ -292,8 +297,8 @@ def load_edge_list(source):
             v = int(parts[1])
         except ValueError:
             raise ValueError(f"line {lineno}: node ids must be integers in {line!r}") from None
-        if u < 0 or v < 0:
-            raise ValueError(f"line {lineno}: node ids must be non-negative in {line!r}")
+        if not (0 <= u < _MAX_EDGE_LIST_ID and 0 <= v < _MAX_EDGE_LIST_ID):
+            raise ValueError(f"line {lineno}: node ids must lie in 0..{_MAX_EDGE_LIST_ID - 1} in {line!r}")
         if len(parts) == 3:
             try:
                 w = float(parts[2])
@@ -329,11 +334,13 @@ def karate_club():
 
 
 def random_graph(n, p, seed):
-    """Erdos-Renyi G(n, p) graph drawn with the given seed."""
+    """Erdos-Renyi G(n, p) graph drawn with the given seed, an int."""
     if type(n) is not int or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
     if type(p) is bool or not isinstance(p, Real) or not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must be a number in [0, 1], got {p!r}")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     rng = random.Random(seed)
     edges = []
     for i in range(n):

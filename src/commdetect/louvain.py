@@ -25,7 +25,6 @@ in how a level is optimised and whether it is contracted:
 
 import random
 from bisect import insort
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -34,7 +33,6 @@ from .graph import Graph, Partition, _community_sums, _fold, _unite, modularity
 __all__ = [
     "LouvainVariant",
     "CommunityState",
-    "AggregateGraph",
     "local_move_pass",
     "aggregate",
     "louvain",
@@ -109,17 +107,16 @@ class _TotalModularity:
     members and sigma_in as + 2.0*w over intra edges in edges() order.
     When every weight is integral and 2m <= 2**53, every partial sum of
     those folds is an exact integer, so any order gives modularity's sums:
-    a term's sums are then the ones the visit holds. Otherwise only that
-    fold order reproduces modularity's rounding, and the communities a
-    move changes are re-folded in it by graph._fold. modularity folds the
-    terms s_in/2m - (s_tot/2m)**2 by smallest member; each sits in an
+    a term's sums are then the ones the visit hands over. Otherwise only
+    that fold order reproduces modularity's rounding, and the communities
+    a move changes are re-folded in it by graph._fold. modularity folds
+    the terms s_in/2m - (s_tot/2m)**2 by smallest member; each sits in an
     n-long slot list at that member, 0.0 elsewhere. No partial sum of that
     fold is -0.0, so adding 0.0 is exact: a score folds only the non-zero
     slots, and float() keeps 0.0 when there are none.
     """
 
     def __init__(self, state):
-        self.sigma_in, self.sigma_tot = state.sigma_in, state.sigma_tot
         self.assignment = assignment = state.assignment
         self.k = state.k
         self.two_m = 2.0 * state.m
@@ -136,51 +133,53 @@ class _TotalModularity:
         self.slots = [0.0] * n
         for c, mem in enumerate(members):
             if mem:
-                self.slots[mem[0]] = self._term((state.sigma_in[c], state.sigma_tot[c]), mem, c, mem[0], c)
+                self.slots[mem[0]] = self._term(state.sigma_in[c], state.sigma_tot[c], c, mem[0], c)
 
-    def _term(self, sums, mem, c, i, c_i):
-        """Term of community c: from its exact (s_in, s_tot) `sums`, or else
-        re-folded over its ascending members `mem` with node i labelled c_i."""
+    def _term(self, s_in, s_tot, c, i, c_i):
+        """Term of community c once node i is labelled c_i: from c's sums
+        s_in and s_tot then on an exact level; otherwise c's ascending
+        members, copied only here, are re-folded."""
         if not self.exact:
             assignment = self.assignment
+            mem = self.members[c]
+            if c_i != c:  # i leaves c
+                mem = [x for x in mem if x != i]
+            elif assignment[i] != c:  # i joins c
+                mem = mem[:]
+                insort(mem, i)
             c_was, assignment[i] = assignment[i], c_i
             s_in = _fold([w2 for u in mem for v, w2 in self.fwd[u] if assignment[v] == c])
             assignment[i] = c_was
-            sums = s_in, _fold(map(self.k.__getitem__, mem))
-        s_in, s_tot = sums
+            s_tot = _fold(map(self.k.__getitem__, mem))
         return s_in / self.two_m - (s_tot / self.two_m) ** 2
 
-    def leave(self, i, s_in, s_tot, weights, loop):
-        """Start node i's visit, given its community's sums without it and
-        its link weights to the other communities and to itself."""
-        self.c_old = c_old = self.assignment[i]
-        self.weights, self.loop = weights, loop
-        mem = self.members[c_old]
-        rest = [x for x in mem if x != i]
-        self.out = [(mem[0], 0.0)]
-        if rest:
-            self.out.append((rest[0], self._term((s_in, s_tot), rest, c_old, i, -1)))
-
-    def _patch(self, i, c):
-        """Slot writes, zeros first, that move node i into community c."""
+    def leave(self, i, s_in, s_tot):
+        """Start node i's visit, given its community's sums without it."""
+        self.c_old = c = self.assignment[i]
         mem = self.members[c]
-        joined = mem[:]
-        insort(joined, i)
-        sums = (self.sigma_in[c] + (2.0 * self.weights[c] + 2.0 * self.loop),
-                self.sigma_tot[c] + self.k[i])
-        return [(mem[0], 0.0), *self.out, (joined[0], self._term(sums, joined, c, i, c))]
+        self.out = [(mem[0], 0.0)]
+        if len(mem) > 1:
+            self.out.append((mem[1] if mem[0] == i else mem[0], self._term(s_in, s_tot, c, i, -1)))
 
-    def score(self, i, c):
-        """Modularity with node i moved to community c; its own c scores staying."""
+    def _patch(self, i, c, s_in, s_tot):
+        """Slot writes, zeros first, that move node i into community c,
+        whose sums with node i in it are s_in and s_tot."""
+        mem = self.members[c]
+        return [(mem[0], 0.0), *self.out, (min(mem[0], i), self._term(s_in, s_tot, c, i, c))]
+
+    def score(self, i, c, s_in, s_tot):
+        """Modularity with node i moved to community c, whose sums with
+        node i in it are s_in and s_tot; its own c scores staying."""
         slots = self.slots[:]
         if c != self.c_old:
-            for x, t in self._patch(i, c):
+            for x, t in self._patch(i, c, s_in, s_tot):
                 slots[x] = t
         return float(_fold(filter(None, slots)))
 
-    def join(self, i, c):
-        """Commit node i's move into community c."""
-        for x, t in self._patch(i, c):
+    def join(self, i, c, s_in, s_tot):
+        """Commit node i's move into community c, whose sums with node i
+        in it are s_in and s_tot."""
+        for x, t in self._patch(i, c, s_in, s_tot):
             self.slots[x] = t
         self.members[self.c_old].remove(i)
         insort(self.members[c], i)
@@ -197,14 +196,14 @@ def _visit(state, order, use_total_formula=False, move=True):
     [(sigma_in + 2*k_in)/2m - ((sigma_tot + k_i)/2m)^2] minus
     [sigma_in/2m - (sigma_tot/2m)^2 - (k_i/2m)^2] on the node-removed
     sums. Total-formula scores are full modularity values from
-    `state.total`, whose terms, when every weight is integral and
-    2m <= 2**53, are built from these same sums, handed over through its
-    leave(). Either way the score difference against c_old is the net
-    change of the move. Other communities are tried in the order the
-    adjacency first reaches them, and the highest score wins, the smaller
-    label on a tie: the ascending order's first strict maximum, found
-    without a sort, so a visit costs O(degree + c) for c neighbouring
-    communities. It is taken only when it beats staying by more than
+    `state.total`, handed the node-removed sums by leave() and each
+    candidate's sums with the node in it, the floats a move commits, by
+    score() and join(). Either way the score difference against c_old is
+    the net change of the move. Other communities are tried in the order
+    the adjacency first reaches them, and the highest score wins, the
+    smaller label on a tie: the ascending order's first strict maximum,
+    found without a sort, so a visit costs O(degree + c) for c
+    neighbouring communities. It is taken only when it beats staying by more than
     _GAIN_EPS. The node is then inserted into the winner when `move` is
     set, and back into c_old otherwise.
     Staying adds the node's sums back onto the removed ones, so every
@@ -249,15 +248,15 @@ def _visit(state, order, use_total_formula=False, move=True):
         c_new = c_old
         if weights:
             if use_total_formula:
-                total.leave(i, s_in, s_tot, weights, loop)
-                stay = best = total.score(i, c_old)
+                total.leave(i, s_in, s_tot)
+                stay = best = total.score(i, c_old, s_in + in_old, s_tot + ki)
             else:
                 kk = (ki / two_m) ** 2
                 stay = best = ((s_in + 2.0 * k_old) / two_m - ((s_tot + ki) / two_m) ** 2
                                - (s_in / two_m - (s_tot / two_m) ** 2 - kk))
             for c, k_in in weights.items():
                 if use_total_formula:
-                    score = total.score(i, c)
+                    score = total.score(i, c, sigma_in[c] + (2.0 * k_in + 2.0 * loop), sigma_tot[c] + ki)
                 else:
                     score = ((sigma_in[c] + 2.0 * k_in) / two_m - ((sigma_tot[c] + ki) / two_m) ** 2
                              - (base[c] - kk))
@@ -270,10 +269,10 @@ def _visit(state, order, use_total_formula=False, move=True):
             else:
                 c_new = c_old
         if move and c_new != c_old:
-            if use_total_formula:
-                total.join(i, c_new)
             in_new = sigma_in[c_new] + (2.0 * weights[c_new] + 2.0 * loop)
             tot_new = sigma_tot[c_new] + ki
+            if use_total_formula:
+                total.join(i, c_new, in_new, tot_new)
             sigma_in[c_new] = in_new
             sigma_tot[c_new] = tot_new
             base[c_new] = in_new / two_m - (tot_new / two_m) ** 2
@@ -305,24 +304,17 @@ def local_move_pass(state, order, use_total_formula=False):
     return state, bool(_visit(state, order, use_total_formula))
 
 
-@dataclass(frozen=True)
-class AggregateGraph:
-    """One contraction level: nodes are the previous level's communities."""
-
-    graph: Graph
-    new_node: tuple
-
-
 def aggregate(g, partition):
-    """Contract each community of `partition` to a single node.
+    """Contract each community of `partition` to a single node; returns
+    (graph, new_node).
 
     Intra-community weight becomes a self-loop on the contracted node, so
     total weight and the modularity of the corresponding partitions are
     preserved. New nodes are numbered by first appearance of their
-    community, as Partition.canonicalize numbers it; `new_node` maps each
-    old node to the new node that holds it. Each contracted weight sums
-    its pair's edges in edges() order, and the sorted pairs go straight
-    into the new Graph, which does not re-check them.
+    community, as Partition.canonicalize numbers it; the tuple `new_node`
+    maps each old node to the new node that holds it. Each contracted
+    weight sums its pair's edges in edges() order, and the sorted pairs go
+    straight into the new Graph, which does not re-check them.
     """
     canonical = (partition if isinstance(partition, Partition) else Partition(partition)).canonicalize()
     new_node = canonical.labels
@@ -338,7 +330,7 @@ def aggregate(g, partition):
         row = rows[cu]
         row[cv] = row.get(cv, 0.0) + w
     edges = [(cu, cv, row[cv]) for cu, row in enumerate(rows) for cv in sorted(row)]
-    return AggregateGraph(Graph._from_sorted(len(rows), edges), new_node)
+    return Graph._from_sorted(len(rows), edges), new_node
 
 
 def louvain(g, variant, seed=0):
@@ -383,8 +375,7 @@ def louvain(g, variant, seed=0):
                 break
             if not moved:
                 break
-        agg = aggregate(level_graph, communities)
-        labels = [agg.new_node[c] for c in labels]
-        level_graph = agg.graph
+        level_graph, new_node = aggregate(level_graph, communities)
+        labels = [new_node[c] for c in labels]
     part = Partition(labels).canonicalize()
     return part, modularity(g, part), passes

@@ -163,7 +163,7 @@ def move_gain_checks(g, seed):
                     moved_any = True
         if not moved_any:
             return
-        agg = aggregate(level_graph, state.assignment)
-        if agg.graph.node_count == level_graph.node_count:
+        contracted, _ = aggregate(level_graph, state.assignment)
+        if contracted.node_count == level_graph.node_count:
             return
-        level_graph = agg.graph
+        level_graph = contracted

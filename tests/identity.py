@@ -99,7 +99,7 @@ def _weighted_twice():
         uniform = Graph(base.node_count, [(u, v, w) for u, v, _ in base.edges()])
         for kind, g in (("fractional", fractional_weights(base, idx)), ("uniform", uniform)):
             if idx % 2:
-                g, kind = aggregate(g, [i // 2 for i in range(g.node_count)]).graph, f"{kind}+contracted"
+                g, kind = aggregate(g, [i // 2 for i in range(g.node_count)])[0], f"{kind}+contracted"
             yield f"suite:12100#{idx}+{kind}", g
 
 

@@ -181,6 +181,21 @@ def test_run_rejects_oversized_random_dataset(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_rejects_edge_list_ids_past_the_limit(tmp_path, capsys):
+    # The id is refused while the file is read, so the error names its
+    # line rather than the weight that girvan-newman would refuse only
+    # once a graph of 10**7 nodes had been built.
+    listing = tmp_path / "far.edgelist"
+    listing.write_text(f"0 1\n1 {10**7} 2\n", encoding="utf-8")
+    out = tmp_path / "x.json"
+    assert run_cli(
+        "run", "--algorithm", "girvan-newman", "--target-communities", "2",
+        "--dataset", f"edgelist:{listing}", "--out", str(out),
+    ) == 1
+    assert "line 2: node ids must lie in 0..9999999" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_random_dataset_size_limit_boundary(monkeypatch):
     # 10000 nodes is 49 995 000 pairs, just inside the 5e7 limit
     monkeypatch.setattr(cli, "random_graph", lambda n, p, seed: (n, p, seed))

@@ -155,6 +155,9 @@ def test_load_edge_list_errors_name_the_line():
         load_edge_list("0 1 inf\n1 2 1\n2 3 1\n")
     with pytest.raises(ValueError, match="line 2"):
         load_edge_list("0 1\n1 2 nan\n")
+    # Refused by the line, before a graph of 10**7 nodes is built.
+    with pytest.raises(ValueError, match=r"line 2: node ids must lie in 0\.\.9999999"):
+        load_edge_list(f"0 1\n1 {10**7}\n")
 
 
 def test_load_edge_list_accepts_line_iterables():
@@ -205,6 +208,10 @@ def test_random_graph():
         bad = p if type(n) is int else n
         with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
             random_graph(n, p, 0)
+    # None would seed from the system and draw a new graph on every call.
+    for seed in (None, 1.5, "1", True):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+            random_graph(5, 0.5, seed)
 
 
 def test_connected_components():
@@ -293,7 +300,7 @@ def _weighted_graphs_and_labels(draw):
     it carries self-loops, with labels drawn from 0..10**9."""
     g = draw(st.one_of(small_integer_weighted_graphs(), small_fractional_weighted_graphs()))
     if draw(st.booleans()):
-        g = aggregate(g, draw(st.lists(st.integers(0, 3), min_size=g.node_count, max_size=g.node_count))).graph
+        g = aggregate(g, draw(st.lists(st.integers(0, 3), min_size=g.node_count, max_size=g.node_count)))[0]
     labels = draw(st.lists(st.integers(0, 10**9), min_size=g.node_count, max_size=g.node_count))
     return g, labels
 

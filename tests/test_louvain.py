@@ -6,7 +6,7 @@ import re
 import statistics
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commdetect import Graph, Partition, louvain, modularity
@@ -75,8 +75,8 @@ def test_state_bookkeeping_invariants():
 def test_state_remove_insert_restores_exactly():
     for g in random_suite(8, 3, 9, (0.5,), 7300):
         # contract once so self-loops and weights are exercised too
-        agg = aggregate(g, Partition([i % 2 for i in range(g.node_count)]))
-        for graph in (g, agg.graph):
+        contracted, _ = aggregate(g, Partition([i % 2 for i in range(g.node_count)]))
+        for graph in (g, contracted):
             state = CommunityState(graph, [i % 2 for i in range(graph.node_count)])
             before = (
                 list(state.sigma_in),
@@ -113,7 +113,7 @@ def _states(draw):
     g = draw(small_integer_weighted_graphs(max_nodes=10))
     if draw(st.booleans()):
         groups = draw(st.lists(st.integers(0, 3), min_size=g.node_count, max_size=g.node_count))
-        g = aggregate(g, groups).graph
+        g, _ = aggregate(g, groups)
     n = g.node_count
     labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
     return CommunityState(g, labels)
@@ -161,7 +161,7 @@ def _pick(monkeypatch, c_old, scores):
     """
     closed = _scored_state(c_old, scores)
     local_move_pass(closed, [0])
-    monkeypatch.setattr(louvain_module._TotalModularity, "score", lambda self, i, c: scores[c])
+    monkeypatch.setattr(louvain_module._TotalModularity, "score", lambda self, i, c, s_in, s_tot: scores[c])
     total = _scored_state(c_old, scores)
     local_move_pass(total, [0], use_total_formula=True)
     assert closed.assignment[0] == total.assignment[0]
@@ -221,12 +221,16 @@ def _louvain_inputs(draw, graphs=small_integer_weighted_graphs()):
     g = draw(graphs)
     if draw(st.booleans()):
         groups = draw(st.lists(st.integers(0, 3), min_size=g.node_count, max_size=g.node_count))
-        g = aggregate(g, groups).graph
+        g, _ = aggregate(g, groups)
     return g, draw(st.integers(0, 2**16))
 
 
 @settings(max_examples=150, deadline=None)
 @given(_louvain_inputs(st.one_of(small_integer_weighted_graphs(), small_fractional_weighted_graphs())))
+# With seed 1, node 1 is visited last in the first pass and reaches the
+# tied communities 3 and 0 in that order; only the smaller-label tie rule
+# keeps normal at (0, 0, 1, 1, 0).
+@example((Graph(5, [(0, 4), (1, 2), (1, 4), (2, 3), (2, 4)]), 1))
 def test_louvain_matches_the_scanning_replay(inputs):
     # The fused visit against separate remove / delta_q_insert / insert
     # calls that rescan the adjacency and a contraction through the public
@@ -277,8 +281,8 @@ def _assert_scores_are_bit_exact_modularity(g, seed):
         assert self.exact is (2.0 * h.total_weight <= 2.0**53 and all(w.is_integer() for _, _, w in h.edges()))
         paths.add(self.exact)
 
-    def score(self, i, c):
-        q = original_score(self, i, c)
+    def score(self, i, c, s_in, s_tot):
+        q = original_score(self, i, c, s_in, s_tot)
         moved = list(self.assignment)
         moved[i] = c
         assert q.hex() == modularity(level_graph[0], moved).hex()
@@ -360,7 +364,7 @@ def test_local_move_pass_sums_match_the_scanning_replay():
     for idx, g in enumerate(random_suite(30, 4, 14, (0.3, 0.6), 9900)):
         g = fractional_weights(g, idx)
         if idx % 2:
-            g = aggregate(g, [i % 3 for i in range(g.node_count)]).graph
+            g, _ = aggregate(g, [i % 3 for i in range(g.node_count)])
         state, replay = CommunityState(g), CommunityState(g)
         rng = random.Random(idx)
         for _ in range(4):
@@ -482,17 +486,13 @@ def test_local_move_pass_is_monotone():
 
 def test_aggregate_examples():
     tri = Graph(3, [(0, 1), (0, 2), (1, 2)])
-    whole = aggregate(tri, Partition([0, 0, 0]))
-    assert whole.graph == Graph(1, [(0, 0, 3.0)])
-    assert whole.graph.weighted_degree(0) == 6.0
-    assert whole.new_node == (0, 0, 0)
+    whole, new_node = aggregate(tri, Partition([0, 0, 0]))
+    assert whole == Graph(1, [(0, 0, 3.0)])
+    assert whole.weighted_degree(0) == 6.0
+    assert new_node == (0, 0, 0)
 
-    identity = aggregate(tri, Partition([0, 1, 2]))
-    assert identity.graph == Graph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)])
-
-    named = aggregate(path_graph(3), [5, 2, 5])
-    assert named.new_node == (0, 1, 0)
-    assert named.graph == Graph(2, [(0, 1, 2.0)])
+    assert aggregate(tri, Partition([0, 1, 2])) == (Graph(3, [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]), (0, 1, 2))
+    assert aggregate(path_graph(3), [5, 2, 5]) == (Graph(2, [(0, 1, 2.0)]), (0, 1, 0))
 
     with pytest.raises(ValueError):
         aggregate(tri, [0, 0])
@@ -527,17 +527,17 @@ def test_aggregate_builds_what_the_public_constructor_builds(case):
     # aggregate hands its sorted pairs to Graph unchecked; the result must
     # be the public constructor's, down to each adjacency's key order.
     g, labels = case
-    agg = aggregate(g, labels)
-    expected, new_node = contract(g, labels)
-    assert agg.new_node == new_node
-    assert _bits(agg.graph) == _bits(expected)
+    contracted, new_node = aggregate(g, labels)
+    expected, expected_new_node = contract(g, labels)
+    assert new_node == expected_new_node
+    assert _bits(contracted) == _bits(expected)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_labelled_graphs())
 def test_a_level_starts_from_the_singleton_sums(case):
     g, labels = case
-    for graph in (g, aggregate(g, labels).graph):
+    for graph in (g, aggregate(g, labels)[0]):
         n = graph.node_count
         fresh, folded = CommunityState(graph), CommunityState(graph, list(range(n)))
         for field in ("sigma_in", "sigma_tot"):
@@ -548,9 +548,9 @@ def test_a_level_starts_from_the_singleton_sums(case):
 def test_aggregate_preserves_weight_and_modularity():
     for idx, g in enumerate(random_suite(15, 3, 10, (0.4, 0.7), 8700)):
         labels = [(i * 7 + idx) % 3 for i in range(g.node_count)]
-        agg = aggregate(g, labels)
-        assert agg.graph.total_weight == pytest.approx(g.total_weight, abs=1e-12)
-        assert modularity(agg.graph, range(agg.graph.node_count)) == pytest.approx(
+        contracted, _ = aggregate(g, labels)
+        assert contracted.total_weight == pytest.approx(g.total_weight, abs=1e-12)
+        assert modularity(contracted, range(contracted.node_count)) == pytest.approx(
             modularity(g, labels), abs=1e-12
         )
 
