@@ -140,6 +140,12 @@ def _random(n, p, seed):
     return f"random:{n},{p},{seed}", random_graph(n, p, seed)
 
 
+def _random_twice(n, p, seed):
+    """random:n,p,seed and its fractional_weights copy."""
+    name, g = _random(n, p, seed)
+    return [(name, g), (f"{name}+fractional", fractional_weights(g, seed))]
+
+
 def _fastgreedy(graphs):
     for name, g in graphs:
         dend, best, best_q = fastgreedy(g)
@@ -184,6 +190,7 @@ SECTIONS = {
                                    _louvain([_random(60, 0.1, 1)], TOTAL, range(2))),
     "total_formula_fractional": lambda: _louvain(_weighted_twice(), TOTAL, range(2)),
     "total_formula_mirrored": lambda: _louvain(mirrored_suite(20, 15000), TOTAL, range(2)),
+    "total_formula_300": lambda: _louvain(_random_twice(300, 8 / 300, 1), TOTAL, range(3)),
     "louvain_disconnected": lambda: _louvain([_random(60, 0.02, 1)], [v.value for v in LouvainVariant],
                                              range(2)),
     "fastgreedy_tied": lambda: _fastgreedy([KARATE_CLUB, *(_random(500, 0.016, s) for s in range(3)),
