@@ -277,9 +277,12 @@ def load_edge_list(source):
     `source` is a string or an iterable of lines. Blank lines and lines
     starting with '#' are ignored. Each remaining line is either "u v" or
     "u v w"; the weight defaults to 1. Node count is the highest id plus
-    one. Malformed lines, ids outside 0.._MAX_EDGE_LIST_ID-1, non-positive or
-    non-finite weights, and duplicate edges raise ValueError naming the
-    offending line before anything is built.
+    one. Ids and weights are plain ASCII numbers: a line with an
+    underscore or a non-ASCII character is malformed, although int() and
+    float() would read '1_0' as 10 and '\u0661' as 1. Malformed lines, ids
+    outside 0.._MAX_EDGE_LIST_ID-1, non-positive or non-finite weights, and
+    duplicate edges raise ValueError naming the offending line before
+    anything is built.
     """
     lines = source.splitlines() if isinstance(source, str) else source
     edges = []
@@ -289,6 +292,8 @@ def load_edge_list(source):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        if "_" in line or not line.isascii():
+            raise ValueError(f"line {lineno}: ids and weights must be ASCII numbers without '_' in {line!r}")
         parts = line.split()
         if len(parts) not in (2, 3):
             raise ValueError(f"line {lineno}: expected 'u v' or 'u v w', got {line!r}")

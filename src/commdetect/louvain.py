@@ -9,10 +9,11 @@ in how a level is optimised and whether it is contracted:
   normal        seeded local-move passes with closed-form gains until a
                 pass moves nothing; a level that moved nothing ends the
                 run, any other is contracted.
-  total         as normal, but scores are graph.modularity of the moved
-                partition, bit for bit: taken from the visit's sums when
-                every weight is integral and 2m <= 2**53, otherwise by
-                re-folding the two communities a move changes.
+  total         as normal, but a move is chosen as if scored by
+                graph.modularity of the moved partition, bit for bit.
+                Two moves are compared by the exact sum of the few terms
+                they change; only when that difference lies within the
+                error bound of modularity's fold are both folded.
   noMerge       as normal, but stops after level 0 and returns its
                 assignment.
   totalNoMerge  as total, but stops after level 0.
@@ -23,6 +24,7 @@ in how a level is optimised and whether it is contracted:
                 other is contracted. Deterministic; it ignores the seed.
 """
 
+import math
 import random
 from bisect import insort
 from enum import Enum
@@ -40,6 +42,9 @@ __all__ = [
 
 # A move must beat staying put by more than this to be applied.
 _GAIN_EPS = 1e-12
+# The smallest float above _GAIN_EPS: a real difference at least this large
+# rounds to a float above _GAIN_EPS, one in between may round down onto it.
+_GAIN_EPS_UP = math.nextafter(_GAIN_EPS, math.inf)
 
 
 class LouvainVariant(str, Enum):
@@ -101,7 +106,7 @@ class CommunityState:
 
 class _TotalModularity:
     """graph.modularity of a level's current assignment and of its
-    single-node moves, float for float.
+    single-node moves, float for float, and the order of those floats.
 
     graph._community_sums folds sigma_tot as 0.0 + k[x] over ascending
     members and sigma_in as + 2.0*w over intra edges in edges() order.
@@ -114,6 +119,20 @@ class _TotalModularity:
     n-long slot list at that member, 0.0 elsewhere. No partial sum of that
     fold is -0.0, so adding 0.0 is exact: a score folds only the non-zero
     slots, and float() keeps 0.0 when there are none.
+
+    A visit needs only the order of its moves' scores, and rarely their
+    folds (Shewchuk 1997's floating-point filter). Two moves' slot lists
+    differ only in the terms of the communities they touch, so the real
+    difference of their slot sums is the sum of four terms, each move's
+    term gained minus its term lost, and math.fsum gets its sign right. A
+    left fold of C terms lies within gamma_(C-1) * sum|t| of their real
+    sum (Higham 2002, section 4.2), gamma_k = k*u / (1 - k*u) with
+    u = 2**-53, and the terms of a level add up to at most 2 in absolute
+    value, so two folds of its n slots differ from their real difference
+    by less than `band`. A difference that clears the band has the sign
+    of the two folds' difference. Only one inside it folds both through
+    score(); mostly the two moves tie in exact arithmetic, and their
+    terms differ only by rounding residue.
     """
 
     def __init__(self, state):
@@ -134,6 +153,9 @@ class _TotalModularity:
         for c, mem in enumerate(members):
             if mem:
                 self.slots[mem[0]] = self._term(state.sigma_in[c], state.sigma_tot[c], c, mem[0], c)
+        # 2 * gamma_n * 2.5: terms rounded from rounded sums stay below 2.5.
+        nu = n * 2.0**-53
+        self.band = 5.0 * nu / (1.0 - nu)
 
     def _term(self, s_in, s_tot, c, i, c_i):
         """Term of community c once node i is labelled c_i: from c's sums
@@ -154,12 +176,48 @@ class _TotalModularity:
         return s_in / self.two_m - (s_tot / self.two_m) ** 2
 
     def leave(self, i, s_in, s_tot):
-        """Start node i's visit, given its community's sums without it."""
+        """Start node i's visit, given its community's sums without it;
+        returns staying, as move() returns a move."""
+        self.i = i
         self.c_old = c = self.assignment[i]
         mem = self.members[c]
         self.out = [(mem[0], 0.0)]
+        t = 0.0
         if len(mem) > 1:
-            self.out.append((mem[1] if mem[0] == i else mem[0], self._term(s_in, s_tot, c, i, -1)))
+            t = self._term(s_in, s_tot, c, i, -1)
+            self.out.append((mem[1] if mem[0] == i else mem[0], t))
+        return [c, None, None, self.slots[mem[0]], t, None]
+
+    def move(self, c, s_in, s_tot):
+        """Node i's move into community c, whose sums with node i in it
+        are s_in and s_tot: [c, s_in, s_tot, c's term with node i, its
+        term without, the fold once score() has taken it]."""
+        return [c, s_in, s_tot, self._term(s_in, s_tot, c, self.i, c), self.slots[self.members[c][0]], None]
+
+    def _folded(self, move):
+        if move[5] is None:
+            move[5] = self.score(self.i, *move[:3])
+        return move[5]
+
+    def compare(self, a, b):
+        """1, 0 or -1 as move a's score is above, equal to or below move
+        b's."""
+        d = math.fsum((a[3], -a[4], -b[3], b[4]))
+        if d > self.band:
+            return 1
+        if d < -self.band:
+            return -1
+        q_a, q_b = self._folded(a), self._folded(b)
+        return (q_a > q_b) - (q_a < q_b)
+
+    def gains(self, best, stay):
+        """Whether best's score minus staying's, rounded, exceeds _GAIN_EPS."""
+        terms = (best[3], -best[4], -stay[3], stay[4])
+        if math.fsum((*terms, -self.band, -_GAIN_EPS_UP)) >= 0:
+            return True
+        if math.fsum((*terms, self.band, -_GAIN_EPS)) <= 0:
+            return False
+        return self._folded(best) - self._folded(stay) > _GAIN_EPS
 
     def _patch(self, i, c, s_in, s_tot):
         """Slot writes, zeros first, that move node i into community c,
@@ -196,16 +254,18 @@ def _visit(state, order, use_total_formula=False, move=True):
     [(sigma_in + 2*k_in)/2m - ((sigma_tot + k_i)/2m)^2] minus
     [sigma_in/2m - (sigma_tot/2m)^2 - (k_i/2m)^2] on the node-removed
     sums. Total-formula scores are full modularity values from
-    `state.total`, handed the node-removed sums by leave() and each
-    candidate's sums with the node in it, the floats a move commits, by
-    score() and join(). Either way the score difference against c_old is
-    the net change of the move. Other communities are tried in the order
-    the adjacency first reaches them, and the highest score wins, the
-    smaller label on a tie: the ascending order's first strict maximum,
-    found without a sort, so a visit costs O(degree + c) for c
-    neighbouring communities. It is taken only when it beats staying by more than
-    _GAIN_EPS. The node is then inserted into the winner when `move` is
-    set, and back into c_old otherwise.
+    `state.total`, which is handed the node-removed sums by leave() and
+    each candidate's sums with the node in it, the floats a move commits,
+    by move() and join(); compare() and gains() order the moves as their
+    scores would, folding a score only inside the fold band. Either way
+    the score difference against c_old is the net change of the move.
+    Other communities are tried in the order the adjacency first reaches
+    them, and the highest score wins, the smaller label on a tie: the
+    ascending order's first strict maximum, found without a sort, so a
+    visit costs O(degree + c) for c neighbouring communities. It is taken
+    only when it beats staying by more than _GAIN_EPS. The node is then
+    inserted into the winner when `move` is set, and back into c_old
+    otherwise.
     Staying adds the node's sums back onto the removed ones, so every
     float matches a separate remove and insert. Rewriting what the visit
     changed keeps the level-long `base` and `total` equal, float for
@@ -247,24 +307,27 @@ def _visit(state, order, use_total_formula=False, move=True):
             s_tot = sigma_tot[c_old] - ki
         c_new = c_old
         if weights:
+            # A candidate that only ties staying may win here, but never
+            # beats staying by _GAIN_EPS, so the node still stays.
             if use_total_formula:
-                total.leave(i, s_in, s_tot)
-                stay = best = total.score(i, c_old, s_in + in_old, s_tot + ki)
+                stay = best = total.leave(i, s_in, s_tot)
+                for c, k_in in weights.items():
+                    trial = total.move(c, sigma_in[c] + (2.0 * k_in + 2.0 * loop), sigma_tot[c] + ki)
+                    sign = total.compare(trial, best)
+                    if sign > 0 or sign == 0 and c < c_new:
+                        c_new, best = c, trial
+                gains = c_new != c_old and total.gains(best, stay)
             else:
                 kk = (ki / two_m) ** 2
                 stay = best = ((s_in + 2.0 * k_old) / two_m - ((s_tot + ki) / two_m) ** 2
                                - (s_in / two_m - (s_tot / two_m) ** 2 - kk))
-            for c, k_in in weights.items():
-                if use_total_formula:
-                    score = total.score(i, c, sigma_in[c] + (2.0 * k_in + 2.0 * loop), sigma_tot[c] + ki)
-                else:
+                for c, k_in in weights.items():
                     score = ((sigma_in[c] + 2.0 * k_in) / two_m - ((sigma_tot[c] + ki) / two_m) ** 2
                              - (base[c] - kk))
-                # A candidate that only ties staying may win here, but never
-                # beats staying by _GAIN_EPS, so the node still stays.
-                if score >= best and (score > best or c < c_new):
-                    c_new, best = c, score
-            if best - stay > gain_eps:
+                    if score >= best and (score > best or c < c_new):
+                        c_new, best = c, score
+                gains = best - stay > gain_eps
+            if gains:
                 changes.append((c_old, c_new))
             else:
                 c_new = c_old
@@ -298,8 +361,9 @@ def local_move_pass(state, order, use_total_formula=False):
     modularity strictly increases with every applied move and the pass
     loop always terminates. Each visit scans the node's adjacency once
     and costs O(degree + c) for c neighbouring communities. With
-    `use_total_formula` each candidate also sums n slots and, unless
-    every weight is integral and 2m <= 2**53, re-folds the joined community.
+    `use_total_formula` a candidate costs O(1) more, unless a weight is
+    fractional or 2m > 2**53, when it re-folds the joined community's
+    sums; only a comparison inside the fold band also sums n slots.
     """
     return state, bool(_visit(state, order, use_total_formula))
 

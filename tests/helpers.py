@@ -117,6 +117,16 @@ def small_fractional_weighted_graphs(draw, max_nodes=11):
     return Graph(g.node_count, [(u, v, w) for (u, v, _), w in zip(g.edges(), weights)])
 
 
+def mirrored(h, w):
+    """h beside its mirror image (node i as 2n-1-i) and one node 2n linked
+    to both by weight w: a tie in real numbers, broken by rounding residue
+    that depends on the order of each fold when h's weights are
+    fractional."""
+    n = h.node_count
+    edges = [*h.edges(), *((2 * n - 1 - u, 2 * n - 1 - v, x) for u, v, x in h.edges())]
+    return Graph(2 * n + 1, [*edges, (0, 2 * n, w), (2 * n - 1, 2 * n, w)])
+
+
 def relabeled(g, perm):
     """Copy of g with node i renamed to perm[i]."""
     edges = [(perm[u], perm[v], w) for u, v, w in g.edges()]

@@ -31,7 +31,7 @@ from commdetect import (Graph, agglomerate, edge_betweenness, fastgreedy, girvan
                         girvan_newman_static, karate_club, louvain, random_graph)
 from commdetect.cli import main
 from commdetect.louvain import LouvainVariant, aggregate
-from helpers import FRACTIONAL_WEIGHTS, fractional_weights, random_suite
+from helpers import FRACTIONAL_WEIGHTS, fractional_weights, mirrored, random_suite
 
 MANIFEST = Path(__file__).with_name("identity.txt")
 CI = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
@@ -74,13 +74,9 @@ def looped_suite(count, seed):
 
 
 def mirrored_suite(count, seed):
-    """Seeded fractional-weighted graphs beside their mirror image (node i
-    as 2n-1-i) and one node linked alike to both: a tie in real numbers,
-    broken by rounding residue that depends on the order of each fold."""
+    """Seeded fractional-weighted graphs, each mirrored (helpers.mirrored)."""
     for idx, base in enumerate(random_suite(count, 5, 12, (0.4, 0.6), seed)):
-        n, h, w = base.node_count, fractional_weights(base, idx), FRACTIONAL_WEIGHTS[idx % 4]
-        edges = [*h.edges(), *((2 * n - 1 - u, 2 * n - 1 - v, x) for u, v, x in h.edges()), (0, 2 * n, w)]
-        yield f"mirrored:{seed}#{idx}", Graph(2 * n + 1, [*edges, (2 * n - 1, 2 * n, w)])
+        yield f"mirrored:{seed}#{idx}", mirrored(fractional_weights(base, idx), FRACTIONAL_WEIGHTS[idx % 4])
 
 
 def _louvain(graphs, variants, seeds):

@@ -4,9 +4,11 @@ Everything here is deliberately naive: direct formula evaluation, path
 enumeration, and from-scratch recomputation, plus the level-scanning
 edge betweenness, which pins the package's order of float sums. None of
 it shares code with the package internals beyond the Graph container
-itself, except the scanning Louvain replay, which drives the package's
+itself, except the Louvain replays, which drive the package's
 CommunityState bookkeeping, from an explicit assignment, and modularity
-with its own local moves and its own contraction.
+with their own local moves: the scanning replay with its own
+contraction, and the total-formula pass with a full modularity for
+every candidate.
 """
 
 import random
@@ -443,6 +445,54 @@ def local_move_pass_scanning(state, order):
         insert(state, i, c_new)
         improved = improved or c_new != c_old
     return improved
+
+
+def total_formula_pass_full_fold(state, order):
+    """_visit(state, order, use_total_formula=True) as the total formula
+    defines it: staying and every neighbouring community are scored by
+    modularity of the moved assignment, the first strict maximum in
+    ascending label order wins, and it must beat staying by more than
+    1e-12. The sums are kept by remove and insert. Returns the
+    [(c_old, c_new)] of the nodes that moved."""
+    changes = []
+    for i in order:
+        c_old = remove(state, i)
+        moved = list(state.assignment)
+        scores = {}
+        for c in (c_old, *sorted(neighbor_communities(state, i) - {c_old})):
+            moved[i] = c
+            scores[c] = modularity(state.graph, moved)
+        c_new = max(scores, key=lambda c: (scores[c], -c))
+        if not scores[c_new] - scores[c_old] > 1e-12:
+            c_new = c_old
+        insert(state, i, c_new)
+        if c_new != c_old:
+            changes.append((c_old, c_new))
+    return changes
+
+
+def total_formula_slots(g, labels):
+    """(members, slots) of the total-formula evaluator for g labelled by
+    `labels` in range(n): each community's ascending members, and its
+    modularity term at its smallest member, from sigma_tot folded as
+    0.0 + k over ascending members and sigma_in as + 2.0*w over intra
+    edges in edges() order; 0.0 elsewhere."""
+    n = g.node_count
+    members = [[] for _ in range(n)]
+    for x, c in enumerate(labels):
+        members[c].append(x)
+    sigma_in, sigma_tot = [0.0] * n, [0.0] * n
+    for x in range(n):
+        sigma_tot[labels[x]] += g.weighted_degree(x)
+    for u, v, w in g.edges():
+        if labels[u] == labels[v]:
+            sigma_in[labels[u]] += 2.0 * w
+    two_m = 2.0 * g.total_weight
+    slots = [0.0] * n
+    for c, mem in enumerate(members):
+        if mem:
+            slots[mem[0]] = sigma_in[c] / two_m - (sigma_tot[c] / two_m) ** 2
+    return members, slots
 
 
 def contract(g, communities):

@@ -158,6 +158,10 @@ def test_load_edge_list_errors_name_the_line():
     # Refused by the line, before a graph of 10**7 nodes is built.
     with pytest.raises(ValueError, match=r"line 2: node ids must lie in 0\.\.9999999"):
         load_edge_list(f"0 1\n1 {10**7}\n")
+    # int() and float() would read these as 10, 1 and 10.0.
+    for text in ("0 1_0", "0 1\n0 \u0661", "0 1\n1 2\n2 3 1_0", "0 \uff11 1"):
+        with pytest.raises(ValueError, match=f"line {text.count(chr(10)) + 1}: ids and weights must be ASCII"):
+            load_edge_list(text)
 
 
 def test_load_edge_list_accepts_line_iterables():

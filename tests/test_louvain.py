@@ -1,6 +1,7 @@
 """Local-move optimization, aggregation, and variant behavior tests."""
 
 import importlib
+import math
 import random
 import re
 import statistics
@@ -23,6 +24,7 @@ import identity
 from helpers import (
     FRACTIONAL_WEIGHTS,
     fractional_weights,
+    mirrored,
     move_gain_checks,
     path_graph,
     random_suite,
@@ -43,6 +45,8 @@ from oracles import (
     neighbor_weights,
     remove,
     smallest_member_labels,
+    total_formula_pass_full_fold,
+    total_formula_slots,
 )
 
 # `commdetect.louvain` is also the name of the re-exported function.
@@ -156,8 +160,11 @@ def _scored_state(c_old, scores):
 def _pick(monkeypatch, c_old, scores):
     """Where one visit moves node 0 of c_old, given every community's score.
 
-    The closed-form path that normal uses and the total-formula path, with
-    the evaluator's candidate score replaced by the given scores, must agree.
+    The closed-form path that normal uses and the total-formula path must
+    agree. The state makes each community's modularity term with node 0
+    in it its score and every other term 0.0, so the total formula's term
+    sums are the scores too; score() is replaced by the given scores for
+    the comparisons that fall inside the fold band.
     """
     closed = _scored_state(c_old, scores)
     local_move_pass(closed, [0])
@@ -268,15 +275,15 @@ def test_unite_labels_every_node_with_the_smallest_node_of_its_group(case):
 
 
 def _assert_scores_are_bit_exact_modularity(g, seed):
-    """Every score the evaluator hands a total-formula visit, staying
+    """Every score the evaluator folds for a total-formula visit, staying
     included, is the very float graph.modularity gives the moved
-    assignment, at every level of both variants. A level whose weights
-    are all integral with 2m <= 2**53 must take the sums path, any other
-    the fold path. Returns the paths taken."""
+    assignment, at every level of both variants. Most visits fold
+    nothing, since only comparisons inside the fold band need a score. A
+    level whose weights are all integral with 2m <= 2**53 must take the
+    sums path, any other the fold path. Returns the paths taken."""
     evaluator = louvain_module._TotalModularity
     original_init, original_score = evaluator.__init__, evaluator.score
     level_graph = []
-    scored = []
     paths = set()
 
     def init(self, state):
@@ -291,7 +298,6 @@ def _assert_scores_are_bit_exact_modularity(g, seed):
         moved = list(self.assignment)
         moved[i] = c
         assert q.hex() == modularity(level_graph[0], moved).hex()
-        scored.append(c)
         return q
 
     with pytest.MonkeyPatch.context() as mp:
@@ -299,14 +305,90 @@ def _assert_scores_are_bit_exact_modularity(g, seed):
         mp.setattr(evaluator, "score", score)
         for variant in ("total", "totalNoMerge"):
             louvain(g, variant, seed)
-    assert scored or not any(u != v for u, v, _ in g.edges())
     return paths
 
 
+@st.composite
+def _mirrored_graphs(draw):
+    """A small fractional-weighted graph mirrored (helpers.mirrored): its
+    two halves tie in real numbers, so their folds decide."""
+    return mirrored(draw(small_fractional_weighted_graphs(max_nodes=7)), draw(st.sampled_from(FRACTIONAL_WEIGHTS)))
+
+
+_TOTAL_FORMULA_GRAPHS = st.one_of(small_integer_weighted_graphs(), small_fractional_weighted_graphs(),
+                                  _mirrored_graphs())
+
+
 @settings(max_examples=150, deadline=None)
-@given(_louvain_inputs(st.one_of(small_integer_weighted_graphs(), small_fractional_weighted_graphs())))
+@given(_louvain_inputs(_TOTAL_FORMULA_GRAPHS))
 def test_total_formula_scores_are_bit_exact_modularity(inputs):
     _assert_scores_are_bit_exact_modularity(*inputs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_louvain_inputs(_TOTAL_FORMULA_GRAPHS))
+# With seed 2 the bridging node 6 weighs the mirror's two halves,
+# communities 0 and 5, which tie in real numbers: the residue of their
+# terms' sum favours 5, while the folds pick 0.
+@example((mirrored(Graph(3, [(0, 1, 0.7), (0, 2, 1.1)]), 0.7), 2))
+def test_total_formula_visit_matches_the_full_fold_oracle(inputs):
+    # Seeded passes until one moves nothing, on a level that is drawn,
+    # contracted or not: after each pass the filtered visit and the
+    # oracle, which scores every candidate with modularity, made the same
+    # moves and hold the same sums, members and slots, bit for bit.
+    g, seed = inputs
+    rng = random.Random(seed)
+    state, replay = CommunityState(g), CommunityState(g, list(range(g.node_count)))
+    while True:
+        order = list(range(g.node_count))
+        rng.shuffle(order)
+        changes = louvain_module._visit(state, order, use_total_formula=True)
+        assert changes == total_formula_pass_full_fold(replay, order)
+        assert (state.assignment, state.size) == (replay.assignment, replay.size)
+        for ours, theirs in ((state.sigma_in, replay.sigma_in), (state.sigma_tot, replay.sigma_tot)):
+            assert [x.hex() for x in ours] == [x.hex() for x in theirs]
+        members, slots = total_formula_slots(g, replay.assignment)
+        assert state.total.members == members
+        assert [x.hex() for x in state.total.slots] == [x.hex() for x in slots]
+        if not changes:
+            break
+
+
+def test_total_formula_filter_settles_only_outside_the_band():
+    # A move is [c, s_in, s_tot, term gained, term lost, fold]. The sum of
+    # two moves' terms settles their order only beyond the band, and the
+    # gain threshold only when the rounded difference of the folds cannot
+    # land on either side of it; otherwise the folds decide. A fold of
+    # None would call score(), which this bare evaluator cannot.
+    total = object.__new__(louvain_module._TotalModularity)
+    total.band = band = 2.0**-40
+
+    def move(c, gained, lost, fold=None):
+        return [c, None, None, gained, lost, fold]
+
+    stay = move(0, 0.5, 0.25)
+    assert total.compare(move(1, 0.25 + 2 * band, 0.0), stay) == 1
+    assert total.compare(move(1, 0.25 - 2 * band, 0.0), stay) == -1
+    # On either edge of the band the folds may still tie.
+    for d in (band, -band):
+        a, b = move(1, 0.25 + d, 0.0, 0.125), move(2, 0.25, 0.0, 0.125)
+        assert total.compare(a, b) == 0
+    # The folds tie inside the band; the smaller label then wins in _visit.
+    assert total.compare(move(1, 0.25, 0.0, 0.125), move(2, 0.25, 0.0, 0.125)) == 0
+
+    eps, eps_up = _GAIN_EPS, math.nextafter(_GAIN_EPS, math.inf)
+    ulp = eps_up - eps
+    total.band = 0.0
+    assert total.gains(move(1, eps_up, 0.0), move(0, 0.0, 0.0)) is True
+    assert total.gains(move(1, eps, 0.0), move(0, 0.0, 0.0)) is False
+    # A real difference between eps and the next float may round onto eps.
+    best, stay = move(1, eps_up, 0.0, eps_up), move(0, 0.75 * ulp, 0.0, 0.75 * ulp)
+    assert eps_up - 0.75 * ulp == eps
+    assert total.gains(best, stay) is False
+    # The band is taken off the lower bound and added to the upper one.
+    total.band = band
+    assert total.gains(move(1, eps_up, -band), move(0, 0.0, 0.0)) is True
+    assert total.gains(move(1, eps, band), move(0, 0.0, 0.0)) is False
 
 
 @pytest.mark.parametrize("big", [2.0**52 - 77, 2.0**52])
