@@ -127,6 +127,12 @@ def mirrored(h, w):
     return Graph(2 * n + 1, [*edges, (0, 2 * n, w), (2 * n - 1, 2 * n, w)])
 
 
+def one_heavy_edge(g, heavy, big):
+    """Copy of g whose edge number `heavy`, in edges() order, weighs `big`
+    and every other edge 1."""
+    return Graph(g.node_count, [(u, v, big if idx == heavy else 1.0) for idx, (u, v, _) in enumerate(g.edges())])
+
+
 def relabeled(g, perm):
     """Copy of g with node i renamed to perm[i]."""
     edges = [(perm[u], perm[v], w) for u, v, w in g.edges()]

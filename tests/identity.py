@@ -31,7 +31,7 @@ from commdetect import (Graph, agglomerate, edge_betweenness, fastgreedy, girvan
                         girvan_newman_static, karate_club, louvain, random_graph)
 from commdetect.cli import main
 from commdetect.louvain import LouvainVariant, aggregate
-from helpers import FRACTIONAL_WEIGHTS, fractional_weights, mirrored, random_suite
+from helpers import FRACTIONAL_WEIGHTS, fractional_weights, mirrored, one_heavy_edge, random_suite
 
 MANIFEST = Path(__file__).with_name("identity.txt")
 CI = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
@@ -142,6 +142,15 @@ def _random_twice(n, p, seed):
     return [(name, g), (f"{name}+fractional", fractional_weights(g, seed))]
 
 
+def _heavy_karate():
+    """Karate with one edge weighing 2**52 - 77 (2m = 2**53, the largest
+    2m of exact sums) or 2**52 (2m past 2**53, where only refolds are
+    exact), on edge 0, 40 or 77."""
+    for big in (2.0**52 - 77, 2.0**52):
+        for heavy in (0, 40, 77):
+            yield f"karate+edge{heavy}:{int(big)}", one_heavy_edge(KARATE_CLUB[1], heavy, big)
+
+
 def _fastgreedy(graphs):
     for name, g in graphs:
         dend, best, best_q = fastgreedy(g)
@@ -187,6 +196,7 @@ SECTIONS = {
     "total_formula_fractional": lambda: _louvain(_weighted_twice(), TOTAL, range(2)),
     "total_formula_mirrored": lambda: _louvain(mirrored_suite(20, 15000), TOTAL, range(2)),
     "total_formula_300": lambda: _louvain(_random_twice(300, 8 / 300, 1), TOTAL, range(3)),
+    "total_formula_2m_bound": lambda: _louvain(_heavy_karate(), TOTAL, range(2)),
     "louvain_disconnected": lambda: _louvain([_random(60, 0.02, 1)], [v.value for v in LouvainVariant],
                                              range(2)),
     "fastgreedy_tied": lambda: _fastgreedy([KARATE_CLUB, *(_random(500, 0.016, s) for s in range(3)),

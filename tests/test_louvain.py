@@ -26,6 +26,7 @@ from helpers import (
     fractional_weights,
     mirrored,
     move_gain_checks,
+    one_heavy_edge,
     path_graph,
     random_suite,
     relabeled,
@@ -226,6 +227,10 @@ def test_total_formula_golden_on_random_300():
     identity.check("total_formula_300")
 
 
+def test_total_formula_golden_at_the_2m_bound():
+    identity.check("total_formula_2m_bound")
+
+
 @st.composite
 def _louvain_inputs(draw, graphs=small_integer_weighted_graphs()):
     """A small weighted graph, half of the time contracted through
@@ -397,9 +402,8 @@ def test_total_formula_scores_are_bit_exact_at_the_2m_bound(karate, big):
     # weighing 1: 2m = 2**53 exactly takes the sums path; 77 more units of
     # weight take the fold path, the only one exact once sums pass 2**53.
     for heavy in (0, 40, 77):
-        edges = [(u, v, big if idx == heavy else 1.0) for idx, (u, v, _) in enumerate(karate.edges())]
         for seed in range(2):
-            assert _assert_scores_are_bit_exact_modularity(Graph(karate.node_count, edges), seed) == {big < 2.0**52}
+            assert _assert_scores_are_bit_exact_modularity(one_heavy_edge(karate, heavy, big), seed) == {big < 2.0**52}
 
 
 def test_level_structures_are_built_once_per_level(karate, monkeypatch):
