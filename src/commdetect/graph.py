@@ -282,7 +282,7 @@ def load_edge_list(source):
     float() would read '1_0' as 10 and '\u0661' as 1. Malformed lines, ids
     outside 0.._MAX_EDGE_LIST_ID-1, non-positive or non-finite weights, and
     duplicate edges raise ValueError naming the offending line before
-    anything is built.
+    anything is built, so the sorted edges skip Graph()'s checks.
     """
     lines = source.splitlines() if isinstance(source, str) else source
     edges = []
@@ -313,14 +313,16 @@ def load_edge_list(source):
                 raise ValueError(f"line {lineno}: edge weight must be positive and finite, got {w}")
         else:
             w = 1.0
-        key = (u, v) if u <= v else (v, u)
-        if key in seen:
-            raise ValueError(f"line {lineno}: duplicate edge {key}")
-        seen.add(key)
+        if u > v:
+            u, v = v, u
+        if (u, v) in seen:
+            raise ValueError(f"line {lineno}: duplicate edge {(u, v)}")
+        seen.add((u, v))
         edges.append((u, v, w))
-        if v > max_id or u > max_id:
-            max_id = max(u, v)
-    return Graph(max_id + 1, edges)
+        if v > max_id:
+            max_id = v
+    edges.sort()
+    return Graph._from_sorted(max_id + 1, edges)
 
 
 def serialize_edge_list(g):

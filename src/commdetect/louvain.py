@@ -11,9 +11,9 @@ in how a level is optimised and whether it is contracted:
                 run, any other is contracted.
   total         as normal, but a move is chosen as if scored by
                 graph.modularity of the moved partition, bit for bit.
-                Two moves are compared by the exact sum of the few terms
-                they change; only when that difference lies within the
-                error bound of modularity's fold are both folded.
+                Each move is keyed by one float, the change of the term
+                it touches; only when two keys lie within the error
+                bound of modularity's fold are both moves folded.
   noMerge       as normal, but stops after level 0 and returns its
                 assignment.
   totalNoMerge  as total, but stops after level 0.
@@ -24,7 +24,6 @@ in how a level is optimised and whether it is contracted:
                 other is contracted. Deterministic; it ignores the seed.
 """
 
-import math
 import random
 from bisect import insort
 from enum import Enum
@@ -42,9 +41,6 @@ __all__ = [
 
 # A move must beat staying put by more than this to be applied.
 _GAIN_EPS = 1e-12
-# The smallest float above _GAIN_EPS: a real difference at least this large
-# rounds to a float above _GAIN_EPS, one in between may round down onto it.
-_GAIN_EPS_UP = math.nextafter(_GAIN_EPS, math.inf)
 
 
 class LouvainVariant(str, Enum):
@@ -123,16 +119,20 @@ class _TotalModularity:
     A visit needs only the order of its moves' scores, and rarely their
     folds (Shewchuk 1997's floating-point filter). Two moves' slot lists
     differ only in the terms of the communities they touch, so the real
-    difference of their slot sums is the sum of four terms, each move's
-    term gained minus its term lost, and math.fsum gets its sign right. A
+    difference of their slot sums is that of their keys, each a term with
+    node i minus the same community's term without (leave(), key()). A
     left fold of C terms lies within gamma_(C-1) * sum|t| of their real
-    sum (Higham 2002, section 4.2), gamma_k = k*u / (1 - k*u) with
-    u = 2**-53, and the terms of a level add up to at most 2 in absolute
-    value, so two folds of its n slots differ from their real difference
-    by less than `band`. A difference that clears the band has the sign
-    of the two folds' difference. Only one inside it folds both through
-    score(); mostly the two moves tie in exact arithmetic, and their
-    terms differ only by rounding residue.
+    sum (Higham 2002, section 4.2), gamma_k = k*u / (1 - k*u), u = 2**-53;
+    a level's |t| add up to under 2.5, so two folds of its n slots differ
+    from their real difference by under 5*gamma_n. A key subtracts floats
+    below 2.5 in magnitude, so two keys' float difference lies within
+    20.0001u of the real one (5u per key, 10.0001u for the subtraction).
+    `band`, 5*gamma_n + 32u, stays 31u above 5*gamma_n once rounded: a key
+    difference outside it has the sign of the folds' difference, and only
+    one within it folds both moves through score(). A key difference of
+    at least _GAIN_EPS + band (a sum rounded by under u) puts the folds'
+    real difference above _GAIN_EPS + 9u, one of at most _GAIN_EPS - band
+    below _GAIN_EPS, which settles the gain threshold alike.
     """
 
     def __init__(self, state):
@@ -153,9 +153,9 @@ class _TotalModularity:
         for c, mem in enumerate(members):
             if mem:
                 self.slots[mem[0]] = self._term(state.sigma_in[c], state.sigma_tot[c], c, mem[0], c)
-        # 2 * gamma_n * 2.5: terms rounded from rounded sums stay below 2.5.
+        # 2 * gamma_n * 2.5, plus 32u for the rounding of the keys.
         nu = n * 2.0**-53
-        self.band = 5.0 * nu / (1.0 - nu)
+        self.band = 5.0 * nu / (1.0 - nu) + 32 * 2.0**-53
 
     def _term(self, s_in, s_tot, c, i, c_i):
         """Term of community c once node i is labelled c_i: from c's sums
@@ -177,7 +177,7 @@ class _TotalModularity:
 
     def leave(self, i, s_in, s_tot):
         """Start node i's visit, given its community's sums without it;
-        returns staying, as move() returns a move."""
+        returns staying's key: c_old's term with node i minus without."""
         self.i = i
         self.c_old = c = self.assignment[i]
         mem = self.members[c]
@@ -186,38 +186,12 @@ class _TotalModularity:
         if len(mem) > 1:
             t = self._term(s_in, s_tot, c, i, -1)
             self.out.append((mem[1] if mem[0] == i else mem[0], t))
-        return [c, None, None, self.slots[mem[0]], t, None]
+        return self.slots[mem[0]] - t
 
-    def move(self, c, s_in, s_tot):
-        """Node i's move into community c, whose sums with node i in it
-        are s_in and s_tot: [c, s_in, s_tot, c's term with node i, its
-        term without, the fold once score() has taken it]."""
-        return [c, s_in, s_tot, self._term(s_in, s_tot, c, self.i, c), self.slots[self.members[c][0]], None]
-
-    def _folded(self, move):
-        if move[5] is None:
-            move[5] = self.score(self.i, *move[:3])
-        return move[5]
-
-    def compare(self, a, b):
-        """1, 0 or -1 as move a's score is above, equal to or below move
-        b's."""
-        d = math.fsum((a[3], -a[4], -b[3], b[4]))
-        if d > self.band:
-            return 1
-        if d < -self.band:
-            return -1
-        q_a, q_b = self._folded(a), self._folded(b)
-        return (q_a > q_b) - (q_a < q_b)
-
-    def gains(self, best, stay):
-        """Whether best's score minus staying's, rounded, exceeds _GAIN_EPS."""
-        terms = (best[3], -best[4], -stay[3], stay[4])
-        if math.fsum((*terms, -self.band, -_GAIN_EPS_UP)) >= 0:
-            return True
-        if math.fsum((*terms, self.band, -_GAIN_EPS)) <= 0:
-            return False
-        return self._folded(best) - self._folded(stay) > _GAIN_EPS
+    def key(self, c, s_in, s_tot):
+        """Node i's key for community c, whose sums with node i in it are
+        s_in and s_tot: c's term with node i minus its term without."""
+        return self._term(s_in, s_tot, c, self.i, c) - self.slots[self.members[c][0]]
 
     def _patch(self, i, c, s_in, s_tot):
         """Slot writes, zeros first, that move node i into community c,
@@ -253,19 +227,22 @@ def _visit(state, order, use_total_formula=False, move=True):
     neighbouring community. Closed-form scores are insertion gains,
     [(sigma_in + 2*k_in)/2m - ((sigma_tot + k_i)/2m)^2] minus
     [sigma_in/2m - (sigma_tot/2m)^2 - (k_i/2m)^2] on the node-removed
-    sums. Total-formula scores are full modularity values from
-    `state.total`, which is handed the node-removed sums by leave() and
-    each candidate's sums with the node in it, the floats a move commits,
-    by move() and join(); compare() and gains() order the moves as their
-    scores would, folding a score only inside the fold band. Either way
-    the score difference against c_old is the net change of the move.
-    Other communities are tried in the order the adjacency first reaches
-    them, and the highest score wins, the smaller label on a tie: the
-    ascending order's first strict maximum, found without a sort, so a
-    visit costs O(degree + c) for c neighbouring communities. It is taken
-    only when it beats staying by more than _GAIN_EPS. The node is then
-    inserted into the winner when `move` is set, and back into c_old
-    otherwise.
+    sums. Total-formula scores are full modularity values, but a move is
+    keyed by one float, its community's term with the node minus its term
+    without: inline on an exact level, where c's slot holds base[c],
+    otherwise by `state.total`.key(), and staying by leave(). A key
+    difference outside the evaluator's band settles a comparison, and
+    one outside _GAIN_EPS -+ band the gain, as the scores would; only one
+    within folds the moves through score(), each at most once a visit.
+    Either way the score difference against c_old is the net change of
+    the move. Other communities are tried in the order the adjacency
+    first reaches them, and the highest score wins, the smaller label on
+    a tie: the ascending order's first strict maximum, found without a
+    sort, so a visit costs O(degree + c) for c neighbouring communities.
+    It is taken only when it beats staying by more than _GAIN_EPS. The
+    node is then inserted into the winner when `move` is set, and back
+    into c_old otherwise. The two loops share this rule but stay apart,
+    as one loop serving both formulas measured slower for normal and Exp.
     Staying adds the node's sums back onto the removed ones, so every
     float matches a separate remove and insert. Rewriting what the visit
     changed keeps the level-long `base` and `total` equal, float for
@@ -282,7 +259,9 @@ def _visit(state, order, use_total_formula=False, move=True):
     two_m = 2.0 * state.m
     gain_eps = _GAIN_EPS
     base = state.base
-    total = state.total if use_total_formula else None
+    if use_total_formula:
+        total = state.total
+        exact, band = total.exact, total.band
     changes = []
     for i in order:
         c_old = assignment[i]
@@ -311,12 +290,30 @@ def _visit(state, order, use_total_formula=False, move=True):
             # beats staying by _GAIN_EPS, so the node still stays.
             if use_total_formula:
                 stay = best = total.leave(i, s_in, s_tot)
+                in_best, tot_best = s_in, s_tot
+                folds = {}  # score() by community, taken at most once a visit
                 for c, k_in in weights.items():
-                    trial = total.move(c, sigma_in[c] + (2.0 * k_in + 2.0 * loop), sigma_tot[c] + ki)
-                    sign = total.compare(trial, best)
-                    if sign > 0 or sign == 0 and c < c_new:
-                        c_new, best = c, trial
-                gains = c_new != c_old and total.gains(best, stay)
+                    in_c = sigma_in[c] + (2.0 * k_in + 2.0 * loop)
+                    tot_c = sigma_tot[c] + ki
+                    key = in_c / two_m - (tot_c / two_m) ** 2 - base[c] if exact else total.key(c, in_c, tot_c)
+                    d = key - best
+                    if -band <= d <= band:
+                        # The folds decide; their difference is 0.0 only on a tie.
+                        if c_new not in folds:
+                            folds[c_new] = total.score(i, c_new, in_best, tot_best)
+                        folds[c] = total.score(i, c, in_c, tot_c)
+                        d = folds[c] - folds[c_new] or c_new - c
+                    if d > 0:
+                        c_new, best = c, key
+                        in_best, tot_best = in_c, tot_c
+                gain = best - stay
+                if c_new != c_old and gain_eps - band < gain < gain_eps + band:
+                    if c_new not in folds:
+                        folds[c_new] = total.score(i, c_new, in_best, tot_best)
+                    if c_old not in folds:
+                        folds[c_old] = total.score(i, c_old, s_in, s_tot)
+                    gain = folds[c_new] - folds[c_old]
+                gains = c_new != c_old and gain > gain_eps
             else:
                 kk = (ki / two_m) ** 2
                 stay = best = ((s_in + 2.0 * k_old) / two_m - ((s_tot + ki) / two_m) ** 2
@@ -361,9 +358,10 @@ def local_move_pass(state, order, use_total_formula=False):
     modularity strictly increases with every applied move and the pass
     loop always terminates. Each visit scans the node's adjacency once
     and costs O(degree + c) for c neighbouring communities. With
-    `use_total_formula` a candidate costs O(1) more, unless a weight is
-    fractional or 2m > 2**53, when it re-folds the joined community's
-    sums; only a comparison inside the fold band also sums n slots.
+    `use_total_formula` each candidate is keyed by one float, in O(1)
+    unless a weight is fractional or 2m > 2**53, when the key re-folds
+    the joined community's sums; only a comparison inside the fold band
+    also folds the n slots of both moves.
     """
     return state, bool(_visit(state, order, use_total_formula))
 

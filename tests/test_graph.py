@@ -155,6 +155,9 @@ def test_load_edge_list_errors_name_the_line():
         load_edge_list("0 1 inf\n1 2 1\n2 3 1\n")
     with pytest.raises(ValueError, match="line 2"):
         load_edge_list("0 1\n1 2 nan\n")
+    # Each weight is finite, but 2m is not.
+    with pytest.raises(ValueError, match="twice the total edge weight overflows to infinity"):
+        load_edge_list("0 1 1e308\n1 2 1e308")
     # Refused by the line, before a graph of 10**7 nodes is built.
     with pytest.raises(ValueError, match=r"line 2: node ids must lie in 0\.\.9999999"):
         load_edge_list(f"0 1\n1 {10**7}\n")

@@ -360,40 +360,54 @@ def test_total_formula_visit_matches_the_full_fold_oracle(inputs):
 
 
 def test_total_formula_filter_settles_only_outside_the_band():
-    # A move is [c, s_in, s_tot, term gained, term lost, fold]. The sum of
-    # two moves' terms settles their order only beyond the band, and the
-    # gain threshold only when the rounded difference of the folds cannot
-    # land on either side of it; otherwise the folds decide. A fold of
-    # None would call score(), which this bare evaluator cannot.
-    total = object.__new__(louvain_module._TotalModularity)
-    total.band = band = 2.0**-40
+    # Node 0 of _scored_state keys each community exactly by its score,
+    # and staying in community 4 by 0.0. A key difference beyond the band
+    # settles a comparison, and one outside _GAIN_EPS -+ band the gain
+    # threshold, without a fold: this evaluator's score() raises unless
+    # it is given the folds, which then decide.
+    u, nu = 2.0**-53, 10 * 2.0**-53
+    band = _scored_state(4, {4: 0.0}).total.band
+    assert band > 5.0 * nu / (1.0 - nu) + 31 * u
+    within = math.floor(band / u) * u
+    beyond = within + u
 
-    def move(c, gained, lost, fold=None):
-        return [c, None, None, gained, lost, fold]
+    def pick(scores, folds=None):
+        state = _scored_state(4, scores)
 
-    stay = move(0, 0.5, 0.25)
-    assert total.compare(move(1, 0.25 + 2 * band, 0.0), stay) == 1
-    assert total.compare(move(1, 0.25 - 2 * band, 0.0), stay) == -1
-    # On either edge of the band the folds may still tie.
-    for d in (band, -band):
-        a, b = move(1, 0.25 + d, 0.0, 0.125), move(2, 0.25, 0.0, 0.125)
-        assert total.compare(a, b) == 0
-    # The folds tie inside the band; the smaller label then wins in _visit.
-    assert total.compare(move(1, 0.25, 0.0, 0.125), move(2, 0.25, 0.0, 0.125)) == 0
+        def score(i, c, s_in, s_tot):
+            if folds is None:
+                raise AssertionError(f"folded community {c}")
+            return folds[c]
 
-    eps, eps_up = _GAIN_EPS, math.nextafter(_GAIN_EPS, math.inf)
+        state.total.score = score
+        local_move_pass(state, [0], use_total_formula=True)
+        return state.assignment[0]
+
+    # Keys differ by a multiple of u near 0.5, so the difference is exact.
+    assert pick({4: 0.0, 1: 0.5, 2: 0.5 + beyond}) == 2
+    assert pick({4: 0.0, 2: 0.5 + beyond, 1: 0.5}) == 2
+    with pytest.raises(AssertionError, match="folded"):
+        pick({4: 0.0, 1: 0.5, 2: 0.5 + within})
+    with pytest.raises(AssertionError, match="folded"):
+        pick({4: 0.0, 2: 0.5 + within, 1: 0.5})
+    # Inside the band the folds decide, the smaller label on a tie.
+    assert pick({4: 0.0, 1: 0.5, 2: 0.5 + within}, {1: 0.5, 2: 0.25}) == 1
+    assert pick({4: 0.0, 1: 0.5, 2: 0.5 + within}, {1: 0.25, 2: 0.5}) == 2
+    assert pick({4: 0.0, 2: 0.5 + within, 1: 0.5}, {1: 0.25, 2: 0.25}) == 1
+
+    eps = _GAIN_EPS
+    assert pick({4: 0.0, 1: eps + band}) == 1
+    assert pick({4: 0.0, 1: eps - band}) == 4
+    for gain in (math.nextafter(eps + band, 0.0), eps, math.nextafter(eps - band, 1.0)):
+        with pytest.raises(AssertionError, match="folded"):
+            pick({4: 0.0, 1: gain})
+    # Inside it, the folds' rounded difference must exceed _GAIN_EPS, and
+    # a real difference between eps and the next float may round onto eps.
+    eps_up = math.nextafter(eps, math.inf)
     ulp = eps_up - eps
-    total.band = 0.0
-    assert total.gains(move(1, eps_up, 0.0), move(0, 0.0, 0.0)) is True
-    assert total.gains(move(1, eps, 0.0), move(0, 0.0, 0.0)) is False
-    # A real difference between eps and the next float may round onto eps.
-    best, stay = move(1, eps_up, 0.0, eps_up), move(0, 0.75 * ulp, 0.0, 0.75 * ulp)
     assert eps_up - 0.75 * ulp == eps
-    assert total.gains(best, stay) is False
-    # The band is taken off the lower bound and added to the upper one.
-    total.band = band
-    assert total.gains(move(1, eps_up, -band), move(0, 0.0, 0.0)) is True
-    assert total.gains(move(1, eps, band), move(0, 0.0, 0.0)) is False
+    assert pick({4: 0.0, 1: eps}, {4: 0.0, 1: eps_up}) == 1
+    assert pick({4: 0.0, 1: eps}, {4: 0.75 * ulp, 1: eps_up}) == 4
 
 
 @pytest.mark.parametrize("big", [2.0**52 - 77, 2.0**52])
@@ -412,7 +426,7 @@ def test_level_structures_are_built_once_per_level(karate, monkeypatch):
     # rebuild from the state, float for float.
     evaluator = louvain_module._TotalModularity
     original_init, original_pass = evaluator.__init__, louvain_module.local_move_pass
-    built, kept, passes = [], {}, []
+    built, kept, passes, exact = [], {}, [], []
 
     def init(self, state):
         built.append(state)
@@ -430,6 +444,12 @@ def test_level_structures_are_built_once_per_level(karate, monkeypatch):
         original_init(fresh, state)
         assert [x.hex() for x in total.slots] == [x.hex() for x in fresh.slots]
         assert total.members == fresh.members
+        if total.exact:
+            # _visit keys a move inline with base[c] in place of c's slot.
+            exact.append(state)
+            for c, mem in enumerate(total.members):
+                if mem:
+                    assert total.slots[mem[0]].hex() == base[c].hex()
         passes.append(state)
         return result
 
@@ -445,6 +465,7 @@ def test_level_structures_are_built_once_per_level(karate, monkeypatch):
                 louvain(g, variant, seed)
                 assert [id(s) for s in built] == list(kept)
                 assert len(passes) > len(built)
+    assert exact
 
 
 def test_local_move_pass_sums_match_the_scanning_replay():
