@@ -209,6 +209,7 @@ SECTIONS = {
     ]),
     "girvan_newman_cuts": lambda: _girvan_newman([KARATE_CLUB, _random(100, 0.08, 1), *looped_suite(80, 77)]),
     "agglomerative": lambda: _agglomerative([KARATE_CLUB, _random(100, 0.08, 1), _random(60, 0.02, 1)]),
+    "agglomerative_tied": lambda: _agglomerative([_random(200, 8 / 200, 1), *tied_suite(60, 8)]),
     "commands": _commands,
 }
 

@@ -19,6 +19,7 @@ from commdetect import (
     neighbor_matrix,
 )
 from commdetect.agglomerative import linkage_distance
+import identity
 from helpers import complete_graph, path_graph, random_suite, small_integer_weighted_graphs, star_graph
 from oracles import agglomerate_direct, cut_direct
 
@@ -108,6 +109,14 @@ def test_agglomerate_matches_from_scratch_oracle():
                 expected = agglomerate_direct(g, kind, self_neighboring)
                 got = [(m.left, m.right, m.distance) for m in d.merges]
                 assert got == expected
+
+
+# The golden checks its records in the identity manifest (identity.py): every
+# merge with distance.hex() under each linkage, with and without
+# self-neighbouring, on a 200-node random graph and on graphs whose integer
+# distances tie often.
+def test_agglomerate_golden_on_ties():
+    identity.check("agglomerative_tied")
 
 
 @st.composite
