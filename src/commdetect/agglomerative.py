@@ -10,8 +10,7 @@ be cut into a flat partition.
 
 import heapq
 import math
-import operator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from numbers import Real
 
@@ -46,7 +45,8 @@ class Merge:
     step: int
 
     def to_record(self):
-        return asdict(self)
+        return {"left": self.left, "right": self.right, "merged": self.merged,
+                "distance": self.distance, "step": self.step}
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,8 @@ class HslSpec:
 
 def euclidean_distance(nm, i, j):
     """Distance k_i + k_j - 2*n_ij between two distinct nodes."""
-    if i == j:
-        raise ValueError("distance is defined for distinct nodes only")
-    return nm.effective_degree[i] + nm.effective_degree[j] - 2 * nm.shared(i, j)
+    shared = nm.shared(i, j)  # checks both ids before they index anything
+    return nm.effective_degree[i] + nm.effective_degree[j] - 2 * shared
 
 
 def linkage_distance(kind, cluster_a, cluster_b, pairwise):
@@ -118,46 +117,68 @@ def linkage_distance(kind, cluster_a, cluster_b, pairwise):
 def agglomerate(g, kind, self_neighboring=False):
     """Merge clusters greedily until one remains; return the dendrogram.
 
-    Edge weights are ignored. Node distances are computed once; a merge
-    builds the new cluster's linkage row from its parts' rows by the
-    Lance-Williams rules (min, max, or the integer sum of pair distances
-    for average linkage, keyed on sum / pair count). A lazy heap of
-    (distance, a, b) picks the closest pair, ties going to the smallest
-    (min cluster id, max cluster id) pair, so the merge sequence is
-    deterministic. O(n^2 log n) time, O(n^2) memory. Requires a simple
-    graph with at least one node.
+    Edge weights are ignored. Node distances are computed once, row by row
+    from the shared-neighbor counts; a merge builds the new cluster's row by
+    the Lance-Williams rules (min, max, or the integer sum of pair distances
+    for average linkage, keyed on sum / pair count). The closest pair merges
+    first, ties going to the smallest (min id, max id) pair. As in Muellner's
+    generic algorithm (2011), a lazy heap holds one candidate per cluster a,
+    the smallest (key, b) over live b > a, which is rescanned when it reaches
+    the top after b merged away. Typically O(n^2) time, O(n^3) at worst, and
+    O(n^2) memory. Requires a simple graph with at least one node.
     """
     kind = Linkage(kind)
     n = g.node_count
     if n < 1:
         raise ValueError("agglomeration requires at least one node")
     nm = neighbor_matrix(g, self_neighboring)
-    rows = {i: {} for i in range(n)}
-    heap = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = euclidean_distance(nm, i, j)
-            rows[i][j] = rows[j][i] = d
-            heap.append((d, i, j))
+    deg = nm.effective_degree
+    rows = {i: dict(zip(range(n), [di + dj for dj in deg])) for i, di in enumerate(deg)}
+    for (i, j), c in nm._counts.items():
+        rows[i][j] = rows[j][i] = rows[i][j] - 2 * c
+    # best[a]: a's candidate (key, a, b), (inf, a, -1) if none, None once merged.
+    best = []
+    for i, row in rows.items():
+        del row[i]
+        tail = list(row.values())[i:]
+        best.append((d := min(tail), i, i + 1 + tail.index(d)) if tail else (math.inf, i, -1))
+    heap = best[:]
     heapq.heapify(heap)
-    average = kind is Linkage.AVERAGE
-    combine = {Linkage.SINGLE: min, Linkage.COMPLETE: max}.get(kind, operator.add)
+    single, average = kind is Linkage.SINGLE, kind is Linkage.AVERAGE
     size = [1] * n
     merges = []
     for step in range(n - 1):
-        # Pairs of two live clusters never change, so the first live
-        # entry is the smallest (d, a, b) over all live pairs.
-        d, a, b = heapq.heappop(heap)
-        while a not in rows or b not in rows:
-            d, a, b = heapq.heappop(heap)
+        # Live pairs never change distance, so each candidate bounds its
+        # cluster's from below, and the first live one with b alive wins.
+        while True:
+            d, a, b = top = heap[0]
+            if best[a] is not top:
+                heapq.heappop(heap)
+            elif b in rows:
+                break
+            else:  # Row keys stay ascending, so the first smallest key wins.
+                c = best[a] = (math.inf, a, -1)
+                for k, v in rows[a].items():
+                    if k > a:
+                        key = v / (size[a] * size[k]) if average else v
+                        if key < c[0]:
+                            c = best[a] = (key, a, k)
+                heapq.heapreplace(heap, c)
+        heapq.heappop(heap)
         m = n + step
         merges.append(Merge(a, b, m, float(d), step))
         del rows[a], rows[b]
-        size.append(size[a] + size[b])
+        best[a] = best[b] = None
+        best.append((math.inf, m, -1))
+        size.append(sm := size[a] + size[b])
         row_m = {}
         for k, row_k in rows.items():
-            v = row_m[k] = row_k[m] = combine(row_k.pop(a), row_k.pop(b))
-            heapq.heappush(heap, (v / (size[m] * size[k]) if average else v, k, m))
+            x, y = row_k.pop(a), row_k.pop(b)
+            v = row_m[k] = row_k[m] = x + y if average else x if (x < y) == single else y  # min if single
+            key = v / (sm * size[k]) if average else v
+            if key < best[k][0]:
+                best[k] = c = (key, k, m)
+                heapq.heappush(heap, c)
         rows[m] = row_m
     return Dendrogram(n, tuple(merges))
 

@@ -265,8 +265,11 @@ class NeighborMatrix:
 
     def shared(self, i, j):
         """Number of shared neighbors of the distinct nodes i and j."""
+        for node in (i, j):
+            if type(node) is not int or not 0 <= node < len(self.effective_degree):
+                raise ValueError(f"node {node!r} out of range 0..{len(self.effective_degree) - 1}")
         if i == j:
-            raise ValueError("shared-neighbor count is defined for distinct nodes only")
+            raise ValueError(f"shared-neighbor count is defined for distinct nodes only, got {i} twice")
         key = (i, j) if i < j else (j, i)
         return self._counts.get(key, 0)
 

@@ -1,6 +1,9 @@
 """Hierarchical clustering, dendrogram, and HSL-cut tests."""
 
+import heapq
+import random
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from commdetect import (
     fastgreedy,
     neighbor_matrix,
 )
+from commdetect import agglomerative
 from commdetect.agglomerative import linkage_distance
 import identity
 from helpers import complete_graph, path_graph, random_suite, small_integer_weighted_graphs, star_graph
@@ -32,6 +36,21 @@ def test_euclidean_distance_examples():
     assert euclidean_distance(neighbor_matrix(p3), 0, 2) == 0
     with pytest.raises(ValueError):
         euclidean_distance(neighbor_matrix(p3), 1, 1)
+
+
+def test_node_ids_are_checked_by_name(karate):
+    # -1 would read node 33's degree and True node 1's counts.
+    nm = neighbor_matrix(karate)
+    for bad in (-1, 34, True, 1.0):
+        message = rf"node {re.escape(repr(bad))} out of range 0\.\.33$"
+        with pytest.raises(ValueError, match=message):
+            euclidean_distance(nm, bad, 0)
+        with pytest.raises(ValueError, match=message):
+            euclidean_distance(nm, 0, bad)
+        with pytest.raises(ValueError, match=message):
+            nm.shared(bad, 2)
+    assert euclidean_distance(nm, 33, 0) == 25
+    assert nm.shared(1, 2) == nm.shared(2, 1)
 
 
 def test_linkage_distance():
@@ -117,6 +136,71 @@ def test_agglomerate_matches_from_scratch_oracle():
 # distances tie often.
 def test_agglomerate_golden_on_ties():
     identity.check("agglomerative_tied")
+
+
+def _merges(d):
+    return [(m.left, m.right, m.distance) for m in d.merges]
+
+
+def test_candidate_rescans_after_its_cluster_merges_away():
+    # Self-neighbouring 1-2 and 3-4 sit at 0 and merge into 5 and 6; node
+    # 0 is 3 from every other node. 0's candidate is node 1; the new 5 and
+    # 6 only tie it at 3, so it stays queued with 1 merged away, and at
+    # the top it is rescanned over 5 and 6. Their tie goes to the older 5.
+    d = agglomerate(Graph(5, [(1, 2), (3, 4)]), "single", self_neighboring=True)
+    assert _merges(d) == [(1, 2, 0.0), (3, 4, 0.0), (0, 5, 3.0), (6, 7, 3.0)]
+    # Node 1's candidate 2 merges into 3 with node 0; 1 then rescans and
+    # finds 3, at the linkage of its distances 2 to 0 and 1 to 2.
+    for kind, final in (("single", 1.0), ("complete", 2.0), ("average", 1.5)):
+        assert _merges(agglomerate(Graph(3, [(0, 1)]), kind)) == [(0, 2, 1.0), (1, 3, final)]
+
+
+def test_new_cluster_does_not_displace_a_tied_live_candidate():
+    # Edgeless: every distance is 0. After 0 and 1 merge into 4, cluster
+    # 2's candidate 3 ties the new 4 and keeps its place as the smaller id.
+    for kind in Linkage:
+        assert _merges(agglomerate(Graph(4), kind)) == [(0, 1, 0.0), (2, 3, 0.0), (4, 5, 0.0)]
+
+
+def _two_blocks(n, seed):
+    rng = random.Random(seed)
+    half = n // 2
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if (u < half) == (v < half) and rng.random() < 0.6}
+    edges |= {(rng.randrange(half), rng.randrange(half, n)) for _ in range(3)}
+    return Graph(n, sorted(edges))
+
+
+def test_agglomerate_matches_oracle_on_mid_sized_graphs():
+    rng = random.Random(2711)
+    graphs = [*random_suite(4, 20, 40, (0.1, 0.25), 2711), star_graph(rng.randint(19, 39)),
+              complete_graph(rng.randint(20, 40)), _two_blocks(rng.randint(20, 40), 2711)]
+    for g in graphs:
+        for kind in ("single", "complete", "average"):
+            for self_neighboring in (False, True):
+                d = agglomerate(g, kind, self_neighboring)
+                assert _merges(d) == agglomerate_direct(g, kind, self_neighboring), (g.node_count, kind)
+
+
+def test_candidates_pair_each_cluster_with_a_larger_one(monkeypatch):
+    # Every queued candidate (key, a, b) has b > a, or b == -1 when a has
+    # none. A rescan over b < a too merges the same pairs, since b's own
+    # candidate reaches the top first, so only the queue shows it.
+    queued = []
+
+    def record(op):
+        def call(heap, entry):
+            queued.append(entry)
+            return op(heap, entry)
+        return call
+
+    recorder = SimpleNamespace(heapify=lambda heap: (queued.extend(heap), heapq.heapify(heap)),
+                               heappop=heapq.heappop, heappush=record(heapq.heappush),
+                               heapreplace=record(heapq.heapreplace))
+    monkeypatch.setattr(agglomerative, "heapq", recorder)
+    for g in random_suite(6, 20, 40, (0.1, 0.25), 2711):
+        for kind in ("single", "complete", "average"):
+            agglomerate(g, kind)
+    assert queued and all(a < b or b == -1 for _, a, b in queued)
 
 
 @st.composite
