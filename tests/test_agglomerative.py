@@ -120,14 +120,31 @@ def test_dendrogram_records_round_trip():
     assert [r["step"] for r in records] == [0, 1, 2]
 
 
+def _merges(d):
+    return [(m.left, m.right, m.distance) for m in d.merges]
+
+
+def _two_blocks(n, seed):
+    rng = random.Random(seed)
+    half = n // 2
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n)
+             if (u < half) == (v < half) and rng.random() < 0.6}
+    edges |= {(rng.randrange(half), rng.randrange(half, n)) for _ in range(3)}
+    return Graph(n, sorted(edges))
+
+
 def test_agglomerate_matches_from_scratch_oracle():
-    for g in random_suite(24, 2, 8, (0.3, 0.6), 2100):
+    # Small random graphs, and 20-40-node random, star, complete and
+    # two-block graphs, on which candidates are rescanned and tie often.
+    rng = random.Random(2711)
+    graphs = [*random_suite(24, 2, 8, (0.3, 0.6), 2100), *random_suite(4, 20, 40, (0.1, 0.25), 2711),
+              star_graph(rng.randint(19, 39)), complete_graph(rng.randint(20, 40)),
+              _two_blocks(rng.randint(20, 40), 2711)]
+    for g in graphs:
         for kind in ("single", "complete", "average"):
             for self_neighboring in (False, True):
                 d = agglomerate(g, kind, self_neighboring)
-                expected = agglomerate_direct(g, kind, self_neighboring)
-                got = [(m.left, m.right, m.distance) for m in d.merges]
-                assert got == expected
+                assert _merges(d) == agglomerate_direct(g, kind, self_neighboring)
 
 
 # The golden checks its records in the identity manifest (identity.py): every
@@ -136,10 +153,6 @@ def test_agglomerate_matches_from_scratch_oracle():
 # distances tie often.
 def test_agglomerate_golden_on_ties():
     identity.check("agglomerative_tied")
-
-
-def _merges(d):
-    return [(m.left, m.right, m.distance) for m in d.merges]
 
 
 def test_candidate_rescans_after_its_cluster_merges_away():
@@ -160,25 +173,6 @@ def test_new_cluster_does_not_displace_a_tied_live_candidate():
     # 2's candidate 3 ties the new 4 and keeps its place as the smaller id.
     for kind in Linkage:
         assert _merges(agglomerate(Graph(4), kind)) == [(0, 1, 0.0), (2, 3, 0.0), (4, 5, 0.0)]
-
-
-def _two_blocks(n, seed):
-    rng = random.Random(seed)
-    half = n // 2
-    edges = {(u, v) for u in range(n) for v in range(u + 1, n) if (u < half) == (v < half) and rng.random() < 0.6}
-    edges |= {(rng.randrange(half), rng.randrange(half, n)) for _ in range(3)}
-    return Graph(n, sorted(edges))
-
-
-def test_agglomerate_matches_oracle_on_mid_sized_graphs():
-    rng = random.Random(2711)
-    graphs = [*random_suite(4, 20, 40, (0.1, 0.25), 2711), star_graph(rng.randint(19, 39)),
-              complete_graph(rng.randint(20, 40)), _two_blocks(rng.randint(20, 40), 2711)]
-    for g in graphs:
-        for kind in ("single", "complete", "average"):
-            for self_neighboring in (False, True):
-                d = agglomerate(g, kind, self_neighboring)
-                assert _merges(d) == agglomerate_direct(g, kind, self_neighboring), (g.node_count, kind)
 
 
 def test_candidates_pair_each_cluster_with_a_larger_one(monkeypatch):
