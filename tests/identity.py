@@ -191,6 +191,8 @@ def _commands():
 TOTAL, KARATE_CLUB = ("total", "totalNoMerge"), ("karate", karate_club())
 SECTIONS = {
     "louvain_random_500": lambda: _louvain([_random(500, 0.016, 1)], ("normal", "noMerge", "Exp"), range(3)),
+    "louvain_settled": lambda: chain(_louvain(_random_twice(300, 8 / 300, 1), ("normal", "noMerge"), range(3)),
+                                     _louvain([_random(2000, 0.004, 1)], ("normal",), range(2))),
     "total_formula": lambda: chain(_louvain([KARATE_CLUB], TOTAL, range(5)),
                                    _louvain([_random(60, 0.1, 1)], TOTAL, range(2))),
     "total_formula_fractional": lambda: _louvain(_weighted_twice(), TOTAL, range(2)),

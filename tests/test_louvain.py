@@ -208,11 +208,17 @@ def test_visit_tie_goes_to_the_smaller_label_in_any_adjacency_order():
 
 # The goldens check their records in the identity manifest (identity.py):
 # labels, q.hex() and passes of Louvain on random:500,0.016,1 (normal,
-# noMerge, Exp), and of the total-formula variants on karate and
-# random:60,0.1,1, on 40 graphs weighted twice, half of them contracted,
-# and on random:300,8/300,1 weighted twice.
+# noMerge, Exp), of normal and noMerge on random:300,8/300,1 weighted twice
+# and of normal on random:2000,0.004,1, where many visits are skipped, and
+# of the total-formula variants on karate and random:60,0.1,1, on 40 graphs
+# weighted twice, half of them contracted, and on random:300,8/300,1
+# weighted twice.
 def test_louvain_golden_on_random_500():
     identity.check("louvain_random_500")
+
+
+def test_louvain_golden_on_settled_levels():
+    identity.check("louvain_settled")
 
 
 def test_total_formula_golden():
