@@ -64,9 +64,10 @@ class CommunityState:
     read straight off the graph in O(n); an explicit assignment is
     checked and folded by _community_sums.
 
-    `base`, each community's sigma_in/2m - (sigma_tot/2m)^2, and `total`,
-    the total-formula evaluator, live for the whole level: built on first
-    read and kept current by passes, the only way a state may change.
+    `base`, each community's sigma_in/2m - (sigma_tot/2m)^2, `total`, the
+    total-formula evaluator, and `settled`, what lets a pass skip a visit,
+    live for the whole level: built on first read and kept current by
+    passes, the only way a state may change.
     """
 
     def __init__(self, graph, assignment=None):
@@ -98,6 +99,15 @@ class CommunityState:
         return [s_in / two_m - (s_tot / two_m) ** 2 for s_in, s_tot in zip(self.sigma_in, self.sigma_tot)]
 
     total = cached_property(lambda self: _TotalModularity(self))
+
+    @cached_property
+    def settled(self):
+        """In visits of the level's passes: [visits so far]; per node, its
+        last visit if it stayed (else 0) and its neighbours' last move; per
+        community, its sums' last change; per node, its last (weights,
+        k_old, loop)."""
+        n = len(self.assignment)
+        return [0], [0] * n, [0] * n, [0] * n, [None] * n
 
 
 class _TotalModularity:
@@ -247,6 +257,15 @@ def _visit(state, order, use_total_formula=False, move=True):
     float matches a separate remove and insert. Rewriting what the visit
     changed keeps the level-long `base` and `total` equal, float for
     float, to a rebuild.
+
+    A local-move pass skips node i when it stayed at its last visit, no
+    neighbour has moved since, and neither its community nor one in its last
+    `weights` has changed its sums since (`state.settled`). Its weights,
+    sums, base terms and keys are then the floats it stayed on, so it
+    would stay again and write back the same bits: a stay whose round
+    trip, (sigma - in_old) + in_old, moved a bit marked its community
+    changed. A visit that folded is never skipped, as a fold reads every
+    slot. A node whose neighbours did not move reuses its last weights.
     """
     if state.m == 0:
         raise ValueError("modularity gain is undefined for a graph with no edges")
@@ -262,22 +281,30 @@ def _visit(state, order, use_total_formula=False, move=True):
     if use_total_formula:
         total = state.total
         exact, band = total.exact, total.band
+    clock, last, near, changed, seen = state.settled
     changes = []
-    for i in order:
+    for t, i in enumerate(order, clock[0] + 1):
         c_old = assignment[i]
-        weights = {}
-        loop = 0.0
-        for j, w in adj[i].items():
-            if j != i:
-                c = assignment[j]
-                if c in weights:
-                    weights[c] += w
+        since = last[i]
+        if near[i] < since:
+            # Node i stayed at visit `since` and no neighbour moved after.
+            weights, k_old, loop = seen[i]
+            if changed[c_old] < since and all(changed[c] < since for c in weights):
+                continue
+        else:
+            weights = {}
+            loop = 0.0
+            for j, w in adj[i].items():
+                if j != i:
+                    c = assignment[j]
+                    if c in weights:
+                        weights[c] += w
+                    else:
+                        weights[c] = w
                 else:
-                    weights[c] = w
-            else:
-                loop = w
+                    loop = w
+            k_old = weights.pop(c_old, 0.0)
         ki = k[i]
-        k_old = weights.pop(c_old, 0.0)
         in_old = 2.0 * k_old + 2.0 * loop
         if size[c_old] == 1:
             s_in = s_tot = 0.0
@@ -314,6 +341,8 @@ def _visit(state, order, use_total_formula=False, move=True):
                         folds[c_old] = total.score(i, c_old, s_in, s_tot)
                     gain = folds[c_new] - folds[c_old]
                 gains = c_new != c_old and gain > gain_eps
+                if folds:
+                    near[i] = t  # a fold read every slot: visit node i again
             else:
                 kk = (ki / two_m) ** 2
                 stay = best = ((s_in + 2.0 * k_old) / two_m - ((s_tot + ki) / two_m) ** 2
@@ -339,12 +368,22 @@ def _visit(state, order, use_total_formula=False, move=True):
             size[c_old] -= 1
             size[c_new] += 1
             assignment[i] = c_new
+            changed[c_old] = changed[c_new] = t
+            last[i] = 0
+            for j in adj[i]:
+                near[j] = t
         else:
             s_in += in_old
             s_tot += ki
+            if move:
+                if s_in != sigma_in[c_old] or s_tot != sigma_tot[c_old]:
+                    changed[c_old] = t
+                last[i] = t
+                seen[i] = weights, k_old, loop
         sigma_in[c_old] = s_in
         sigma_tot[c_old] = s_tot
         base[c_old] = s_in / two_m - (s_tot / two_m) ** 2
+    clock[0] += len(order)
     return changes
 
 
@@ -361,7 +400,8 @@ def local_move_pass(state, order, use_total_formula=False):
     `use_total_formula` each candidate is keyed by one float, in O(1)
     unless a weight is fractional or 2m > 2**53, when the key re-folds
     the joined community's sums; only a comparison inside the fold band
-    also folds the n slots of both moves.
+    also folds the n slots of both moves. A node whose inputs did not
+    change since it last stayed is skipped, which changes no float.
     """
     return state, bool(_visit(state, order, use_total_formula))
 

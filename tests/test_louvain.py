@@ -494,6 +494,86 @@ def test_local_move_pass_sums_match_the_scanning_replay():
                 assert getattr(state, field) == getattr(replay, field), field
 
 
+def _passes(g, labels, orders):
+    """The assignment after each local_move_pass over `orders`, from g
+    labelled `labels`; every pass matches the scanning replay."""
+    state, replay = CommunityState(g, labels), CommunityState(g, labels)
+    assignments = []
+    for order in orders:
+        local_move_pass(state, order)
+        local_move_pass_scanning(replay, order)
+        for field in ("assignment", "sigma_in", "sigma_tot", "size"):
+            assert getattr(state, field) == getattr(replay, field), field
+        assignments.append(list(state.assignment))
+    return assignments
+
+
+def test_a_stayed_node_is_scored_again_when_a_non_neighbour_leaves_a_bordering_community():
+    # Node 0 sits in {0, 5} and borders {1, 2, 4} through node 1. Node 2
+    # belongs to that community but links only to node 3, so it is no
+    # neighbour of node 0. Pass 1 visits node 0 first, and it stays while
+    # node 2 weighs on {1, 2, 4}; then node 2 leaves for node 3. No
+    # neighbour of node 0 moved, yet pass 2 must score it again: it now
+    # joins node 1, and node 5 follows it.
+    g = Graph(6, [(0, 1, 2), (0, 5, 1), (1, 4, 5), (2, 3, 10)])
+    first, second = _passes(g, [0, 1, 1, 3, 1, 0], [[0, 2, 1, 3, 4, 5], [0, 1, 2, 3, 4, 5]])
+    assert first == [0, 1, 3, 3, 1, 0]
+    assert second == [1, 1, 3, 3, 1, 1]
+
+
+def test_a_stayed_node_is_scored_again_when_only_its_own_community_changes():
+    # Node 0 sits in {0, 5} and borders {1, 4}. Pass 1 visits node 0 first,
+    # and it stays; then node 2, linked only to node 5, joins {0, 5}. Only
+    # node 0's own community changed, and pass 2 must score it again: the
+    # heavier {0, 2, 5} now loses node 0 to node 1.
+    g = Graph(6, [(0, 1, 2), (0, 5, 3), (1, 4, 5), (2, 5, 10)])
+    first, second = _passes(g, [0, 1, 2, 3, 1, 0], [[0, 2, 1, 4, 5], [0, 1, 2, 4, 5]])
+    assert first == [0, 1, 0, 3, 1, 0]
+    assert second == [1, 1, 0, 3, 1, 0]
+
+
+def test_a_stay_whose_round_trip_moves_a_bit_marks_its_community():
+    # Built like _scored_state: 2m = 2 and every degree 0. Node 0 is alone
+    # and links to community 1 = {1, 2} by 9007.5 * 2**-53; node 2 links to
+    # node 1 by 0.2. Visiting node 2 takes 0.4 out of sigma_in[1] = 1.40004
+    # and adds it back, which lands one float lower. Node 0's gain of
+    # joining community 1, (sigma_in[1] + 2*k_in)/2 - sigma_in[1]/2, rounds
+    # a sum that lies halfway between two floats to the even one: it is
+    # _GAIN_EPS or less before node 2's visit and more after it.
+    state = CommunityState(Graph(4), [0, 1, 1, 3])
+    state.m = 1.0
+    state.k = [0.0] * 4
+    state.adj[0] = {1: 9007.5 * 2.0**-53}
+    state.adj[2] = {1: 0.2}
+    state.sigma_in[1] = 1.40004
+    local_move_pass(state, [0, 2])
+    assert state.assignment == [0, 1, 1, 3]
+    assert state.sigma_in[1] < 1.40004
+    local_move_pass(state, [0])
+    assert state.assignment == [1, 1, 1, 3]
+
+
+def test_a_total_formula_visit_that_folded_is_visited_again():
+    # Node 0 of _scored_state keys joining community 1 at _GAIN_EPS over
+    # staying, inside the band, so the folds decide the gain. A fold reads
+    # every slot, which moves elsewhere change, so node 0's next visit
+    # folds again and follows the new folds.
+    state = _scored_state(4, {4: 0.0, 1: _GAIN_EPS})
+    folds, folded = {4: 0.0, 1: 0.0}, []
+
+    def score(i, c, s_in, s_tot):
+        folded.append(c)
+        return folds[c]
+
+    state.total.score = score
+    local_move_pass(state, [0], use_total_formula=True)
+    assert state.assignment[0] == 4 and folded
+    folds[1] = 1.0
+    folded.clear()
+    local_move_pass(state, [0], use_total_formula=True)
+    assert state.assignment[0] == 1 and folded
+
+
 def test_delta_q_insert_reference_values():
     pair = Graph(2, [(0, 1)])
     state = CommunityState(pair)
