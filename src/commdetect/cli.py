@@ -309,8 +309,10 @@ def bench_command(args):
         variants = [v.value for v in LouvainVariant]
     else:
         variants = args.variant.split(",")
-    for variant in variants:
+    for k, variant in enumerate(variants):
         entry = _checked(args.algorithm, {**params, "variant": variant})
+        if variant in variants[:k]:
+            raise CliError(f"variant {variant!r} is repeated in --variant")
     g = _load_for(args.algorithm, entry, args.dataset)
     try:
         report = bench(g, args.algorithm, variants, args.runs, args.seed, params=params)

@@ -395,6 +395,7 @@ def test_parameters_are_checked_before_the_dataset_is_built(tmp_path, monkeypatc
     cases = [
         (["run", "--algorithm", "louvain", "--variant", "bogus"], "unknown variant 'bogus'"),
         (["bench", "--variant", "normal,bogus"], "unknown variant 'bogus'"),
+        (["bench", "--variant", "normal,total,normal"], "variant 'normal' is repeated in --variant"),
         (["run", "--algorithm", "louvain", "--variant", "Exp", "--linkage", "single"],
          "--linkage is not a parameter of louvain"),
         (["bench", "--target-communities", "3"], "--target-communities is not a parameter of louvain"),
