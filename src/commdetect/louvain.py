@@ -102,10 +102,9 @@ class CommunityState:
 
     @cached_property
     def settled(self):
-        """In visits of the level's passes: [visits so far]; per node, its
-        last visit if it stayed (else 0) and its neighbours' last move; per
-        community, its sums' last change; per node, its last (weights,
-        k_old, loop)."""
+        """Visit counts: [visits so far]; per node, its last stay (0 after a
+        move) and its neighbours' last move; per community, its sums' last
+        change; per node, its last (weights, k_old, loop)."""
         n = len(self.assignment)
         return [0], [0] * n, [0] * n, [0] * n, [None] * n
 
@@ -259,13 +258,13 @@ def _visit(state, order, use_total_formula=False, move=True):
     float, to a rebuild.
 
     A local-move pass skips node i when it stayed at its last visit, no
-    neighbour has moved since, and neither its community nor one in its last
-    `weights` has changed its sums since (`state.settled`). Its weights,
-    sums, base terms and keys are then the floats it stayed on, so it
-    would stay again and write back the same bits: a stay whose round
-    trip, (sigma - in_old) + in_old, moved a bit marked its community
-    changed. A visit that folded is never skipped, as a fold reads every
-    slot. A node whose neighbours did not move reuses its last weights.
+    neighbour has moved since, and neither its community nor one in its
+    last `weights` has changed its sums since (`state.settled`). Its
+    weights, sums, base terms and keys are then the floats it stayed on,
+    so it would stay again and write back the same bits: a stay whose
+    round trip, (sigma - in_old) + in_old, moved a bit marked its
+    community changed. A visit that folded is never skipped, as a fold
+    reads every slot. Unmoved neighbours let a visit reuse its weights.
     """
     if state.m == 0:
         raise ValueError("modularity gain is undefined for a graph with no edges")
@@ -286,11 +285,14 @@ def _visit(state, order, use_total_formula=False, move=True):
     for t, i in enumerate(order, clock[0] + 1):
         c_old = assignment[i]
         since = last[i]
-        if near[i] < since:
-            # Node i stayed at visit `since` and no neighbour moved after.
+        if near[i] < since:  # node i stayed at visit `since`, and no neighbour moved after
             weights, k_old, loop = seen[i]
-            if changed[c_old] < since and all(changed[c] < since for c in weights):
-                continue
+            if changed[c_old] < since:
+                for c in weights:
+                    if changed[c] >= since:
+                        break
+                else:
+                    continue  # the floats node i stayed on: it would stay
         else:
             weights = {}
             loop = 0.0

@@ -2,15 +2,15 @@
 """Dataset ladder: time Louvain and fastgreedy on random:N,8/N,1 and
 write one BENCH_<n>.json.
 
-    PYTHONPATH=src python tools/ladder.py --out BENCH_<n>.json [--runs K] [--sizes 500,2000,8000]
+    PYTHONPATH=src python tools/ladder.py --out BENCH_<n>.json
 
 Run from the repository root; `commdetect` is imported from PYTHONPATH,
 so pointing it at another checkout's `src` times that code. Each cell is
 one algorithm on one graph: Louvain normal, noMerge, total and Exp with
-seed 0, and fastgreedy. A cell runs K times (default 5), once if its
-first run takes over 10 s, and records the min and median wall time,
-raw and rescaled to reference seconds by perfbench/calibration.py's loop,
-timed around each run as perfbench does.
+seed 0, and fastgreedy. A cell runs five times, once if its first run
+takes over 10 s, and records the min and median wall time, raw and
+rescaled to reference seconds by perfbench/calibration.py's loop, timed
+around each run as perfbench does.
 
 Each cell also records the sha256 digest of its output, in the record
 format of tests/identity.py: (labels, q.hex(), passes) for Louvain and
@@ -35,7 +35,9 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import calibration  # noqa: E402
 
 MANIFEST = ROOT / "tests" / "identity.txt"
+SIZES = (500, 2000, 8000)
 LOUVAIN_VARIANTS = ("normal", "noMerge", "total", "Exp")
+RUNS = 5
 # A cell whose first run takes longer than this runs once.
 ONE_RUN_S = 10.0
 
@@ -53,11 +55,11 @@ def _fastgreedy(g):
     return "fastgreedy - -", (merges, best.labels, best_q.hex()), {"q": best_q, "joins": len(merges)}
 
 
-def _cell(run, g, runs, calibrator):
-    """Time `run(g)` up to `runs` times; returns its key, digest, stats
+def _cell(run, g, calibrator):
+    """Time `run(g)` up to RUNS times; returns its key, digest, stats
     and the (raw, rescaled) seconds of each run."""
     times, outputs = [], set()
-    while len(times) < runs:
+    while len(times) < RUNS:
         calibrator.maybe_measure()
         first = len(calibrator.samples) - 1
         start = time.perf_counter()
@@ -73,15 +75,15 @@ def _cell(run, g, runs, calibrator):
     return key, outputs.pop(), stats, times
 
 
-def ladder(sizes, runs):
+def ladder():
     recorded = dict(line.split("\t") for line in MANIFEST.read_text().splitlines())
     calibrator = calibration.Calibrator()
     cells, mismatched = [], []
-    for n in sizes:
+    for n in SIZES:
         dataset = f"random:{n},{8 / n},1"
         g = random_graph(n, 8 / n, 1)
         for run in (*map(_louvain, LOUVAIN_VARIANTS), _fastgreedy):
-            key, digest, stats, times = _cell(run, g, runs, calibrator)
+            key, digest, stats, times = _cell(run, g, calibrator)
             key = f"{key} {dataset}"
             manifest = recorded.get(key)
             if manifest is not None and manifest != digest:
@@ -115,12 +117,8 @@ def ladder(sizes, runs):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="path of the BENCH JSON file to write")
-    parser.add_argument("--runs", type=int, default=5, help="runs per cell (one if the first exceeds 10 s)")
-    parser.add_argument("--sizes", default="500,2000,8000", help="comma-separated node counts")
     args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
-    report, mismatched = ladder([int(n) for n in args.sizes.split(",")], args.runs)
+    report, mismatched = ladder()
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     for key in mismatched:
         print(f"ladder: {key} differs from tests/identity.txt", file=sys.stderr)
