@@ -281,8 +281,9 @@ def _visit(state, order, use_total_formula=False, move=True):
         total = state.total
         exact, band = total.exact, total.band
     clock, last, near, changed, seen = state.settled
+    t = clock[0]
     changes = []
-    for t, i in enumerate(order, clock[0] + 1):
+    for t, i in enumerate(order, t + 1):
         c_old = assignment[i]
         since = last[i]
         if near[i] < since:  # node i stayed at visit `since`, and no neighbour moved after
@@ -385,7 +386,7 @@ def _visit(state, order, use_total_formula=False, move=True):
         sigma_in[c_old] = s_in
         sigma_tot[c_old] = s_tot
         base[c_old] = s_in / two_m - (s_tot / two_m) ** 2
-    clock[0] += len(order)
+    clock[0] = t
     return changes
 
 
@@ -402,8 +403,7 @@ def local_move_pass(state, order, use_total_formula=False):
     `use_total_formula` each candidate is keyed by one float, in O(1)
     unless a weight is fractional or 2m > 2**53, when the key re-folds
     the joined community's sums; only a comparison inside the fold band
-    also folds the n slots of both moves. A node whose inputs did not
-    change since it last stayed is skipped, which changes no float.
+    also folds the n slots of both moves. Unchanged visits are skipped.
     """
     return state, bool(_visit(state, order, use_total_formula))
 

@@ -495,12 +495,13 @@ def test_local_move_pass_sums_match_the_scanning_replay():
 
 
 def _passes(g, labels, orders):
-    """The assignment after each local_move_pass over `orders`, from g
-    labelled `labels`; every pass matches the scanning replay."""
+    """The assignment after each local_move_pass over `orders`, each given
+    as an iterator, from g labelled `labels`; every pass matches the
+    scanning replay."""
     state, replay = CommunityState(g, labels), CommunityState(g, labels)
     assignments = []
     for order in orders:
-        local_move_pass(state, order)
+        local_move_pass(state, iter(order))
         local_move_pass_scanning(replay, order)
         for field in ("assignment", "sigma_in", "sigma_tot", "size"):
             assert getattr(state, field) == getattr(replay, field), field
