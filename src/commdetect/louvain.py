@@ -285,8 +285,8 @@ def _visit(state, order, use_total_formula=False, move=True):
     changes = []
     for t, i in enumerate(order, t + 1):
         c_old = assignment[i]
-        since = last[i]
-        if near[i] < since:  # node i stayed at visit `since`, and no neighbour moved after
+        if move and near[i] < last[i]:  # node i stayed, and no neighbour moved since
+            since = last[i]
             weights, k_old, loop = seen[i]
             if changed[c_old] < since:
                 for c in weights:
