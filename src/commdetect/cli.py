@@ -309,9 +309,9 @@ def bench_command(args):
         variants = [v.value for v in LouvainVariant]
     else:
         variants = args.variant.split(",")
-    for k, variant in enumerate(variants):
+    for variant in variants:
         entry = _checked(args.algorithm, {**params, "variant": variant})
-        if variant in variants[:k]:
+        if variants.count(variant) > 1:
             raise CliError(f"variant {variant!r} is repeated in --variant")
     g = _load_for(args.algorithm, entry, args.dataset)
     try:
