@@ -117,10 +117,11 @@ def linkage_distance(kind, cluster_a, cluster_b, pairwise):
 def agglomerate(g, kind, self_neighboring=False):
     """Merge clusters greedily until one remains; return the dendrogram.
 
-    Edge weights are ignored. Node distances are computed once, row by row
-    from the shared-neighbor counts; a merge builds the new cluster's row by
-    the Lance-Williams rules (min, max, or the integer sum of pair distances
-    for average linkage, keyed on sum / pair count). The closest pair merges
+    Edge weights are ignored. Node distances are computed once from the
+    shared-neighbor counts, and each pair is kept once, in its smaller id's
+    row. A merge writes each live cluster's distance to the new one by the
+    Lance-Williams rules (min, max, or the integer sum of pair distances for
+    average linkage, keyed on sum / pair count). The closest pair merges
     first, ties going to the smallest (min id, max id) pair. As in Muellner's
     generic algorithm (2011), a lazy heap holds one candidate per cluster a,
     the smallest (key, b) over live b > a, which is rescanned when it reaches
@@ -133,15 +134,14 @@ def agglomerate(g, kind, self_neighboring=False):
         raise ValueError("agglomeration requires at least one node")
     nm = neighbor_matrix(g, self_neighboring)
     deg = nm.effective_degree
-    rows = {i: dict(zip(range(n), [di + dj for dj in deg])) for i, di in enumerate(deg)}
+    rows = {i: dict(zip(range(i + 1, n), [di + dj for dj in deg[i + 1:]])) for i, di in enumerate(deg)}
     for (i, j), c in nm._counts.items():
-        rows[i][j] = rows[j][i] = rows[i][j] - 2 * c
+        rows[i][j] -= 2 * c
     # best[a]: a's candidate (key, a, b), (inf, a, -1) if none, None once merged.
     best = []
     for i, row in rows.items():
-        del row[i]
-        tail = list(row.values())[i:]
-        best.append((d := min(tail), i, i + 1 + tail.index(d)) if tail else (math.inf, i, -1))
+        ds = list(row.values())
+        best.append((d := min(ds), i, i + 1 + ds.index(d)) if ds else (math.inf, i, -1))
     heap = best[:]
     heapq.heapify(heap)
     single, average = kind is Linkage.SINGLE, kind is Linkage.AVERAGE
@@ -159,27 +159,26 @@ def agglomerate(g, kind, self_neighboring=False):
             else:  # Row keys stay ascending, so the first smallest key wins.
                 c = best[a] = (math.inf, a, -1)
                 for k, v in rows[a].items():
-                    if k > a:
-                        key = v / (size[a] * size[k]) if average else v
-                        if key < c[0]:
-                            c = best[a] = (key, a, k)
+                    key = v / (size[a] * size[k]) if average else v
+                    if key < c[0]:
+                        c = best[a] = (key, a, k)
                 heapq.heapreplace(heap, c)
         heapq.heappop(heap)
         m = n + step
         merges.append(Merge(a, b, m, float(d), step))
-        del rows[a], rows[b]
+        row_a, row_b = rows.pop(a), rows.pop(b)
         best[a] = best[b] = None
         best.append((math.inf, m, -1))
         size.append(sm := size[a] + size[b])
-        row_m = {}
-        for k, row_k in rows.items():
-            x, y = row_k.pop(a), row_k.pop(b)
-            v = row_m[k] = row_k[m] = x + y if average else x if (x < y) == single else y  # min if single
+        for k, row_k in rows.items():  # a < b < m, and d(k, j) sits in the smaller id's row
+            x = row_k.pop(a) if k < a else row_a[k]
+            y = row_k.pop(b) if k < b else row_b[k]
+            v = row_k[m] = x + y if average else x if (x < y) == single else y  # min if single
             key = v / (sm * size[k]) if average else v
             if key < best[k][0]:
                 best[k] = c = (key, k, m)
                 heapq.heappush(heap, c)
-        rows[m] = row_m
+        rows[m] = {}
     return Dendrogram(n, tuple(merges))
 
 
