@@ -164,10 +164,12 @@ _PARAMETERS = (*_TUNING, "variant", "seed")
 def _checked(algorithm, params):
     """The table entry of `algorithm`, once `params` suit it.
 
-    A parameter the algorithm does not take, a required one left out, an
-    unknown Louvain variant or a bad dendrogram cut raises CliError.
+    An unknown algorithm, a parameter it does not take, a required one left
+    out, an unknown Louvain variant or a bad dendrogram cut raises CliError.
     """
-    entry = _ALGORITHMS[algorithm]
+    entry = _ALGORITHMS.get(algorithm)
+    if entry is None:
+        raise CliError(f"unknown algorithm {algorithm!r}")
     for name in _PARAMETERS:
         if params.get(name) is not None and name not in entry.accepts:
             raise CliError(f"--{name.replace('_', '-')} is not a parameter of {algorithm}")
@@ -268,33 +270,37 @@ def run_stats(label, runs, one):
     }
 
 
+def _bench_configs(algorithm, variants, params):
+    """`algorithm`'s table entry and the (label, params) of each bench record,
+    once each variant suits it as `_checked` judges and is named only once."""
+    for variant in variants or [None]:
+        entry = _checked(algorithm, {**params, "variant": variant})
+        if variants.count(variant) > 1:
+            raise CliError(f"variant {variant!r} is repeated in --variant")
+    if "variant" not in entry.accepts:
+        return entry, [(algorithm, params)]
+    return entry, [(LouvainVariant(v).value, {**params, "variant": v}) for v in variants]
+
+
 def bench(g, algorithm, variants, runs, base_seed, params=None):
     """Benchmark one algorithm on one graph; returns the report
     {"environment": host note, "records": [...]}.
 
-    For louvain each requested variant becomes one record of the runs
-    with seeds base_seed..base_seed+runs-1; other algorithms are
-    deterministic, so their record repeats one configuration `runs` times
-    for timing. Every record comes from run_stats. A record's Q is
-    Louvain's own, or else the partition's modularity, which raises
-    ValueError on a graph with no edges.
+    For louvain each requested variant becomes one record of the runs with
+    seeds base_seed..base_seed+runs-1; other algorithms are deterministic,
+    so their record repeats one configuration `runs` times for timing. Every
+    record comes from run_stats. A record's Q is Louvain's own, or else the
+    partition's modularity, which raises ValueError on a graph with no
+    edges. A variant that does not suit the algorithm, or one named twice,
+    raises CliError.
     """
-    entry = _ALGORITHMS.get(algorithm)
-    if entry is None:
-        raise CliError(f"unknown algorithm {algorithm!r}")
-    params = params or {}
-    if "variant" in entry.accepts:
-        configs = [(LouvainVariant(v).value, {**params, "variant": v}) for v in variants]
-    else:
-        configs = [(algorithm, params)]
-    records = []
-    for label, config in configs:
+    entry, configs = _bench_configs(algorithm, variants, params or {})
 
-        def one(k, config=config):
-            part, q, _ = entry.call(g, config, base_seed + k)
-            return modularity(g, part) if q is None else q
+    def one(config, k):
+        part, q, _ = entry.call(g, config, base_seed + k)
+        return modularity(g, part) if q is None else q
 
-        records.append(run_stats(label, runs, one))
+    records = [run_stats(label, runs, functools.partial(one, config)) for label, config in configs]
     environment = f"{platform.platform()} / Python {platform.python_version()}"
     return {"environment": environment, "records": records}
 
@@ -303,16 +309,11 @@ def bench_command(args):
     if args.runs < 1:
         raise CliError("--runs must be at least 1")
     params = {name: getattr(args, name) for name in _TUNING}
-    if "variant" not in _ALGORITHMS[args.algorithm].accepts:
-        variants = [args.variant]  # None, or a foreign --variant for _checked to refuse
-    elif args.variant is None:
-        variants = [v.value for v in LouvainVariant]
-    else:
+    if args.variant is not None:
         variants = args.variant.split(",")
-    for variant in variants:
-        entry = _checked(args.algorithm, {**params, "variant": variant})
-        if variants.count(variant) > 1:
-            raise CliError(f"variant {variant!r} is repeated in --variant")
+    else:  # every Louvain variant, or none for an algorithm that takes none
+        variants = [v.value for v in LouvainVariant if "variant" in _ALGORITHMS[args.algorithm].accepts]
+    entry, _ = _bench_configs(args.algorithm, variants, params)
     g = _load_for(args.algorithm, entry, args.dataset)
     try:
         report = bench(g, args.algorithm, variants, args.runs, args.seed, params=params)

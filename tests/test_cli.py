@@ -323,6 +323,16 @@ def test_bench_variant_subset_and_validation(tmp_path, capsys):
     assert "--runs" in capsys.readouterr().err
 
 
+def test_bench_library_call_checks_its_variants_as_the_command_does(karate):
+    # The library function runs no variant twice and names what it refuses.
+    with pytest.raises(cli.CliError, match="variant 'normal' is repeated"):
+        cli.bench(karate, "louvain", ["normal", "normal"], 1, 0)
+    with pytest.raises(cli.CliError, match="unknown variant 'bogus'"):
+        cli.bench(karate, "louvain", ["normal", "bogus"], 1, 0)
+    with pytest.raises(cli.CliError, match="--variant is not a parameter of fastgreedy"):
+        cli.bench(karate, "fastgreedy", ["normal"], 1, 0)
+
+
 def test_bench_other_algorithms(tmp_path):
     out = tmp_path / "bench.json"
     assert run_cli(
