@@ -1,22 +1,26 @@
 #!/usr/bin/env python3
-"""Dataset ladder: time Louvain and fastgreedy on random:N,8/N,1 and
-write one BENCH_<n>.json.
+"""Dataset ladder: time Louvain, fastgreedy and agglomerative clustering
+on random:N,8/N,1 and write one BENCH_<n>.json.
 
     PYTHONPATH=src python tools/ladder.py --out BENCH_<n>.json
 
 Run from the repository root; `commdetect` is imported from PYTHONPATH,
 so pointing it at another checkout's `src` times that code. Each cell is
 one algorithm on one graph: Louvain normal, noMerge, total and Exp with
-seed 0, and fastgreedy. A cell runs five times, once if its first run
-takes over 10 s, and records the min and median wall time, raw and
-rescaled to reference seconds by perfbench/calibration.py's loop, timed
-around each run as perfbench does.
+seed 0, and fastgreedy, for N = 500, 2000 and 8000; average linkage, and
+single linkage with self-neighbouring, for N = 100, 200, 400 and 1600. A
+cell runs five times, once if its first run takes over 10 s, and records
+the min and median wall time, raw and rescaled to reference seconds by
+perfbench/calibration.py's loop, timed around each run as perfbench
+does.
 
 Each cell also records the sha256 digest of its output, in the record
-format of tests/identity.py: (labels, q.hex(), passes) for Louvain and
-(merges, labels, q.hex()) for fastgreedy. Where tests/identity.txt holds
-the same key, the digests must match, or the script exits 1. Two BENCH
-files describe the same outputs when their digests match cell for cell.
+format of tests/identity.py: (labels, q.hex(), passes) for Louvain,
+(merges, labels, q.hex()) for fastgreedy and the merges with each
+distance as .hex() for agglomerative clustering. Where
+tests/identity.txt holds the same key, the digests must match, or the
+script exits 1. Two BENCH files describe the same outputs when their
+digests match cell for cell.
 """
 
 import argparse
@@ -28,14 +32,13 @@ import sys
 import time
 from pathlib import Path
 
-from commdetect import fastgreedy, louvain, random_graph
+from commdetect import agglomerate, fastgreedy, louvain, random_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 import calibration  # noqa: E402
 
 MANIFEST = ROOT / "tests" / "identity.txt"
-SIZES = (500, 2000, 8000)
 LOUVAIN_VARIANTS = ("normal", "noMerge", "total", "Exp")
 RUNS = 5
 # A cell whose first run takes longer than this runs once.
@@ -53,6 +56,21 @@ def _fastgreedy(g):
     dend, best, best_q = fastgreedy(g)
     merges = [(m.left, m.right, m.merged, m.gain.hex(), m.q.hex(), m.step) for m in dend.merges]
     return "fastgreedy - -", (merges, best.labels, best_q.hex()), {"q": best_q, "joins": len(merges)}
+
+
+def _agglomerative(linkage, self_neighboring):
+    def run(g):
+        merges = agglomerate(g, linkage, self_neighboring).merges
+        record = [(m.left, m.right, m.merged, m.distance.hex(), m.step) for m in merges]
+        return f"agglomerative {linkage}{'+self' * self_neighboring} -", record, {"merges": len(merges)}
+    return run
+
+
+# (sizes, cells): every cell runs on random:N,8/N,1 for each N of its sizes.
+LADDER = [
+    ((500, 2000, 8000), (*map(_louvain, LOUVAIN_VARIANTS), _fastgreedy)),
+    ((100, 200, 400, 1600), (_agglomerative("average", False), _agglomerative("single", True))),
+]
 
 
 def _cell(run, g, calibrator):
@@ -79,31 +97,32 @@ def ladder():
     recorded = dict(line.split("\t") for line in MANIFEST.read_text().splitlines())
     calibrator = calibration.Calibrator()
     cells, mismatched = [], []
-    for n in SIZES:
-        dataset = f"random:{n},{8 / n},1"
-        g = random_graph(n, 8 / n, 1)
-        for run in (*map(_louvain, LOUVAIN_VARIANTS), _fastgreedy):
-            key, digest, stats, times = _cell(run, g, calibrator)
-            key = f"{key} {dataset}"
-            manifest = recorded.get(key)
-            if manifest is not None and manifest != digest:
-                mismatched.append(key)
-            raw, scaled = zip(*times)
-            cells.append({
-                "cell": key,
-                "nodes": n,
-                "edges": g.edge_count,
-                "runs": len(times),
-                "min_s": min(raw),
-                "median_s": statistics.median(raw),
-                "min_ref_s": min(scaled),
-                "median_ref_s": statistics.median(scaled),
-                **stats,
-                "digest": digest,
-                "in_manifest": manifest is not None,
-            })
-            print(f"{key}: {len(times)} runs, min {min(raw):.4f} s, median {statistics.median(raw):.4f} s",
-                  file=sys.stderr)
+    for sizes, runs in LADDER:
+        for n in sizes:
+            dataset = f"random:{n},{8 / n},1"
+            g = random_graph(n, 8 / n, 1)
+            for run in runs:
+                key, digest, stats, times = _cell(run, g, calibrator)
+                key = f"{key} {dataset}"
+                manifest = recorded.get(key)
+                if manifest is not None and manifest != digest:
+                    mismatched.append(key)
+                raw, scaled = zip(*times)
+                cells.append({
+                    "cell": key,
+                    "nodes": n,
+                    "edges": g.edge_count,
+                    "runs": len(times),
+                    "min_s": min(raw),
+                    "median_s": statistics.median(raw),
+                    "min_ref_s": min(scaled),
+                    "median_ref_s": statistics.median(scaled),
+                    **stats,
+                    "digest": digest,
+                    "in_manifest": manifest is not None,
+                })
+                print(f"{key}: {len(times)} runs, min {min(raw):.4f} s, median {statistics.median(raw):.4f} s",
+                      file=sys.stderr)
     report = {
         "interpreter": f"{platform.python_implementation()} {platform.python_version()}",
         "platform": platform.platform(),
