@@ -170,7 +170,7 @@ def agglomerate(g, kind, self_neighboring=False):
         best[a] = best[b] = None
         best.append((math.inf, m, -1))
         size.append(sm := size[a] + size[b])
-        for k, row_k in rows.items():  # a < b < m, and d(k, j) sits in the smaller id's row
+        for k, row_k in rows.items():  # a < b, and d(k, a), d(k, b) sit in the smaller id's row
             x = row_k.pop(a) if k < a else row_a[k]
             y = row_k.pop(b) if k < b else row_b[k]
             v = row_k[m] = x + y if average else x if (x < y) == single else y  # min if single
