@@ -294,7 +294,7 @@ def bench(g, algorithm, variants, runs, base_seed, params=None):
     edges. A variant that does not suit the algorithm, or one named twice,
     raises CliError.
     """
-    entry, configs = _bench_configs(algorithm, variants, params or {})
+    entry, configs = _bench_configs(algorithm, list(variants), params or {})
 
     def one(config, k):
         part, q, _ = entry.call(g, config, base_seed + k)
