@@ -54,6 +54,9 @@ def load_dataset(spec):
             raise CliError(f"bad edge list {path!r}: {exc}") from None
     if spec.startswith("random:"):
         body = spec[len("random:"):]
+        # load_edge_list's rule: int() and float() would read '1_0' and '\u0661\u0660' as 10.
+        if "_" in body or not body.isascii():
+            raise CliError(f"random dataset {spec!r}: n, p and seed must be ASCII numbers without '_'")
         parts = body.split(",")
         if len(parts) != 3:
             raise CliError(f"random dataset needs n,p,seed, got {body!r}")

@@ -12,6 +12,7 @@ from functools import reduce
 from itertools import combinations
 from numbers import Real
 from operator import add
+from struct import unpack_from
 
 __all__ = [
     "Graph",
@@ -343,8 +344,29 @@ def karate_club():
     return Graph(34, _KARATE_EDGES)
 
 
+# Below n = 200 or above p = 0.04, one random() call per pair is faster
+# than the bulk draw: each row of bytes costs a fixed setup, and each
+# candidate pair, a fraction of about p + 1/256, a Python step.
+_BULK_MIN_N = 200
+_BULK_MAX_P = 0.04
+
+
 def random_graph(n, p, seed):
-    """Erdos-Renyi G(n, p) graph drawn with the given seed, an int."""
+    """Erdos-Renyi G(n, p) graph drawn with the given seed, an int.
+
+    Each pair i < j, in ascending order, draws once from
+    random.Random(seed) and is an edge of weight 1.0 when random() < p.
+    Large sparse graphs find the same edges from rng.getrandbits, relying
+    on two facts of CPython's Modules/_randommodule.c:
+
+    - random() is (w1 >> 5) * 2**-27 + (w2 >> 6) * 2**-53 for two
+      consecutive 32-bit Mersenne Twister outputs w1 and w2, so it is
+      below p exactly when (w1 >> 5) << 26 | w2 >> 6 < ceil(p * 2**53).
+    - getrandbits(64 * d) fills its 32-bit words from the least
+      significant up with consecutive outputs of the same generator, so
+      the little-endian bytes 8t..8t+7 of the result hold pair t's w1 and
+      then its w2.
+    """
     if type(n) is not int or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
     if type(p) is bool or not isinstance(p, Real) or not 0.0 <= p <= 1.0:
@@ -352,12 +374,39 @@ def random_graph(n, p, seed):
     if type(seed) is not int:
         raise ValueError(f"seed must be an integer, got {seed!r}")
     rng = random.Random(seed)
+    if n >= _BULK_MIN_N and p <= _BULK_MAX_P:
+        edges = _bulk_pairs(rng, n, p)
+    else:
+        draw = rng.random
+        edges = [(i, j, 1.0) for i in range(n) for j in range(i + 1, n) if draw() < p]
+    return Graph._from_sorted(n, edges)
+
+
+def _bulk_pairs(rng, n, p):
+    """The (i, j, 1.0) edges that random_graph's per-pair draw keeps,
+    ascending, each row of pairs drawn as one getrandbits call."""
+    cutoff = math.ceil(p * 2**53)
+    # A pair is an edge when X = (w1 >> 5) << 26 | w2 >> 6 is below cutoff.
+    # X >> 45 is w1's top byte t, so t < top is an edge and t > top is
+    # not; only t == top needs the whole of X.
+    top = cutoff >> 45
+    candidate = bytes(t <= top for t in range(256))
+    getrandbits = rng.getrandbits
     edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.append((i, j))
-    return Graph(n, edges)
+    for i in range(n - 1):
+        d = n - 1 - i
+        raw = getrandbits(64 * d).to_bytes(8 * d, "little")
+        marks = raw[3::8].translate(candidate)
+        k = marks.find(1)
+        while k >= 0:
+            if raw[8 * k + 3] < top:
+                edges.append((i, i + 1 + k, 1.0))
+            else:
+                w1, w2 = unpack_from("<II", raw, 8 * k)
+                if (w1 >> 5) << 26 | w2 >> 6 < cutoff:
+                    edges.append((i, i + 1 + k, 1.0))
+            k = marks.find(1, k + 1)
+    return edges
 
 
 def _component_nodes(adj, start):

@@ -41,6 +41,19 @@ def modularity_direct(g, labels):
     return total / two_m
 
 
+def random_graph_per_pair(n, p, seed):
+    """random_graph(n, p, seed) drawn one pair at a time: pair i < j, in
+    ascending order, is an edge when its random.Random(seed).random()
+    draw is below p. Built through the public Graph constructor."""
+    rng = random.Random(seed)
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                edges.append((i, j))
+    return Graph(n, edges)
+
+
 @dataclass(frozen=True)
 class BfsTree:
     """Shortest-path structure from one root.

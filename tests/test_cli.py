@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import time
 
 import pytest
@@ -165,6 +166,17 @@ def test_run_rejects_bad_datasets(tmp_path, capsys):
             "--out", str(out),
         ) == 1
         assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+
+def test_random_dataset_refuses_digit_separators_and_non_ascii_digits(tmp_path, capsys):
+    # int() and float() accept '_' separators and non-ASCII digits; load_edge_list refuses both.
+    out = tmp_path / "x.json"
+    for dataset in ("random:1_0,0.5,1", "random:\u0661\u0660,0.5,1", "random:10,0.5,1_0", "random:10,0.\u0665,1"):
+        with pytest.raises(cli.CliError, match=re.escape(f"random dataset {dataset!r}: n, p and seed must be ASCII")):
+            cli.load_dataset(dataset)
+        assert run_cli("run", "--algorithm", "fastgreedy", "--dataset", dataset, "--out", str(out)) == 1
+        assert f"{dataset!r}" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Graph container, loaders, modularity, and neighbor-matrix tests."""
 
 import math
+import random
 import re
 from fractions import Fraction
 from functools import reduce
@@ -21,7 +22,7 @@ from commdetect import (
     random_graph,
     serialize_edge_list,
 )
-from commdetect.graph import _fold
+from commdetect.graph import _BULK_MAX_P, _BULK_MIN_N, _bulk_pairs, _fold
 from commdetect.louvain import aggregate
 from helpers import (
     path_graph,
@@ -30,7 +31,7 @@ from helpers import (
     small_integer_weighted_graphs,
     two_triangles,
 )
-from oracles import modularity_direct
+from oracles import modularity_direct, random_graph_per_pair
 
 
 def test_graph_basics():
@@ -219,6 +220,38 @@ def test_random_graph():
     for seed in (None, 1.5, "1", True):
         with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {seed!r}")):
             random_graph(5, 0.5, seed)
+
+
+# Edge probabilities whose cutoff ceil(p * 2**53) makes the bulk draw read
+# the whole of a pair's two words: inside a top-byte bucket (0.004, 0.3,
+# 1 - 2**-40), on a bucket's lower edge (1/256), above only the zero draw
+# (the smallest subnormal), and exact non-floats.
+_EDGE_PROBABILITIES = (0.004, 0.3, 0.00390625, 5e-324, 1 - 2**-40, Fraction(1, 3), 0, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 240),
+       st.one_of(st.sampled_from(_EDGE_PROBABILITIES), st.floats(0, 2 * _BULK_MAX_P), st.floats(0, 1)),
+       st.integers(-2**70, 2**70))
+@example(240, 0.004, -1)
+@example(240, 0.00390625, 2**64 + 1)
+@example(240, 5e-324, 0)
+@example(_BULK_MIN_N, _BULK_MAX_P, -2**64 - 7)
+@example(_BULK_MIN_N - 1, 0.004, 3)
+@example(_BULK_MIN_N, math.nextafter(_BULK_MAX_P, 1), 3)
+@example(200, 0.3, 2)
+@example(200, 1 - 2**-40, 1)
+@example(200, Fraction(1, 3), 2)
+@example(200, 0, 1)
+@example(200, 1, 1)
+def test_random_graph_matches_the_per_pair_oracle(n, p, seed):
+    expected = random_graph_per_pair(n, p, seed)
+    g = random_graph(n, p, seed)
+    assert g._edges == expected._edges
+    assert [list(a.items()) for a in g._adj] == [list(a.items()) for a in expected._adj]
+    assert g._m.hex() == expected._m.hex()
+    # The bulk draw itself, whichever side of the (n, p) rule this is on.
+    assert _bulk_pairs(random.Random(seed), n, p) == list(expected._edges)
 
 
 def test_connected_components():

@@ -1,26 +1,29 @@
 #!/usr/bin/env python3
-"""Dataset ladder: time Louvain, fastgreedy and agglomerative clustering
-on random:N,8/N,1 and write one BENCH_<n>.json.
+"""Dataset ladder: time building random:N,8/N,1 and Louvain, fastgreedy,
+agglomerative clustering and Girvan-Newman on it, and write one
+BENCH_<n>.json.
 
     PYTHONPATH=src python tools/ladder.py --out BENCH_<n>.json
 
 Run from the repository root; `commdetect` is imported from PYTHONPATH,
 so pointing it at another checkout's `src` times that code. Each cell is
-one algorithm on one graph: Louvain normal, noMerge, total and Exp with
-seed 0, and fastgreedy, for N = 500, 2000 and 8000; average linkage, and
-single linkage with self-neighbouring, for N = 100, 200, 400 and 1600. A
-cell runs five times, once if its first run takes over 10 s, and records
-the min and median wall time, raw and rescaled to reference seconds by
-perfbench/calibration.py's loop, timed around each run as perfbench
-does.
+one call on one graph: random_graph(N, 8/N, 1) itself, Louvain normal,
+noMerge, total and Exp with seed 0, and fastgreedy, for N = 500, 2000
+and 8000; average linkage, and single linkage with self-neighbouring,
+for N = 100, 200, 400 and 1600; girvan_newman to 10 communities for
+N = 100, 200 and 400. A cell runs five times, once if its first run
+takes over 10 s, and records the min and median wall time, raw and
+rescaled to reference seconds by perfbench/calibration.py's loop, timed
+around each run as perfbench does.
 
 Each cell also records the sha256 digest of its output, in the record
-format of tests/identity.py: (labels, q.hex(), passes) for Louvain,
-(merges, labels, q.hex()) for fastgreedy and the merges with each
-distance as .hex() for agglomerative clustering. Where
-tests/identity.txt holds the same key, the digests must match, or the
-script exits 1. Two BENCH files describe the same outputs when their
-digests match cell for cell.
+format of tests/identity.py: the edge tuple for the build,
+(labels, q.hex(), passes) for Louvain, (merges, labels, q.hex()) for
+fastgreedy, the merges with each distance as .hex() for agglomerative
+clustering and (labels, cuts with each score as .hex()) for
+Girvan-Newman. Where tests/identity.txt holds the same key, the digests
+must match, or the script exits 1. Two BENCH files describe the same
+outputs when their digests match cell for cell.
 """
 
 import argparse
@@ -32,7 +35,7 @@ import sys
 import time
 from pathlib import Path
 
-from commdetect import agglomerate, fastgreedy, louvain, random_graph
+from commdetect import agglomerate, fastgreedy, girvan_newman, louvain, random_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -43,6 +46,12 @@ LOUVAIN_VARIANTS = ("normal", "noMerge", "total", "Exp")
 RUNS = 5
 # A cell whose first run takes longer than this runs once.
 ONE_RUN_S = 10.0
+
+
+def _build(g):
+    n = g.node_count
+    edges = tuple(random_graph(n, 8 / n, 1).edges())
+    return "random_graph - -", edges, {}
 
 
 def _louvain(variant):
@@ -66,10 +75,17 @@ def _agglomerative(linkage, self_neighboring):
     return run
 
 
-# (sizes, cells): every cell runs on random:N,8/N,1 for each N of its sizes.
+def _girvan_newman(g):
+    part, cuts = girvan_newman(g, 10)
+    return "girvan_newman 10 -", (part.labels, [(u, v, s.hex()) for u, v, s in cuts]), {"removals": len(cuts)}
+
+
+# (sizes, cells): every cell runs on random:N,8/N,1 for each N of its sizes;
+# the build cell draws that graph again.
 LADDER = [
-    ((500, 2000, 8000), (*map(_louvain, LOUVAIN_VARIANTS), _fastgreedy)),
+    ((500, 2000, 8000), (_build, *map(_louvain, LOUVAIN_VARIANTS), _fastgreedy)),
     ((100, 200, 400, 1600), (_agglomerative("average", False), _agglomerative("single", True))),
+    ((100, 200, 400), (_girvan_newman,)),
 ]
 
 
