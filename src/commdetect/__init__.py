@@ -15,6 +15,7 @@ from .agglomerative import (
     agglomerate,
     cut,
     euclidean_distance,
+    neighbor_matrix,
 )
 from .fastgreedy import fastgreedy
 from .girvan_newman import (
@@ -29,7 +30,6 @@ from .graph import (
     karate_club,
     load_edge_list,
     modularity,
-    neighbor_matrix,
     random_graph,
     serialize_edge_list,
 )

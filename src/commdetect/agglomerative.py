@@ -1,22 +1,26 @@
 """Bottom-up hierarchical clustering over graph-derived node distances.
 
-Node similarity comes from shared-neighbor counts: the distance between
-two nodes is effective_degree(i) + effective_degree(j) minus twice their
-shared-neighbor count, which is the squared Euclidean distance between
-their neighborhood indicator vectors. Clusters are merged greedily under
-a chosen linkage and the merge history is kept as a dendrogram that can
-be cut into a flat partition.
+Node similarity comes from shared-neighbor counts, kept in one row per
+node for the larger ids, as `agglomerate` keeps its distances. The
+distance between two nodes is effective_degree(i) + effective_degree(j)
+minus twice their shared-neighbor count, which is the squared Euclidean
+distance between their neighborhood indicator vectors. Clusters are
+merged greedily under a chosen linkage and the merge history is kept as
+a dendrogram that can be cut into a flat partition.
 """
 
 import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import combinations
 from numbers import Real
 
-from .graph import Partition, _unite, neighbor_matrix
+from .graph import Partition, _unite
 
 __all__ = [
+    "NeighborMatrix",
+    "neighbor_matrix",
     "Linkage",
     "Merge",
     "Dendrogram",
@@ -90,6 +94,53 @@ class HslSpec:
             raise ValueError(f"relative cut value must lie in [0, 1], got {value!r}")
 
 
+class NeighborMatrix:
+    """Shared-neighbor counts backing the degree-based node distance.
+
+    In self-neighboring mode every node is treated as a member of its own
+    neighbor set, so each node's effective degree grows by one and every
+    adjacent pair gains two shared neighbors (each endpoint now appears in
+    the other's set). `_rows[i]` maps each j > i with a nonzero count to it.
+    """
+
+    __slots__ = ("_rows", "effective_degree")
+
+    def __init__(self, rows, effective_degree):
+        self._rows = rows
+        self.effective_degree = effective_degree
+
+    def shared(self, i, j):
+        """Number of shared neighbors of the distinct nodes i and j."""
+        for node in (i, j):
+            if type(node) is not int or not 0 <= node < len(self.effective_degree):
+                raise ValueError(f"node {node!r} out of range 0..{len(self.effective_degree) - 1}")
+        if i == j:
+            raise ValueError(f"shared-neighbor count is defined for distinct nodes only, got {i} twice")
+        return self._rows[min(i, j)].get(max(i, j), 0)
+
+
+def neighbor_matrix(g, self_neighboring=False):
+    """Shared-neighbor counts for every node pair of a simple graph.
+
+    With self_neighboring enabled each node also counts as its own
+    neighbor: effective degrees grow by one and adjacent pairs gain two
+    shared neighbors. Raises ValueError if the graph has self-loops.
+    """
+    if g.has_self_loops():
+        raise ValueError("neighbor matrix requires a simple graph (no self-loops)")
+    rows = [{} for _ in range(g.node_count)]
+    for adj in g._adj:
+        for i, j in combinations(sorted(adj), 2):
+            row = rows[i]
+            row[j] = row.get(j, 0) + 1
+    if self_neighboring:
+        for u, v, _ in g.edges():
+            rows[u][v] = rows[u].get(v, 0) + 2
+    bump = 1 if self_neighboring else 0
+    effective = tuple(g.degree(i) + bump for i in range(g.node_count))
+    return NeighborMatrix(rows, effective)
+
+
 def euclidean_distance(nm, i, j):
     """Distance k_i + k_j - 2*n_ij between two distinct nodes."""
     shared = nm.shared(i, j)  # checks both ids before they index anything
@@ -135,8 +186,9 @@ def agglomerate(g, kind, self_neighboring=False):
     nm = neighbor_matrix(g, self_neighboring)
     deg = nm.effective_degree
     rows = {i: dict(zip(range(i + 1, n), [di + dj for dj in deg[i + 1:]])) for i, di in enumerate(deg)}
-    for (i, j), c in nm._counts.items():
-        rows[i][j] -= 2 * c
+    for row, counts in zip(rows.values(), nm._rows):
+        for j, c in counts.items():
+            row[j] -= 2 * c
     # best[a]: a's candidate (key, a, b), (inf, a, -1) if none, None once merged.
     best = []
     for i, row in rows.items():

@@ -12,8 +12,7 @@ static variant scores every edge once and removes edges in decreasing
 order of that initial score.
 """
 
-# connected_components is not called here; perfbench/tracing.py hooks it under this module.
-from .graph import _component_nodes, _component_sets, _components, connected_components  # noqa: F401
+from .graph import _component_nodes, _component_sets, _components, connected_components
 
 __all__ = [
     "edge_betweenness",
@@ -83,20 +82,13 @@ def _component_scores(adj, nodes):
     return {key: total / 2.0 for key, total in zip(keys, totals)}
 
 
-def _score_components(adj):
-    """Scores of every edge of the neighbour mappings `adj`, and the number
-    of their connected components, from one component walk."""
-    scores = {}
-    count = 0
-    for count, nodes in enumerate(_component_sets(adj), 1):
-        scores.update(_component_scores(adj, nodes))
-    return scores, count
-
-
 def edge_betweenness(g):
     """Score every edge of `g`; each node pair contributes one unit split
     evenly across its shortest paths. Self-loops score zero."""
-    return _score_components(g._adj)[0]
+    scores = {}
+    for nodes in _component_sets(g._adj):
+        scores.update(_component_scores(g._adj, nodes))
+    return scores
 
 
 def _start(g, target):
@@ -105,12 +97,11 @@ def _start(g, target):
         raise ValueError(f"target communities must be an int, got {target!r}")
     if not 1 <= target <= g.node_count:
         raise ValueError(f"target communities must lie in 1..{g.node_count}, got {target}")
-    adj = [dict(a) for a in g._adj]
-    return (adj, *_score_components(adj))
+    return [dict(a) for a in g._adj], edge_betweenness(g), connected_components(g).num_communities
 
 
-# Highest score first; ties go to the smallest (u, v).
-_rank = lambda item: (-item[1], item[0])  # noqa: E731
+def _rank(item):  # highest score first; ties go to the smallest (u, v)
+    return -item[1], item[0]
 
 
 def girvan_newman(g, target_communities):

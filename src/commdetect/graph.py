@@ -1,15 +1,13 @@
 """Graph container, dataset loaders, and the modularity evaluator.
 
 Everything downstream (the clustering algorithms and the benchmark CLI)
-works in terms of this module's value types: Graph, Partition, and
-NeighborMatrix.
+works in terms of this module's value types, Graph and Partition.
 """
 
 import math
 import random
 from collections import deque
 from functools import reduce
-from itertools import combinations
 from numbers import Real
 from operator import add
 from struct import unpack_from
@@ -17,14 +15,12 @@ from struct import unpack_from
 __all__ = [
     "Graph",
     "Partition",
-    "NeighborMatrix",
     "load_edge_list",
     "serialize_edge_list",
     "karate_club",
     "random_graph",
     "connected_components",
     "modularity",
-    "neighbor_matrix",
 ]
 
 # Zachary's karate club: 34 members, 78 friendship ties, the usual
@@ -247,32 +243,6 @@ class Partition:
 
     def __repr__(self):
         return f"Partition({list(self._labels)!r})"
-
-
-class NeighborMatrix:
-    """Shared-neighbor counts backing the degree-based node distance.
-
-    In self-neighboring mode every node is treated as a member of its own
-    neighbor set, so each node's effective degree grows by one and every
-    adjacent pair gains two shared neighbors (each endpoint now appears in
-    the other's set).
-    """
-
-    __slots__ = ("_counts", "effective_degree")
-
-    def __init__(self, counts, effective_degree):
-        self._counts = counts
-        self.effective_degree = effective_degree
-
-    def shared(self, i, j):
-        """Number of shared neighbors of the distinct nodes i and j."""
-        for node in (i, j):
-            if type(node) is not int or not 0 <= node < len(self.effective_degree):
-                raise ValueError(f"node {node!r} out of range 0..{len(self.effective_degree) - 1}")
-        if i == j:
-            raise ValueError(f"shared-neighbor count is defined for distinct nodes only, got {i} twice")
-        key = (i, j) if i < j else (j, i)
-        return self._counts.get(key, 0)
 
 
 def load_edge_list(source):
@@ -507,24 +477,3 @@ def modularity(g, partition):
     sigma_in, sigma_tot = _community_sums(g, Partition(labels).canonicalize().labels)
     return _fold(s_in / two_m - (s_tot / two_m) ** 2 for s_in, s_tot in zip(sigma_in, sigma_tot))
 
-
-def neighbor_matrix(g, self_neighboring=False):
-    """Shared-neighbor counts for every node pair of a simple graph.
-
-    With self_neighboring enabled each node also counts as its own
-    neighbor: effective degrees grow by one and adjacent pairs gain two
-    shared neighbors. Raises ValueError if the graph has self-loops.
-    """
-    if g.has_self_loops():
-        raise ValueError("neighbor matrix requires a simple graph (no self-loops)")
-    counts = {}
-    for mid in range(g.node_count):
-        for i, j in combinations(sorted(g._adj[mid]), 2):
-            key = (i, j)
-            counts[key] = counts.get(key, 0) + 1
-    if self_neighboring:
-        for u, v, _ in g.edges():
-            counts[(u, v)] = counts.get((u, v), 0) + 2
-    bump = 1 if self_neighboring else 0
-    effective = tuple(g.degree(i) + bump for i in range(g.node_count))
-    return NeighborMatrix(counts, effective)

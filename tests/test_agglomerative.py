@@ -197,6 +197,19 @@ def test_candidates_pair_each_cluster_with_a_larger_one(monkeypatch):
     assert queued and all(a < b or b == -1 for _, a, b in queued)
 
 
+def test_agglomerate_calls_neighbor_matrix_through_the_module_global(monkeypatch, karate):
+    # perfbench wraps agglomerative.neighbor_matrix to time the counts
+    calls = []
+
+    def spy(*args, _real=agglomerative.neighbor_matrix):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(agglomerative, "neighbor_matrix", spy)
+    assert agglomerate(karate, "single", True).leaves == 34
+    assert calls == [(karate, True)]
+
+
 @st.composite
 def small_graphs(draw):
     """Graphs on 1..12 nodes; edgeless, complete and star graphs are all ties."""

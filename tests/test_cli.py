@@ -215,6 +215,24 @@ def test_random_dataset_size_limit_boundary(monkeypatch):
     assert cli.load_dataset("random:8000,0.001,2") == (8000, 0.001, 2)
     with pytest.raises(cli.CliError, match="random:10001,0.001,1"):
         cli.load_dataset("random:10001,0.001,1")
+    # 2000 nodes at p = 0.5 expect 999 500 edges, just inside the 1e6 limit
+    assert cli.load_dataset("random:2000,0.5,1") == (2000, 0.5, 1)
+
+
+def test_random_dataset_refuses_too_many_expected_edges(monkeypatch):
+    # a p above 1 is named as such, not as an edge count
+    with pytest.raises(cli.CliError, match=re.escape("edge probability must be a number in [0, 1], got 2.0")):
+        cli.load_dataset("random:2000,2,1")
+
+    # 49 995 000 pairs pass the pair limit, but at p = 1 each is an edge
+    def build(n, p, seed):
+        raise AssertionError("random_graph was called")
+
+    monkeypatch.setattr(cli, "random_graph", build)
+    for dataset, expected in (("random:10000,1,1", 49995000), ("random:2000,0.5006,1", 1000699)):
+        with pytest.raises(cli.CliError, match=re.escape(
+                f"random dataset {dataset!r} expects {expected} edges; the limit is 1000000")):
+            cli.load_dataset(dataset)
 
 
 def test_run_random_and_edgelist_datasets(tmp_path):

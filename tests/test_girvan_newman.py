@@ -1,6 +1,7 @@
 """Edge betweenness and divisive clustering tests."""
 
 import re
+from importlib import import_module
 
 import pytest
 from hypothesis import given, settings
@@ -227,6 +228,23 @@ def test_static_path_five_needs_two_cuts():
     part, cuts = girvan_newman_static(path_graph(5), 3)
     assert part.num_communities == 3
     assert [c[:2] for c in cuts] == [(1, 2), (2, 3)]
+
+
+def test_drivers_call_their_stages_through_the_module_globals(monkeypatch):
+    # perfbench wraps these names on commdetect.girvan_newman to time the
+    # initial scoring and component count of each run
+    gn = import_module("commdetect.girvan_newman")  # the package's name is the function
+    calls = []
+    for name in ("edge_betweenness", "connected_components"):
+        def spy(*args, _name=name, _real=getattr(gn, name)):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(gn, name, spy)
+    for run in (girvan_newman, girvan_newman_static):
+        calls.clear()
+        assert run(triangles_with_bridge(), 2)[0].num_communities == 2
+        assert calls == ["edge_betweenness", "connected_components"], run.__name__
 
 
 def test_girvan_newman_golden():

@@ -395,10 +395,14 @@ def test_neighbor_matrix_symmetry_and_shift_law():
     for g in random_suite(25, 2, 10, (0.3, 0.7), 1300):
         plain = neighbor_matrix(g, self_neighboring=False)
         selfn = neighbor_matrix(g, self_neighboring=True)
+        nbrs = [set(g.neighbors(i)) for i in range(g.node_count)]
         for i in range(g.node_count):
             for j in range(i + 1, g.node_count):
-                assert plain.shared(i, j) == plain.shared(j, i)
-                assert selfn.shared(i, j) == selfn.shared(j, i)
+                shared = len(nbrs[i] & nbrs[j])
+                assert plain.shared(i, j) == plain.shared(j, i) == shared
+                # under self-neighbouring each node is in its own set
+                shared_self = len((nbrs[i] | {i}) & (nbrs[j] | {j}))
+                assert selfn.shared(i, j) == selfn.shared(j, i) == shared_self
                 d = (
                     plain.effective_degree[i]
                     + plain.effective_degree[j]
