@@ -125,19 +125,21 @@ def neighbor_matrix(g, self_neighboring=False):
     With self_neighboring enabled each node also counts as its own
     neighbor: effective degrees grow by one and adjacent pairs gain two
     shared neighbors. Raises ValueError if the graph has self-loops.
+    Adjacency rows are read as stored: their keys ascend, so each pair
+    they yield has i < j, and a row's length is its node's degree.
     """
     if g.has_self_loops():
         raise ValueError("neighbor matrix requires a simple graph (no self-loops)")
     rows = [{} for _ in range(g.node_count)]
     for adj in g._adj:
-        for i, j in combinations(sorted(adj), 2):
+        for i, j in combinations(adj, 2):
             row = rows[i]
             row[j] = row.get(j, 0) + 1
     if self_neighboring:
         for u, v, _ in g.edges():
             rows[u][v] = rows[u].get(v, 0) + 2
     bump = 1 if self_neighboring else 0
-    effective = tuple(g.degree(i) + bump for i in range(g.node_count))
+    effective = tuple(len(adj) + bump for adj in g._adj)
     return NeighborMatrix(rows, effective)
 
 

@@ -28,18 +28,18 @@ def _component_scores(adj, nodes):
     credit, credit flows down-tree toward the root and splits between
     multiple parents in proportion to their shortest-path counts. Summing
     over all roots counts every unordered pair twice, so the totals are
-    halved. Each root costs one pass over the component's edges, so a
-    component of c nodes and e edges scores in O(c*(c+e)).
+    halved. Each root takes fresh per-node lists of length n = len(adj)
+    and one pass over the component's edges, so a component of c nodes
+    and e edges scores in O(c*(n+e)).
 
     The edges are numbered once, in the key order of the returned dict.
-    The per-node state lives in lists indexed by node and is reset only
-    at the nodes a root reached; `order` is both the BFS queue and the
-    back-propagation order, and `parents[v]` lists the (parent, edge
-    index) pairs through which the BFS reached v. The float sums are
-    fixed by two orders that do not depend on how parents are listed: an
-    edge takes at most one share per root, so its score adds up in the
-    iteration order of `nodes`, and `credit[p]` adds its children's
-    shares in reverse BFS order.
+    The per-node state lives in lists indexed by node; `order` is both
+    the BFS queue and the back-propagation order, and `parents[v]` lists
+    the (parent, edge index) pairs through which the BFS reached v. The
+    float sums are fixed by two orders that do not depend on how parents
+    are listed: an edge takes at most one share per root, so its score
+    adds up in the iteration order of `nodes`, and `credit[p]` adds its
+    children's shares in reverse BFS order.
     """
     n = len(adj)
     keys = [(u, v) for u in nodes for v in adj[u] if u <= v]
@@ -50,11 +50,11 @@ def _component_scores(adj, nodes):
     for u in nodes:
         nbrs[u] = [(v, (u, index[(u, v) if u < v else (v, u)])) for v in adj[u] if v != u]
     totals = [0.0] * len(keys)
-    level = [-1] * n
-    paths = [0] * n
-    credit = [1.0] * n
     parents = [None] * n
     for root in nodes:
+        level = [-1] * n
+        paths = [0] * n
+        credit = [1.0] * n
         level[root] = 0
         paths[root] = 1
         order = [root]
@@ -75,10 +75,6 @@ def _component_scores(adj, nodes):
                 share = credit_v * paths[p] / paths_v
                 totals[e] += share
                 credit[p] += share
-        for v in order:
-            level[v] = -1
-            paths[v] = 0
-            credit[v] = 1.0
     return {key: total / 2.0 for key, total in zip(keys, totals)}
 
 

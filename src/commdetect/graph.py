@@ -6,7 +6,6 @@ works in terms of this module's value types, Graph and Partition.
 
 import math
 import random
-from collections import deque
 from functools import reduce
 from numbers import Real
 from operator import add
@@ -382,9 +381,8 @@ def _bulk_pairs(rng, n, p):
 def _component_nodes(adj, start):
     """Node set of start's component, added in BFS order, which fixes its iteration order."""
     seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
+    queue = [start]
+    for u in queue:
         for v in adj[u]:
             if v not in seen:
                 seen.add(v)

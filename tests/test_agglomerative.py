@@ -1,4 +1,4 @@
-"""Hierarchical clustering, dendrogram, and HSL-cut tests."""
+"""Neighbor-matrix, hierarchical clustering, dendrogram, and HSL-cut tests."""
 
 import heapq
 import random
@@ -26,6 +26,51 @@ from commdetect.agglomerative import linkage_distance
 import identity
 from helpers import complete_graph, path_graph, random_suite, small_integer_weighted_graphs, star_graph
 from oracles import agglomerate_direct, cut_direct
+
+
+def test_neighbor_matrix_examples():
+    pair = Graph(2, [(0, 1)])
+    plain = neighbor_matrix(pair, self_neighboring=False)
+    assert plain.shared(0, 1) == 0
+    assert plain.effective_degree == (1, 1)
+    selfn = neighbor_matrix(pair, self_neighboring=True)
+    assert selfn.shared(0, 1) == 2
+    assert selfn.effective_degree == (2, 2)
+
+    p3 = path_graph(3)
+    assert neighbor_matrix(p3).shared(0, 2) == 1
+    assert neighbor_matrix(p3).shared(0, 1) == 0
+
+    with pytest.raises(ValueError):
+        neighbor_matrix(Graph(2, [(0, 0), (0, 1)]))
+    with pytest.raises(ValueError):
+        plain.shared(1, 1)
+
+
+def test_neighbor_matrix_symmetry_and_shift_law():
+    for g in random_suite(25, 2, 10, (0.3, 0.7), 1300):
+        plain = neighbor_matrix(g, self_neighboring=False)
+        selfn = neighbor_matrix(g, self_neighboring=True)
+        nbrs = [set(g.neighbors(i)) for i in range(g.node_count)]
+        for i in range(g.node_count):
+            for j in range(i + 1, g.node_count):
+                shared = len(nbrs[i] & nbrs[j])
+                assert plain.shared(i, j) == plain.shared(j, i) == shared
+                # under self-neighbouring each node is in its own set
+                shared_self = len((nbrs[i] | {i}) & (nbrs[j] | {j}))
+                assert selfn.shared(i, j) == selfn.shared(j, i) == shared_self
+                d = (
+                    plain.effective_degree[i]
+                    + plain.effective_degree[j]
+                    - 2 * plain.shared(i, j)
+                )
+                d_self = (
+                    selfn.effective_degree[i]
+                    + selfn.effective_degree[j]
+                    - 2 * selfn.shared(i, j)
+                )
+                expected = d - 2 if g.has_edge(i, j) else d + 2
+                assert d_self == expected
 
 
 def test_euclidean_distance_examples():
@@ -297,6 +342,8 @@ def test_cut_extremes_and_absolute():
         cut(d, HslSpec("absolute", 3))
     with pytest.raises(ValueError):
         cut(Dendrogram(3, ()), HslSpec("relative", 0.5))
+    with pytest.raises(ValueError, match="cannot cut an empty dendrogram"):
+        cut(Dendrogram(0, ()), HslSpec("absolute", 0))
 
 
 def test_cut_relative_rounds_half_up():

@@ -193,6 +193,18 @@ def test_run_rejects_oversized_random_dataset(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_reports_an_algorithm_error_and_writes_nothing(tmp_path, capsys):
+    # The graph loads, but modularity optimization refuses it, and
+    # run_command turns that ValueError into the command's error.
+    out = tmp_path / "x.json"
+    assert run_cli(
+        "run", "--algorithm", "louvain", "--variant", "normal",
+        "--dataset", "random:5,0,1", "--out", str(out),
+    ) == 1
+    assert capsys.readouterr().err == "error: modularity optimization needs at least one edge\n"
+    assert not out.exists()
+
+
 def test_run_rejects_edge_list_ids_past_the_limit(tmp_path, capsys):
     # The id is refused while the file is read, so the error names its
     # line rather than the weight that girvan-newman would refuse only
@@ -361,6 +373,8 @@ def test_bench_library_call_checks_its_variants_as_the_command_does(karate):
         cli.bench(karate, "louvain", ["normal", "bogus"], 1, 0)
     with pytest.raises(cli.CliError, match="--variant is not a parameter of fastgreedy"):
         cli.bench(karate, "fastgreedy", ["normal"], 1, 0)
+    with pytest.raises(cli.CliError, match=re.escape("unknown algorithm 'nope'")):
+        cli.bench(karate, "nope", ["x"], 1, 0)
 
 
 def test_bench_other_algorithms(tmp_path):

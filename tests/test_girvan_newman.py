@@ -1,13 +1,15 @@
 """Edge betweenness and divisive clustering tests."""
 
 import re
+from collections import deque
 from importlib import import_module
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commdetect import Graph, edge_betweenness, girvan_newman, girvan_newman_static
+from commdetect.graph import _component_nodes
 import identity
 from helpers import (
     bridged_cliques,
@@ -131,6 +133,32 @@ def test_edge_betweenness_matches_level_scan_bit_for_bit(g):
     # The order-sensitive oracle: the same float sums, so the same bits.
     expected = [(key, score.hex()) for key, score in edge_betweenness_level_scan(g).items()]
     assert [(key, score.hex()) for key, score in edge_betweenness(g).items()] == expected
+
+
+def _deque_component(adj, start):
+    """start's component as tests/oracles.py walks it: a set filled by a deque BFS."""
+    nodes = {start}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in nodes:
+                nodes.add(v)
+                queue.append(v)
+    return nodes
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(looped_graphs(), tied_graphs()))
+# 1 and 33 share a slot of the set's table, so the one added first iterates
+# first; from 3, a BFS adds 33 first and a depth-first walk adds 1 first.
+@example(Graph(34, [(3, 4), (3, 5), (4, 33), (1, 5)]))
+def test_component_walk_fills_its_set_in_bfs_order(g):
+    # Girvan-Newman's roots run in this set's iteration order, which depends
+    # on the order its nodes went in, so every score bit rests on it.
+    adj = [g.neighbors(i) for i in range(g.node_count)]
+    for start in range(g.node_count):
+        assert list(_component_nodes(adj, start)) == list(_deque_component(adj, start))
 
 
 def test_edge_betweenness_tree_side_product():

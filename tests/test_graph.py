@@ -1,4 +1,4 @@
-"""Graph container, loaders, modularity, and neighbor-matrix tests."""
+"""Graph container, loaders and modularity tests."""
 
 import math
 import random
@@ -18,7 +18,6 @@ from commdetect import (
     connected_components,
     load_edge_list,
     modularity,
-    neighbor_matrix,
     random_graph,
     serialize_edge_list,
 )
@@ -156,6 +155,8 @@ def test_load_edge_list_errors_name_the_line():
         load_edge_list("0 1 inf\n1 2 1\n2 3 1\n")
     with pytest.raises(ValueError, match="line 2"):
         load_edge_list("0 1\n1 2 nan\n")
+    with pytest.raises(ValueError, match="line 1: bad edge weight"):
+        load_edge_list("0 1 abc")
     # Each weight is finite, but 2m is not.
     with pytest.raises(ValueError, match="twice the total edge weight overflows to infinity"):
         load_edge_list("0 1 1e308\n1 2 1e308")
@@ -370,48 +371,3 @@ def test_fold_matches_reduce_on_every_interpreter(xs):
     assert repr(_fold(iter(xs))) == repr(reduce(add, xs, 0))
     if tuple(xs) in _LEFT_FOLDS:
         assert _fold(xs).hex() == _LEFT_FOLDS[tuple(xs)].hex()
-
-
-def test_neighbor_matrix_examples():
-    pair = Graph(2, [(0, 1)])
-    plain = neighbor_matrix(pair, self_neighboring=False)
-    assert plain.shared(0, 1) == 0
-    assert plain.effective_degree == (1, 1)
-    selfn = neighbor_matrix(pair, self_neighboring=True)
-    assert selfn.shared(0, 1) == 2
-    assert selfn.effective_degree == (2, 2)
-
-    p3 = path_graph(3)
-    assert neighbor_matrix(p3).shared(0, 2) == 1
-    assert neighbor_matrix(p3).shared(0, 1) == 0
-
-    with pytest.raises(ValueError):
-        neighbor_matrix(Graph(2, [(0, 0), (0, 1)]))
-    with pytest.raises(ValueError):
-        plain.shared(1, 1)
-
-
-def test_neighbor_matrix_symmetry_and_shift_law():
-    for g in random_suite(25, 2, 10, (0.3, 0.7), 1300):
-        plain = neighbor_matrix(g, self_neighboring=False)
-        selfn = neighbor_matrix(g, self_neighboring=True)
-        nbrs = [set(g.neighbors(i)) for i in range(g.node_count)]
-        for i in range(g.node_count):
-            for j in range(i + 1, g.node_count):
-                shared = len(nbrs[i] & nbrs[j])
-                assert plain.shared(i, j) == plain.shared(j, i) == shared
-                # under self-neighbouring each node is in its own set
-                shared_self = len((nbrs[i] | {i}) & (nbrs[j] | {j}))
-                assert selfn.shared(i, j) == selfn.shared(j, i) == shared_self
-                d = (
-                    plain.effective_degree[i]
-                    + plain.effective_degree[j]
-                    - 2 * plain.shared(i, j)
-                )
-                d_self = (
-                    selfn.effective_degree[i]
-                    + selfn.effective_degree[j]
-                    - 2 * selfn.shared(i, j)
-                )
-                expected = d - 2 if g.has_edge(i, j) else d + 2
-                assert d_self == expected

@@ -763,6 +763,8 @@ def test_louvain_basic_contract():
         assert passes >= 1
     with pytest.raises(ValueError):
         louvain(Graph(3), "normal")
+    with pytest.raises(ValueError, match="modularity gain is undefined for a graph with no edges"):
+        local_move_pass(CommunityState(Graph(3)), [0, 1, 2])
     with pytest.raises(ValueError):
         louvain(two_triangles(), "leiden")
     # random.Random(None) would seed from the operating system.
