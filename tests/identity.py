@@ -31,7 +31,7 @@ from commdetect import (Graph, agglomerate, edge_betweenness, fastgreedy, girvan
                         girvan_newman_static, karate_club, louvain, random_graph)
 from commdetect.cli import main
 from commdetect.louvain import LouvainVariant, aggregate
-from helpers import FRACTIONAL_WEIGHTS, fractional_weights, mirrored, one_heavy_edge, random_suite
+from helpers import FRACTIONAL_WEIGHTS, complete_graph, fractional_weights, mirrored, one_heavy_edge, random_suite
 
 MANIFEST = Path(__file__).with_name("identity.txt")
 CI = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
@@ -212,6 +212,8 @@ SECTIONS = {
     "girvan_newman_cuts": lambda: _girvan_newman([KARATE_CLUB, _random(100, 0.08, 1), *looped_suite(80, 77)]),
     "agglomerative": lambda: _agglomerative([KARATE_CLUB, _random(100, 0.08, 1), _random(60, 0.02, 1)]),
     "agglomerative_tied": lambda: _agglomerative([_random(200, 8 / 200, 1), *tied_suite(60, 8)]),
+    "agglomerative_dense": lambda: _agglomerative([_random(150, 0.5, 1), _random(64, 0.9, 2),
+                                                   ("complete:40", complete_graph(40))]),
     "commands": _commands,
 }
 

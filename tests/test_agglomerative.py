@@ -200,6 +200,11 @@ def test_agglomerate_golden_on_ties():
     identity.check("agglomerative_tied")
 
 
+def test_agglomerate_golden_on_dense_graphs():
+    # Rows of 64-150 nodes span several int digits; on K40 every distance ties.
+    identity.check("agglomerative_dense")
+
+
 def test_candidate_rescans_after_its_cluster_merges_away():
     # Self-neighbouring 1-2 and 3-4 sit at 0 and merge into 5 and 6; node
     # 0 is 3 from every other node. 0's candidate is node 1; the new 5 and
