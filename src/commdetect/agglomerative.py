@@ -1,19 +1,19 @@
 """Bottom-up hierarchical clustering over graph-derived node distances.
 
-Node similarity comes from shared-neighbor counts, kept in one row per
-node for the larger ids, as `agglomerate` keeps its distances. The
-distance between two nodes is effective_degree(i) + effective_degree(j)
-minus twice their shared-neighbor count, which is the squared Euclidean
-distance between their neighborhood indicator vectors. Clusters are
-merged greedily under a chosen linkage and the merge history is kept as
-a dendrogram that can be cut into a flat partition.
+Each node's neighbor set is kept as one bit row, an int with bit j set
+for each neighbor j. The distance between two nodes is the size of the
+symmetric difference of their sets, the bit count of their rows' XOR:
+effective_degree(i) + effective_degree(j) minus twice their
+shared-neighbor count, which is the squared Euclidean distance between
+their neighborhood indicator vectors. Clusters are merged greedily under
+a chosen linkage and the merge history is kept as a dendrogram that can
+be cut into a flat partition.
 """
 
 import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from numbers import Real
 
 from .graph import Partition, _unite
@@ -95,19 +95,20 @@ class HslSpec:
 
 
 class NeighborMatrix:
-    """Shared-neighbor counts backing the degree-based node distance.
+    """Neighbor sets as bit rows, backing the degree-based node distance.
 
-    In self-neighboring mode every node is treated as a member of its own
-    neighbor set, so each node's effective degree grows by one and every
-    adjacent pair gains two shared neighbors (each endpoint now appears in
-    the other's set). `_rows[i]` maps each j > i with a nonzero count to it.
+    `_bits[i]` has bit j set for each neighbor j of node i. In
+    self-neighboring mode every node is a member of its own neighbor set,
+    so bit i is set too: each node's effective degree grows by one and
+    every adjacent pair gains two shared neighbors (each endpoint now
+    appears in the other's set).
     """
 
-    __slots__ = ("_rows", "effective_degree")
+    __slots__ = ("_bits", "effective_degree")
 
-    def __init__(self, rows, effective_degree):
-        self._rows = rows
-        self.effective_degree = effective_degree
+    def __init__(self, bits):
+        self._bits = bits
+        self.effective_degree = tuple(b.bit_count() for b in bits)
 
     def shared(self, i, j):
         """Number of shared neighbors of the distinct nodes i and j."""
@@ -116,31 +117,22 @@ class NeighborMatrix:
                 raise ValueError(f"node {node!r} out of range 0..{len(self.effective_degree) - 1}")
         if i == j:
             raise ValueError(f"shared-neighbor count is defined for distinct nodes only, got {i} twice")
-        return self._rows[min(i, j)].get(max(i, j), 0)
+        return (self._bits[i] & self._bits[j]).bit_count()
 
 
 def neighbor_matrix(g, self_neighboring=False):
-    """Shared-neighbor counts for every node pair of a simple graph.
+    """Neighbor sets of every node of a simple graph, as bit rows.
 
     With self_neighboring enabled each node also counts as its own
-    neighbor: effective degrees grow by one and adjacent pairs gain two
-    shared neighbors. Raises ValueError if the graph has self-loops.
-    Adjacency rows are read as stored: their keys ascend, so each pair
-    they yield has i < j, and a row's length is its node's degree.
+    neighbor: its row sets its own bit, so effective degrees grow by one
+    and adjacent pairs gain two shared neighbors. Raises ValueError if the
+    graph has self-loops. Takes O(n + m) int operations on ints of n bits,
+    and holds about n*n/8 bytes.
     """
     if g.has_self_loops():
         raise ValueError("neighbor matrix requires a simple graph (no self-loops)")
-    rows = [{} for _ in range(g.node_count)]
-    for adj in g._adj:
-        for i, j in combinations(adj, 2):
-            row = rows[i]
-            row[j] = row.get(j, 0) + 1
-    if self_neighboring:
-        for u, v, _ in g.edges():
-            rows[u][v] = rows[u].get(v, 0) + 2
-    bump = 1 if self_neighboring else 0
-    effective = tuple(len(adj) + bump for adj in g._adj)
-    return NeighborMatrix(rows, effective)
+    own = 1 if self_neighboring else 0
+    return NeighborMatrix([sum(1 << j for j in adj) | own << i for i, adj in enumerate(g._adj)])
 
 
 def euclidean_distance(nm, i, j):
@@ -170,31 +162,29 @@ def linkage_distance(kind, cluster_a, cluster_b, pairwise):
 def agglomerate(g, kind, self_neighboring=False):
     """Merge clusters greedily until one remains; return the dendrogram.
 
-    Edge weights are ignored. Node distances are computed once from the
-    shared-neighbor counts, and each pair is kept once, in its smaller id's
+    Edge weights are ignored. Node distances are computed once, each the
+    bit count of the XOR of two neighbor bit rows: n(n-1)/2 XORs of n-bit
+    ints, whatever the density. Each pair is kept once, in its smaller id's
     row. A merge writes each live cluster's distance to the new one by the
     Lance-Williams rules (min, max, or the integer sum of pair distances for
     average linkage, keyed on sum / pair count). The closest pair merges
     first, ties going to the smallest (min id, max id) pair. As in Muellner's
     generic algorithm (2011), a lazy heap holds one candidate per cluster a,
     the smallest (key, b) over live b > a, which is rescanned when it reaches
-    the top after b merged away. Typically O(n^2) time, O(n^3) at worst, and
-    O(n^2) memory. Requires a simple graph with at least one node.
+    the top after b merged away. The merges typically take O(n^2) time,
+    O(n^3) at worst, and O(n^2) memory. Requires a simple graph with at
+    least one node.
     """
     kind = Linkage(kind)
     n = g.node_count
     if n < 1:
         raise ValueError("agglomeration requires at least one node")
-    nm = neighbor_matrix(g, self_neighboring)
-    deg = nm.effective_degree
-    rows = {i: dict(zip(range(i + 1, n), [di + dj for dj in deg[i + 1:]])) for i, di in enumerate(deg)}
-    for row, counts in zip(rows.values(), nm._rows):
-        for j, c in counts.items():
-            row[j] -= 2 * c
+    bits = neighbor_matrix(g, self_neighboring)._bits
     # best[a]: a's candidate (key, a, b), (inf, a, -1) if none, None once merged.
-    best = []
-    for i, row in rows.items():
-        ds = list(row.values())
+    rows, best = {}, []
+    for i, bi in enumerate(bits):
+        ds = [(bi ^ bj).bit_count() for bj in bits[i + 1:]]
+        rows[i] = dict(zip(range(i + 1, n), ds))
         best.append((d := min(ds), i, i + 1 + ds.index(d)) if ds else (math.inf, i, -1))
     heap = best[:]
     heapq.heapify(heap)

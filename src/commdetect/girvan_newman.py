@@ -28,33 +28,34 @@ def _component_scores(adj, nodes):
     credit, credit flows down-tree toward the root and splits between
     multiple parents in proportion to their shortest-path counts. Summing
     over all roots counts every unordered pair twice, so the totals are
-    halved. Each root takes fresh per-node lists of length n = len(adj)
-    and one pass over the component's edges, so a component of c nodes
-    and e edges scores in O(c*(n+e)).
+    halved. Each root takes fresh per-node lists of length c and one pass
+    over the component's edges, so a component of c nodes and e edges
+    scores in O(c*(c+e)).
 
-    The edges are numbered once, in the key order of the returned dict.
-    The per-node state lives in lists indexed by node; `order` is both
-    the BFS queue and the back-propagation order, and `parents[v]` lists
-    the (parent, edge index) pairs through which the BFS reached v. The
-    float sums are fixed by two orders that do not depend on how parents
-    are listed: an edge takes at most one share per root, so its score
-    adds up in the iteration order of `nodes`, and `credit[p]` adds its
-    children's shares in reverse BFS order.
+    The edges are numbered once, in the key order of the returned dict,
+    and the nodes locally, in the iteration order of `nodes`. The per-node
+    state lives in lists indexed by local id; `order` is both the BFS
+    queue and the back-propagation order, and `parents[v]` lists the
+    (parent, edge index) pairs through which the BFS reached v. The float
+    sums are fixed by two orders that do not depend on how parents are
+    listed: an edge takes at most one share per root, so its score adds up
+    in the iteration order of `nodes`, and `credit[p]` adds its children's
+    shares in reverse BFS order.
     """
-    n = len(adj)
+    c = len(nodes)
+    local = {u: x for x, u in enumerate(nodes)}
     keys = [(u, v) for u in nodes for v in adj[u] if u <= v]
     index = {key: e for e, key in enumerate(keys)}
     # Each node u's neighbors v without its self-loop, each paired with the
     # (u, edge index) entry that v's parent list takes when u is its parent.
-    nbrs = [None] * n
-    for u in nodes:
-        nbrs[u] = [(v, (u, index[(u, v) if u < v else (v, u)])) for v in adj[u] if v != u]
+    nbrs = [[(local[v], (x, index[(u, v) if u < v else (v, u)])) for v in adj[u] if v != u]
+            for x, u in enumerate(nodes)]
     totals = [0.0] * len(keys)
-    parents = [None] * n
-    for root in nodes:
-        level = [-1] * n
-        paths = [0] * n
-        credit = [1.0] * n
+    parents = [None] * c
+    for root in range(c):
+        level = [-1] * c
+        paths = [0] * c
+        credit = [1.0] * c
         level[root] = 0
         paths[root] = 1
         order = [root]

@@ -73,6 +73,34 @@ def test_neighbor_matrix_symmetry_and_shift_law():
                 assert d_self == expected
 
 
+@st.composite
+def wide_graphs(draw):
+    """Simple graphs on 25..130 nodes, from sparse to complete, so that bit
+    rows span one to five 30-bit int digits."""
+    n = draw(st.integers(25, 130))
+    p = draw(st.sampled_from((0.0, 0.02, 0.1, 0.3, 0.6, 0.95, 1.0)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_graphs(), st.booleans())
+def test_neighbor_matrix_counts_sets_across_int_digits(g, self_neighboring):
+    nm = neighbor_matrix(g, self_neighboring)
+    n = g.node_count
+    sets = [set(g.neighbors(i)) | ({i} if self_neighboring else set()) for i in range(n)]
+    assert nm.effective_degree == tuple(map(len, sets))
+    for i in range(n):
+        for j in range(i + 1, n):
+            assert nm.shared(i, j) == nm.shared(j, i) == len(sets[i] & sets[j])
+            assert euclidean_distance(nm, i, j) == euclidean_distance(nm, j, i) == len(sets[i] ^ sets[j])
+    for bad in (-1, n, True, 1.0, 2**70):
+        with pytest.raises(ValueError, match=rf"node {re.escape(repr(bad))} out of range 0\.\.{n - 1}$"):
+            nm.shared(0, bad)
+    with pytest.raises(ValueError, match="distinct nodes only"):
+        euclidean_distance(nm, n - 1, n - 1)
+
+
 def test_euclidean_distance_examples():
     pair = Graph(2, [(0, 1)])
     assert euclidean_distance(neighbor_matrix(pair), 0, 1) == 2

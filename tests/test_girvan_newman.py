@@ -1,5 +1,6 @@
 """Edge betweenness and divisive clustering tests."""
 
+import random
 import re
 from collections import deque
 from importlib import import_module
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from commdetect import Graph, edge_betweenness, girvan_newman, girvan_newman_static
+from commdetect import Graph, edge_betweenness, girvan_newman, girvan_newman_static, random_graph
 from commdetect.graph import _component_nodes
 import identity
 from helpers import (
@@ -133,6 +134,20 @@ def test_edge_betweenness_matches_level_scan_bit_for_bit(g):
     # The order-sensitive oracle: the same float sums, so the same bits.
     expected = [(key, score.hex()) for key, score in edge_betweenness_level_scan(g).items()]
     assert [(key, score.hex()) for key, score in edge_betweenness(g).items()] == expected
+
+
+def test_edge_betweenness_matches_level_scan_on_many_components():
+    # random:3000,1/3000,1 has 1524 components: 1100 isolated nodes, many
+    # small trees and one of 376 nodes. Each component's state is sized by
+    # the component, not the graph; shuffled ids and self-loops leave the
+    # scores' bits alone.
+    g = random_graph(3000, 1 / 3000, 1)
+    perm = list(range(3000))
+    random.Random(3).shuffle(perm)
+    looped = Graph(3000, [*relabeled(g, perm).edges(), *((u, u) for u in range(0, 3000, 7))])
+    for h in (g, looped):
+        expected = [(key, score.hex()) for key, score in edge_betweenness_level_scan(h).items()]
+        assert [(key, score.hex()) for key, score in edge_betweenness(h).items()] == expected
 
 
 def _deque_component(adj, start):

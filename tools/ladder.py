@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Dataset ladder: time building random:N,8/N,1 and Louvain, fastgreedy,
-agglomerative clustering and Girvan-Newman on it, and write one
-BENCH_<n>.json.
+agglomerative clustering and Girvan-Newman on it, and agglomerative
+clustering on the dense random:300,0.5,1, and write one BENCH_<n>.json.
 
     PYTHONPATH=src python tools/ladder.py --out BENCH_<n>.json
 
@@ -10,8 +10,8 @@ so pointing it at another checkout's `src` times that code. Each cell is
 one call on one graph: random_graph(N, 8/N, 1) itself, Louvain normal,
 noMerge, total and Exp with seed 0, and fastgreedy, for N = 500, 2000
 and 8000; average linkage, and single linkage with self-neighbouring,
-for N = 100, 200, 400 and 1600; girvan_newman to 10 communities for
-N = 100, 200 and 400. A cell runs five times, once if its first run
+for N = 100, 200, 400 and 1600 and on random:300,0.5,1; girvan_newman to
+10 communities for N = 100, 200 and 400. A cell runs five times, once if its first run
 takes over 10 s, and records the min and median wall time, raw and
 rescaled to reference seconds by perfbench/calibration.py's loop, timed
 around each run as perfbench does.
@@ -48,9 +48,17 @@ RUNS = 5
 ONE_RUN_S = 10.0
 
 
+def _sparse(n):
+    return 8 / n
+
+
+def _dense(n):
+    return 0.5
+
+
 def _build(g):
     n = g.node_count
-    edges = tuple(random_graph(n, 8 / n, 1).edges())
+    edges = tuple(random_graph(n, _sparse(n), 1).edges())
     return "random_graph - -", edges, {}
 
 
@@ -80,12 +88,14 @@ def _girvan_newman(g):
     return "girvan_newman 10 -", (part.labels, [(u, v, s.hex()) for u, v, s in cuts]), {"removals": len(cuts)}
 
 
-# (sizes, cells): every cell runs on random:N,8/N,1 for each N of its sizes;
-# the build cell draws that graph again.
+# (sizes, p, cells): every cell runs on random:N,p(N),1 for each N of its
+# sizes; the build cell, in a sparse row, draws that graph again.
+AGGLOMERATIVE = (_agglomerative("average", False), _agglomerative("single", True))
 LADDER = [
-    ((500, 2000, 8000), (_build, *map(_louvain, LOUVAIN_VARIANTS), _fastgreedy)),
-    ((100, 200, 400, 1600), (_agglomerative("average", False), _agglomerative("single", True))),
-    ((100, 200, 400), (_girvan_newman,)),
+    ((500, 2000, 8000), _sparse, (_build, *map(_louvain, LOUVAIN_VARIANTS), _fastgreedy)),
+    ((100, 200, 400, 1600), _sparse, AGGLOMERATIVE),
+    ((300,), _dense, AGGLOMERATIVE),
+    ((100, 200, 400), _sparse, (_girvan_newman,)),
 ]
 
 
@@ -113,10 +123,10 @@ def ladder():
     recorded = dict(line.split("\t") for line in MANIFEST.read_text().splitlines())
     calibrator = calibration.Calibrator()
     cells, mismatched = [], []
-    for sizes, runs in LADDER:
+    for sizes, density, runs in LADDER:
         for n in sizes:
-            dataset = f"random:{n},{8 / n},1"
-            g = random_graph(n, 8 / n, 1)
+            dataset = f"random:{n},{density(n)},1"
+            g = random_graph(n, density(n), 1)
             for run in runs:
                 key, digest, stats, times = _cell(run, g, calibrator)
                 key = f"{key} {dataset}"
