@@ -10,11 +10,11 @@ so pointing it at another checkout's `src` times that code. Each cell is
 one call on one graph: random_graph(N, 8/N, 1) itself, Louvain normal,
 noMerge, total and Exp with seed 0, and fastgreedy, for N = 500, 2000
 and 8000; average linkage, and single linkage with self-neighbouring,
-for N = 100, 200, 400 and 1600 and on random:300,0.5,1; girvan_newman to
-10 communities for N = 100, 200 and 400. A cell runs five times, once if its first run
-takes over 10 s, and records the min and median wall time, raw and
-rescaled to reference seconds by perfbench/calibration.py's loop, timed
-around each run as perfbench does.
+for N = 100, 200, 400 and 1600 and on random:300,0.5,1; girvan_newman
+to 10 communities for N = 100, 200 and 400. A cell runs five times, once
+if its first run takes over 10 s, and records the min and median wall
+time, raw and rescaled to reference seconds by perfbench/calibration.py's
+loop, timed around each run as perfbench does.
 
 Each cell also records the sha256 digest of its output, in the record
 format of tests/identity.py: the edge tuple for the build,
@@ -48,17 +48,9 @@ RUNS = 5
 ONE_RUN_S = 10.0
 
 
-def _sparse(n):
-    return 8 / n
-
-
-def _dense(n):
-    return 0.5
-
-
 def _build(g):
     n = g.node_count
-    edges = tuple(random_graph(n, _sparse(n), 1).edges())
+    edges = tuple(random_graph(n, 8 / n, 1).edges())
     return "random_graph - -", edges, {}
 
 
@@ -88,14 +80,18 @@ def _girvan_newman(g):
     return "girvan_newman 10 -", (part.labels, [(u, v, s.hex()) for u, v, s in cuts]), {"removals": len(cuts)}
 
 
-# (sizes, p, cells): every cell runs on random:N,p(N),1 for each N of its
-# sizes; the build cell, in a sparse row, draws that graph again.
+def _sparse(*sizes):
+    return [(n, 8 / n) for n in sizes]
+
+
+# (graphs, cells): every cell runs on random:N,p,1 for each (N, p) of its
+# graphs; the build cell, in a sparse row, draws that graph again.
 AGGLOMERATIVE = (_agglomerative("average", False), _agglomerative("single", True))
 LADDER = [
-    ((500, 2000, 8000), _sparse, (_build, *map(_louvain, LOUVAIN_VARIANTS), _fastgreedy)),
-    ((100, 200, 400, 1600), _sparse, AGGLOMERATIVE),
-    ((300,), _dense, AGGLOMERATIVE),
-    ((100, 200, 400), _sparse, (_girvan_newman,)),
+    (_sparse(500, 2000, 8000), (_build, *map(_louvain, LOUVAIN_VARIANTS), _fastgreedy)),
+    (_sparse(100, 200, 400, 1600), AGGLOMERATIVE),
+    ([(300, 0.5)], AGGLOMERATIVE),
+    (_sparse(100, 200, 400), (_girvan_newman,)),
 ]
 
 
@@ -123,10 +119,10 @@ def ladder():
     recorded = dict(line.split("\t") for line in MANIFEST.read_text().splitlines())
     calibrator = calibration.Calibrator()
     cells, mismatched = [], []
-    for sizes, density, runs in LADDER:
-        for n in sizes:
-            dataset = f"random:{n},{density(n)},1"
-            g = random_graph(n, density(n), 1)
+    for graphs, runs in LADDER:
+        for n, p in graphs:
+            dataset = f"random:{n},{p},1"
+            g = random_graph(n, p, 1)
             for run in runs:
                 key, digest, stats, times = _cell(run, g, calibrator)
                 key = f"{key} {dataset}"
