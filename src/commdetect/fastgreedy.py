@@ -1,15 +1,15 @@
-"""Greedy modularity agglomeration over sparse rows of shared gain cells.
+"""Greedy modularity agglomeration over sparse rows of flat gain cells.
 
 Starting from singleton communities, the pair whose merge increases
 modularity the most is joined repeatedly. The pairwise gains live in
 sparse symmetric rows, as in Clauset, Newman & Moore 2004, only for
 pairs that share at least one edge; a retired community's row is None.
-Each pair has one mutable cell `[gain, i, j]`, named by its two
-communities with i < j, which `rows[i][j]` and `rows[j][i]` share, so a
-gain is written once. A global max-heap over the cells picks each join,
-and gains are updated in place after it instead of being recomputed.
-A join renames the cells the absorbed community brings alone, in place,
-to the absorbing one; a retired cell's gain is -inf.
+Each pair is one cell, an int c held by `rows[i][j]` and `rows[j][i]`
+that indexes the heap's flat lists: its gain, -inf once retired, and
+its names lo < hi, so a gain is written once and no heap entry holds a
+container. A global max-heap over the cells picks each join; gains are
+then updated in place, not recomputed, and the cells the absorbed
+community brings alone are renamed to the absorbing one.
 
 A queued gain is an upper bound on its cell's current gain, in the lazy
 style of accelerated greedy (Minoux; CELF in Leskovec et al. 2007): a
@@ -65,41 +65,32 @@ class Join:
 
 
 class GlobalHeap:
-    """One max-heap of (-bound, cell) entries over the shared gain cells.
+    """One max-heap of (-bound, c) entries over the cells c, which index
+    its flat lists `gain`, `lo` and `hi` (see the module docstring).
 
     Every live cell has at least one queued entry whose bound is at least
-    the cell's current gain, so a cell only needs a new entry when its
-    gain rises or it is created. Junk entries, those of retired cells and
+    its current gain, so a cell only needs a new entry when its gain
+    rises or it is created. Junk entries, those of retired cells and
     bounds above their cell's current gain, are resolved only at the top,
     by `pop_best`; the band walk reads past them and writes nothing.
     The tie band `_band`, carried between selections, is a min-heap of
-    (i, j, cell) entries holding every live cell whose gain is at least
+    (lo, hi, c) entries holding every live cell whose gain is at least
     `_floor`, the tie floor of the last `pop_best` (+inf before the
     first), under its current names; and maybe entries whose cell has
     since retired, fallen below that floor or been renamed.
     """
 
     def __init__(self):
-        self._entries = []
-        self._band = []
+        self.gain, self.lo, self.hi = [], [], []
+        self._entries, self._band = [], []
         self._floor = float("inf")
 
-    def push(self, cell):
-        """Queue `cell` at its current gain."""
-        gain = cell[0]
-        heapq.heappush(self._entries, (-gain, cell))
+    def push(self, c):
+        """Queue cell `c` at its current gain."""
+        gain = self.gain[c]
+        heapq.heappush(self._entries, (-gain, c))
         if gain >= self._floor:
-            heapq.heappush(self._band, (cell[1], cell[2], cell))
-
-    def rename(self, cell, i, j):
-        """Name `cell` after communities i and j. Its gain has not risen, so
-        its queued bounds still hold; only the band needs the new names."""
-        if i > j:
-            i, j = j, i
-        cell[1] = i
-        cell[2] = j
-        if cell[0] >= self._floor:
-            heapq.heappush(self._band, (i, j, cell))
+            heapq.heappush(self._band, (self.lo[c], self.hi[c], c))
 
     def pop_best(self):
         """Return (i, j, dq) for the best current pair, or None if empty.
@@ -113,15 +104,15 @@ class GlobalHeap:
         are dropped off its top, and the pair left there wins, staying
         queued and in the band until joined.
         """
-        entries = self._entries
+        entries, gains = self._entries, self.gain
         while entries:
-            neg_bound, cell = entries[0]
-            gain = cell[0]
+            neg_bound, c = entries[0]
+            gain = gains[c]
             if gain == _RETIRED:
                 heapq.heappop(entries)
             elif gain < -neg_bound:
                 heapq.heappop(entries)
-                self.push(cell)
+                self.push(c)
             else:
                 break
         else:
@@ -132,9 +123,9 @@ class GlobalHeap:
         self._floor = floor
         band = self._band
         while True:
-            i, j, cell = band[0]
-            if cell[0] >= floor and cell[1] == i and cell[2] == j:
-                return i, j, cell[0]
+            i, j, c = band[0]
+            if gains[c] >= floor and self.lo[c] == i and self.hi[c] == j:
+                return i, j, gains[c]
             heapq.heappop(band)
 
     def _walk_band(self, floor):
@@ -144,15 +135,16 @@ class GlobalHeap:
         junk entries met are left in place: `_entries` is only read.
         """
         entries = self._entries
+        gains, lo, hi = self.gain, self.lo, self.hi
         neg_floor = -floor
         band = []
         stack = [0]
         size = len(entries)
         while stack:
             k = stack.pop()
-            cell = entries[k][1]
-            if cell[0] >= floor:
-                band.append((cell[1], cell[2], cell))
+            c = entries[k][1]
+            if gains[c] >= floor:
+                band.append((lo[c], hi[c], c))
             child = 2 * k + 1
             if child < size and entries[child][0] <= neg_floor:
                 stack.append(child)
@@ -170,10 +162,11 @@ def init_fastgreedy(g):
     """Build the gain rows, the heap over them, and the weight fractions.
 
     Returns (rows, heap, a), both lists indexed by community id: `rows[i]`
-    maps each community j that shares an edge with i to the cell
-    `[gain, min(i, j), max(i, j)]` that `rows[j][i]` also holds, and
-    a[i] = k_i/2m is i's share of the degree mass. For singleton
-    communities the gain of joining connected i and j is
+    maps each community j that shares an edge with i to the cell c that
+    `rows[j][i]` also holds, with `heap.gain[c]` its gain and
+    `heap.lo[c]`, `heap.hi[c]` the pair (min(i, j), max(i, j)); cell c is
+    the graph's c-th edge. a[i] = k_i/2m is i's share of the degree mass.
+    For singleton communities the gain of joining connected i and j is
     w_ij/m - 2*a_i*a_j, the exact modularity change of that merge.
     Requires a simple graph with at least one edge.
     """
@@ -186,10 +179,12 @@ def init_fastgreedy(g):
     a = [k / two_m for k in g._degrees()]
     rows = [{} for _ in range(g.node_count)]
     heap = GlobalHeap()
-    for u, v, w in g.edges():
-        cell = [w / m - 2.0 * a[u] * a[v], u, v]
-        rows[u][v] = rows[v][u] = cell
-        heap.push(cell)
+    edges = tuple(g.edges())
+    heap.gain = [w / m - 2.0 * a[u] * a[v] for u, v, w in edges]
+    heap.lo, heap.hi = [u for u, _, _ in edges], [v for _, v, _ in edges]
+    for c, (u, v, _) in enumerate(edges):
+        rows[u][v] = rows[v][u] = c
+        heap.push(c)
     return rows, heap, a
 
 
@@ -206,38 +201,43 @@ def _apply_join(rows, heap, a, i, j):
     and one test-free loop gives every cell of row j the "only j" fall.
     One loop over row i then retires the i side of each "both" pair and
     writes the sum into the j side, and lowers each "only i" cell and
-    renames it (i, k) -> (j, k) in place, moving it to row j; row i
-    becomes None. Queued gains are upper bounds, so only a rising "both"
-    gain is pushed; "only i" and "only j" always fall.
+    renames it (i, k) -> (j, k), moving it to row j; row i becomes None.
+    Queued gains are upper bounds, so only a rising "both" gain is
+    pushed; "only i" and "only j" always fall, and a renamed cell keeps
+    its bounds but rejoins the carried band under its new names.
     """
-    row_i = rows[i]
-    row_j = rows[j]
-    a_i = a[i]
-    a_j = a[j]
+    gain, lo, hi = heap.gain, heap.lo, heap.hi
+    row_i, row_j = rows[i], rows[j]
+    a_i, a_j = a[i], a[j]
     joined = row_i.pop(j, None)
     if joined is not None:
         del row_j[i]
-        joined[0] = _RETIRED
-    shared = {k: row_j[k][0] for k in row_i if k in row_j}
+        gain[joined] = _RETIRED
+    shared = {k: gain[row_j[k]] for k in row_i if k in row_j}
     t = 2.0 * a_i
-    for k, cell in row_j.items():
-        cell[0] -= t * a[k]
+    for k, c in row_j.items():
+        gain[c] -= t * a[k]
     t = 2.0 * a_j
-    for k, cell in row_i.items():
+    floor = heap._floor
+    for k, c in row_i.items():
         row_k = rows[k]
         del row_k[i]
         if k in shared:
             both = shared[k]
-            new = cell[0] + both
-            cell[0] = _RETIRED
+            new = gain[c] + both
+            gain[c] = _RETIRED
             kept = row_j[k]
-            kept[0] = new
+            gain[kept] = new
             if new > both:
                 heap.push(kept)
         else:
-            cell[0] -= t * a[k]
-            row_j[k] = row_k[j] = cell
-            heap.rename(cell, j, k)
+            fallen = gain[c] - t * a[k]
+            gain[c] = fallen
+            row_j[k] = row_k[j] = c
+            names = (k, j) if k < j else (j, k)
+            lo[c], hi[c] = names
+            if fallen >= floor:
+                heapq.heappush(heap._band, (*names, c))
     rows[i] = None
     a[j] = a_i + a_j
     a[i] = 0.0
@@ -260,7 +260,7 @@ def join(rows, heap, a, i, j):
         raise ValueError(f"cannot join dead community in pair ({i}, {j})")
     if j not in rows[i]:
         raise ValueError(f"no stored gain for pair ({i}, {j})")
-    dq = rows[i][j][0]
+    dq = heap.gain[rows[i][j]]
     _apply_join(rows, heap, a, i, j)
     return dq
 

@@ -202,7 +202,8 @@ SECTIONS = {
     "louvain_disconnected": lambda: _louvain([_random(60, 0.02, 1)], [v.value for v in LouvainVariant],
                                              range(2)),
     "fastgreedy_tied": lambda: _fastgreedy([KARATE_CLUB, *(_random(500, 0.016, s) for s in range(3)),
-                                            _random(2000, 0.004, 0), *tied_suite(60, 8)]),
+                                            _random(2000, 0.004, 0), _random(8000, 8 / 8000, 1),
+                                            *tied_suite(60, 8)]),
     "fastgreedy_fractional": lambda: _fastgreedy([
         *((f"suite:13000#{k}+fractional", fractional_weights(g, k))
           for k, g in enumerate(random_suite(40, 4, 40, (0.1, 0.3), 13000))),
@@ -212,8 +213,8 @@ SECTIONS = {
     "girvan_newman_cuts": lambda: _girvan_newman([KARATE_CLUB, _random(100, 0.08, 1), *looped_suite(80, 77)]),
     "agglomerative": lambda: _agglomerative([KARATE_CLUB, _random(100, 0.08, 1), _random(60, 0.02, 1)]),
     "agglomerative_tied": lambda: _agglomerative([_random(200, 8 / 200, 1), *tied_suite(60, 8)]),
-    "agglomerative_dense": lambda: _agglomerative([_random(150, 0.5, 1), _random(64, 0.9, 2),
-                                                   ("complete:40", complete_graph(40))]),
+    "agglomerative_dense": lambda: _agglomerative([_random(150, 0.5, 1), _random(300, 0.5, 1),
+                                                   _random(64, 0.9, 2), ("complete:40", complete_graph(40))]),
     "commands": _commands,
 }
 

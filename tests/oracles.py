@@ -146,7 +146,9 @@ def edge_betweenness_level_scan(g):
     and its roots go in that set's iteration order. A node's credit takes
     its children's shares in reverse BFS order, and an edge takes at most
     one share per root, so the scores should equal edge_betweenness(g) bit
-    for bit, in the same key order.
+    for bit, in the same key order. The per-root state (level, paths,
+    credit) is keyed by the component's own nodes, so a graph of many
+    small components costs no more than its size.
     """
     n = g.node_count
     adj = [g.neighbors(i) for i in range(n)]
@@ -169,9 +171,9 @@ def edge_betweenness_level_scan(g):
             for v in adj[u]:
                 if u <= v:
                     comp[(u, v)] = 0.0
-        level = [-1] * n
-        paths = [0] * n
-        credit = [1.0] * n
+        level = dict.fromkeys(nodes, -1)
+        paths = dict.fromkeys(nodes, 0)
+        credit = dict.fromkeys(nodes, 1.0)
         for root in nodes:
             level[root], paths[root] = 0, 1
             order = [root]

@@ -1,11 +1,16 @@
 """Greedy modularity agglomeration tests."""
 
+import heapq
+import random
 import re
 from functools import reduce
+from importlib import import_module
 from operator import add
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commdetect import Graph, HslSpec, cut, fastgreedy, modularity
 from commdetect.fastgreedy import _RETIRED, _TIE_EPS, GlobalHeap, init_fastgreedy, join
@@ -33,38 +38,42 @@ def _joins(dend, n):
     return out
 
 
-def _pairs(rows):
+def _pairs(rows, heap):
     """Every gain cell once, as (i, j, gain) with i < j."""
     return [
-        (i, j, cell[0])
+        (i, j, heap.gain[c])
         for i, row in enumerate(rows)
         if row is not None
-        for j, cell in row.items()
+        for j, c in row.items()
         if i < j
     ]
 
 
-def _set(rows, i, j, gain):
-    """Store one gain cell for the pair (i, j), i < j, in both rows, and
-    return it."""
-    cell = rows[i][j] = rows[j][i] = [gain, i, j]
-    return cell
+def _set(rows, heap, i, j, gain):
+    """Add one gain cell for the pair (i, j), i < j, to the heap's lists,
+    store it in both rows, and return it."""
+    c = rows[i][j] = rows[j][i] = len(heap.gain)
+    heap.gain.append(gain)
+    heap.lo.append(i)
+    heap.hi.append(j)
+    return c
 
 
 def test_init_reference_values():
     rows, heap, a = init_fastgreedy(Graph(2, [(0, 1)]))
-    assert rows[0][1] == [pytest.approx(0.5, abs=1e-12), 0, 1]
-    assert rows[0][1] is rows[1][0]
+    c = rows[0][1]
+    assert (heap.gain[c], heap.lo[c], heap.hi[c]) == (pytest.approx(0.5, abs=1e-12), 0, 1)
+    assert rows[0][1] == rows[1][0]
     assert a == [0.5, 0.5]
 
     tri = Graph(3, [(0, 1), (0, 2), (1, 2)])
     rows, heap, a = init_fastgreedy(tri)
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        assert rows[i][j][0] == pytest.approx(1.0 / 9.0, abs=1e-12)
+        assert heap.gain[rows[i][j]] == pytest.approx(1.0 / 9.0, abs=1e-12)
         # the stored gain is the true modularity change of that merge
         merged = [j if x == i else x for x in range(3)]
         truth = modularity_direct(tri, merged) - modularity_direct(tri, [0, 1, 2])
-        assert rows[i][j][0] == pytest.approx(truth, abs=1e-12)
+        assert heap.gain[rows[i][j]] == pytest.approx(truth, abs=1e-12)
 
     rows, heap, a = init_fastgreedy(star_graph(3))
     assert a[0] == pytest.approx(0.5, abs=1e-15)
@@ -74,7 +83,7 @@ def test_init_reference_values():
 def test_init_entries_only_for_connected_pairs():
     g = path_graph(4)
     rows, heap, a = init_fastgreedy(g)
-    assert sorted((i, j) for i, j, _ in _pairs(rows)) == [(0, 1), (1, 2), (2, 3)]
+    assert sorted((i, j) for i, j, _ in _pairs(rows, heap)) == [(0, 1), (1, 2), (2, 3)]
     assert 2 not in rows[0]
 
 
@@ -114,27 +123,28 @@ def test_pop_best_reads_tie_band_in_place():
     rows = [{} for _ in range(6)]
     heap = GlobalHeap()
     # the maximum, at the larger pair
-    heap.push(_set(rows, 2, 3, top))
+    heap.push(_set(rows, heap, 2, 3, top))
     # a smaller pair tied with it, less than _TIE_EPS below
-    heap.push(_set(rows, 0, 4, top - _TIE_EPS / 2))
+    heap.push(_set(rows, heap, 0, 4, top - _TIE_EPS / 2))
     # stale bounds: one above the maximum, one inside the tie band,
     # each queued before its cell's gain fell to 0.1
-    stale_above = _set(rows, 0, 1, 0.5)
+    stale_above = _set(rows, heap, 0, 1, 0.5)
     heap.push(stale_above)
-    stale_above[0] = 0.1
-    stale_inside = _set(rows, 0, 2, top - _TIE_EPS / 4)
+    heap.gain[stale_above] = 0.1
+    stale_inside = _set(rows, heap, 0, 2, top - _TIE_EPS / 4)
     heap.push(stale_inside)
-    stale_inside[0] = 0.1
+    heap.gain[stale_inside] = 0.1
     assert heap.pop_best() == (0, 4, top - _TIE_EPS / 2)
-    assert [entry for entry in heap._entries if entry[1] is stale_above] == [(-0.1, stale_above)]
+    assert [entry for entry in heap._entries if entry[1] == stale_above] == [(-0.1, stale_above)]
 
     # an in-band cell whose only queued entry is a stale bound is read by
     # its gain, and the walk leaves that entry as it is
+    rows = [{} for _ in range(6)]
     heap = GlobalHeap()
-    heap.push(_set(rows, 2, 3, 0.2))
-    stale_only = _set(rows, 0, 1, 0.2 - _TIE_EPS / 4)
+    heap.push(_set(rows, heap, 2, 3, 0.2))
+    stale_only = _set(rows, heap, 0, 1, 0.2 - _TIE_EPS / 4)
     heap.push(stale_only)
-    stale_only[0] = 0.2 - _TIE_EPS / 2
+    heap.gain[stale_only] = 0.2 - _TIE_EPS / 2
     entries = list(heap._entries)
     assert heap.pop_best() == (0, 1, 0.2 - _TIE_EPS / 2)
     assert heap._entries == entries
@@ -144,10 +154,10 @@ def test_pop_best_with_only_retired_entries_is_none():
     rows = [{} for _ in range(3)]
     heap = GlobalHeap()
     for i, j in ((0, 1), (1, 2)):
-        heap.push(_set(rows, i, j, 0.1))
-    for k, cell in rows[1].items():
+        heap.push(_set(rows, heap, i, j, 0.1))
+    for k, c in rows[1].items():
         del rows[k][1]
-        cell[0] = _RETIRED
+        heap.gain[c] = _RETIRED
     rows[1] = None
     assert heap.pop_best() is None
     assert len(heap) == 0
@@ -174,20 +184,20 @@ def test_join_update_rules_match_direct_differences():
     # path 0-1-2, join(0,1): community 2 touches only the j side
     g = path_graph(3)
     rows, heap, a = init_fastgreedy(g)
-    before_bc = rows[1][2][0]
+    before_bc = heap.gain[rows[1][2]]
     expected = before_bc - 2.0 * a[0] * a[2]
     join(rows, heap, a, 0, 1)
-    assert rows[1][2][0] == pytest.approx(expected, abs=1e-12)
+    assert heap.gain[rows[1][2]] == pytest.approx(expected, abs=1e-12)
     truth = modularity_direct(g, [1, 1, 1]) - modularity_direct(g, [1, 1, 2])
-    assert rows[1][2][0] == pytest.approx(truth, abs=1e-12)
+    assert heap.gain[rows[1][2]] == pytest.approx(truth, abs=1e-12)
 
     # triangle, join(0,1): community 2 touches both sides
     tri = Graph(3, [(0, 1), (0, 2), (1, 2)])
     rows, heap, a = init_fastgreedy(tri)
-    expected = rows[0][2][0] + rows[1][2][0]
+    expected = heap.gain[rows[0][2]] + heap.gain[rows[1][2]]
     join(rows, heap, a, 0, 1)
-    assert rows[1][2][0] == pytest.approx(expected, abs=1e-12)
-    assert rows[1][2][0] == pytest.approx(2.0 / 9.0, abs=1e-12)
+    assert heap.gain[rows[1][2]] == pytest.approx(expected, abs=1e-12)
+    assert heap.gain[rows[1][2]] == pytest.approx(2.0 / 9.0, abs=1e-12)
 
 
 def test_store_heap_and_mass_invariants_every_step():
@@ -197,7 +207,7 @@ def test_store_heap_and_mass_invariants_every_step():
         while True:
             assert sum(a) == pytest.approx(1.0, abs=1e-12)
             q_now = modularity_direct(g, labels)
-            for i, j, dq in _pairs(rows):
+            for i, j, dq in _pairs(rows, heap):
                 merged = [j if x == i else x for x in labels]
                 assert dq == pytest.approx(
                     modularity_direct(g, merged) - q_now, abs=1e-9
@@ -206,7 +216,7 @@ def test_store_heap_and_mass_invariants_every_step():
             if picked is None:
                 break
             i, j, dq = picked
-            top = max(value for _, _, value in _pairs(rows))
+            top = max(value for _, _, value in _pairs(rows, heap))
             assert dq == pytest.approx(top, abs=1e-12)
             join(rows, heap, a, i, j)
             labels = [j if x == i else x for x in labels]
@@ -302,28 +312,32 @@ def test_fastgreedy_fractional_golden():
     identity.check("fastgreedy_fractional")
 
 
-def _check_cells(rows):
-    """Both rows of a pair hold one cell, named (min, max) of its row keys."""
+def _check_cells(rows, heap):
+    """Both rows of a pair hold one cell, named (min, max) of its row keys,
+    and no two pairs share a cell."""
+    pairs = 0
     for i, row in enumerate(rows):
         if row is not None:
-            for j, cell in row.items():
-                assert rows[j][i] is cell
-                assert cell[1:] == [min(i, j), max(i, j)]
+            for j, c in row.items():
+                assert rows[j][i] == c
+                assert (heap.lo[c], heap.hi[c]) == (min(i, j), max(i, j))
+            pairs += len(row)
+    assert len({c for row in rows if row is not None for c in row.values()}) * 2 == pairs
 
 
 def _check_heap(rows, heap):
-    """Heap order holds on the bounds, and every live cell has a queued
-    upper bound."""
-    _check_cells(rows)
+    """Heap order holds on the (-bound, c) entries, and every live cell has
+    a queued upper bound."""
+    _check_cells(rows, heap)
     entries = heap._entries
     for k in range(1, len(entries)):
-        assert entries[(k - 1) // 2][0] <= entries[k][0]
+        assert entries[(k - 1) // 2] <= entries[k]
     bound = {}
-    for neg_bound, cell in entries:
-        bound[id(cell)] = max(bound.get(id(cell), -neg_bound), -neg_bound)
+    for neg_bound, c in entries:
+        bound[c] = max(bound.get(c, -neg_bound), -neg_bound)
     for row in rows:
-        for cell in row.values() if row is not None else ():
-            assert bound[id(cell)] >= cell[0]
+        for c in row.values() if row is not None else ():
+            assert bound[c] >= heap.gain[c]
 
 
 def _check_band(rows, heap):
@@ -332,10 +346,10 @@ def _check_band(rows, heap):
     band = heap._band
     for k in range(1, len(band)):
         assert band[(k - 1) // 2] <= band[k]
-    in_band = {(i, j, id(cell)) for i, j, cell in band}
-    for i, j, gain in _pairs(rows):
+    in_band = set(band)
+    for i, j, gain in _pairs(rows, heap):
         if gain >= heap._floor:
-            assert (i, j, id(rows[i][j])) in in_band
+            assert (i, j, rows[i][j]) in in_band
 
 
 def _check_pop_best_against_brute_force(g):
@@ -344,7 +358,7 @@ def _check_pop_best_against_brute_force(g):
     while True:
         picked = heap.pop_best()
         _check_heap(rows, heap)
-        pairs = list(_pairs(rows))
+        pairs = list(_pairs(rows, heap))
         if not pairs:
             assert picked is None
             break
@@ -381,11 +395,48 @@ def test_renamed_cell_stays_in_the_carried_band():
     renamed = rows[0][2]
     join(rows, heap, a, 0, 1)
     # (0, 2) touched only the absorbed side: the same cell, now (1, 2)
-    assert rows[1][2] is rows[2][1] is renamed
-    assert renamed[1:] == [1, 2]
+    assert rows[1][2] == rows[2][1] == renamed
+    assert (heap.lo[renamed], heap.hi[renamed]) == (1, 2)
     # (3, 4), untouched, still holds the maximum, so the band is carried
     # and must hold the renamed cell under its new names
-    assert heap.pop_best() == (1, 2, renamed[0])
+    assert heap.pop_best() == (1, 2, heap.gain[renamed])
     assert heap._floor == floor
     _check_band(rows, heap)
     _check_pop_best_against_brute_force(g)
+
+
+class _ShuffledHeap(GlobalHeap):
+    """A GlobalHeap that rebuilds its entries by heapify over a seeded
+    shuffle before every pick, so each entry below the root, junk or
+    not, sits wherever some valid heap could hold it."""
+
+    def __init__(self, seed):
+        super().__init__()
+        self._rng = random.Random(seed)
+
+    def pop_best(self):
+        self._rng.shuffle(self._entries)
+        heapq.heapify(self._entries)
+        return super().pop_best()
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_integer_weighted_graphs(max_nodes=16), st.integers(0, 2**32 - 1))
+def test_heap_layout_cannot_change_a_pick(g, seed):
+    # Integer weights tie many gains exactly, so many entries share a bound
+    # and the band walk meets them in an order the shuffle changes.
+    rows, heap, a = init_fastgreedy(g)
+    with patch.object(import_module("commdetect.fastgreedy"), "GlobalHeap", lambda: _ShuffledHeap(seed)):
+        shuffled_rows, shuffled, shuffled_a = init_fastgreedy(g)
+        dend, best, best_q = fastgreedy(g)
+    assert isinstance(shuffled, _ShuffledHeap)
+    while True:
+        picked = heap.pop_best()
+        assert shuffled.pop_best() == picked
+        if picked is None:
+            break
+        join(rows, heap, a, *picked[:2])
+        join(shuffled_rows, shuffled, shuffled_a, *picked[:2])
+    assert shuffled.gain == heap.gain
+    expected, expected_best, expected_q = fastgreedy(g)
+    assert (dend, best.labels, best_q) == (expected, expected_best.labels, expected_q)
