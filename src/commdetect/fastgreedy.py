@@ -13,17 +13,16 @@ community brings alone are renamed to the absorbing one.
 
 A queued gain is an upper bound on its cell's current gain, in the lazy
 style of accelerated greedy (Minoux; CELF in Leskovec et al. 2007): a
-join pushes only cells whose gain rises, never a falling gain, and a
-renamed cell keeps its entries. Junk entries, a retired cell's or a
-bound above its cell's gain, are resolved in one place, the heap top:
-selection drops or re-queues them there until the top is exact, which
-gives the maximum M and the tie floor M - _TIE_EPS. The pairs at or
-above the floor, the tie band, are carried from one selection to the
-next while the floor does not fall, since a cell only climbs into the
-band by a push; a renamed cell is re-added under its new names. When
-the floor falls, the band is read afresh by a walk down the heap array
-that only reads it, taking each cell by its gain, not its bound. The
-chosen pair depends only on the stored gains.
+join pushes only cells whose gain rises, and a renamed cell keeps its
+entries. Junk entries, a retired cell's or a bound above its cell's
+gain, are resolved only at the heap top: selection drops or re-queues
+them until the top is exact, giving the maximum M and the tie floor
+M - _TIE_EPS. The pairs at or above the floor, the tie band, are
+carried between selections while the floor does not fall, since a cell
+climbs into the band only by a push; a renamed cell is re-banded under
+its new names. When the floor falls, a walk down the heap array that
+only reads it rebuilds the band, taking each cell by its gain, not its
+bound. The chosen pair depends only on the stored gains.
 """
 
 import heapq
@@ -68,16 +67,15 @@ class GlobalHeap:
     """One max-heap of (-bound, c) entries over the cells c, which index
     its flat lists `gain`, `lo` and `hi` (see the module docstring).
 
-    Every live cell has at least one queued entry whose bound is at least
-    its current gain, so a cell only needs a new entry when its gain
-    rises or it is created. Junk entries, those of retired cells and
-    bounds above their cell's current gain, are resolved only at the top,
-    by `pop_best`; the band walk reads past them and writes nothing.
-    The tie band `_band`, carried between selections, is a min-heap of
-    (lo, hi, c) entries holding every live cell whose gain is at least
-    `_floor`, the tie floor of the last `pop_best` (+inf before the
-    first), under its current names; and maybe entries whose cell has
-    since retired, fallen below that floor or been renamed.
+    Every live cell has a queued entry whose bound is at least its gain,
+    so a cell needs a new entry only when its gain rises or it is created.
+    Junk entries, those of retired cells and bounds above their cell's
+    gain, are resolved only at the top, by `pop_best`; the band walk reads
+    past them and writes nothing. The tie band `_band`, carried between
+    selections, is a min-heap of (lo, hi, c) entries holding every live
+    cell whose gain is at least `_floor`, the tie floor of the last
+    `pop_best` (+inf before the first), under its current names; and
+    maybe entries whose cell has since retired, fallen or been renamed.
     """
 
     def __init__(self):
@@ -86,11 +84,18 @@ class GlobalHeap:
         self._floor = float("inf")
 
     def push(self, c):
-        """Queue cell `c` at its current gain."""
+        """Queue cell `c` at its current gain; band it as `carry` does."""
         gain = self.gain[c]
         heapq.heappush(self._entries, (-gain, c))
         if gain >= self._floor:
             heapq.heappush(self._band, (self.lo[c], self.hi[c], c))
+
+    def carry(self, cells):
+        """Band each of `cells` whose gain is at or above the floor, under its current names."""
+        gains, floor = self.gain, self._floor
+        for c in cells:
+            if gains[c] >= floor:
+                heapq.heappush(self._band, (self.lo[c], self.hi[c], c))
 
     def pop_best(self):
         """Return (i, j, dq) for the best current pair, or None if empty.
@@ -201,10 +206,9 @@ def _apply_join(rows, heap, a, i, j):
     and one test-free loop gives every cell of row j the "only j" fall.
     One loop over row i then retires the i side of each "both" pair and
     writes the sum into the j side, and lowers each "only i" cell and
-    renames it (i, k) -> (j, k), moving it to row j; row i becomes None.
-    Queued gains are upper bounds, so only a rising "both" gain is
-    pushed; "only i" and "only j" always fall, and a renamed cell keeps
-    its bounds but rejoins the carried band under its new names.
+    renames it (i, k) -> (j, k), moving it to row j. Queued gains are
+    upper bounds, so only a rising "both" gain is pushed; a renamed cell
+    keeps its bounds, and `heap.carry` re-bands it under its new names.
     """
     gain, lo, hi = heap.gain, heap.lo, heap.hi
     row_i, row_j = rows[i], rows[j]
@@ -218,7 +222,6 @@ def _apply_join(rows, heap, a, i, j):
     for k, c in row_j.items():
         gain[c] -= t * a[k]
     t = 2.0 * a_j
-    floor = heap._floor
     for k, c in row_i.items():
         row_k = rows[k]
         del row_k[i]
@@ -231,13 +234,10 @@ def _apply_join(rows, heap, a, i, j):
             if new > both:
                 heap.push(kept)
         else:
-            fallen = gain[c] - t * a[k]
-            gain[c] = fallen
+            gain[c] -= t * a[k]
             row_j[k] = row_k[j] = c
-            names = (k, j) if k < j else (j, k)
-            lo[c], hi[c] = names
-            if fallen >= floor:
-                heapq.heappush(heap._band, (*names, c))
+            lo[c], hi[c] = (k, j) if k < j else (j, k)
+    heap.carry(row_i.values())
     rows[i] = None
     a[j] = a_i + a_j
     a[i] = 0.0

@@ -163,6 +163,21 @@ def test_pop_best_with_only_retired_entries_is_none():
     assert len(heap) == 0
 
 
+def test_carry_bands_only_live_cells_at_or_above_the_floor():
+    rows = [{} for _ in range(6)]
+    heap = GlobalHeap()
+    heap.push(_set(rows, heap, 0, 1, 0.25))
+    assert heap.pop_best() == (0, 1, 0.25)
+    band = list(heap._band)
+    # cells renamed or retired behind the heap's back, entries left as they were
+    at_floor, below, retired = (_set(rows, heap, i, 5, gain) for i, gain in
+                                ((4, heap._floor), (3, heap._floor - _TIE_EPS), (2, 0.25)))
+    heap.gain[retired] = _RETIRED
+    heap.carry([below, retired, at_floor])
+    assert sorted(heap._band) == sorted([*band, (4, 5, at_floor)])
+    assert heap._entries == [(-0.25, 0)]
+
+
 def test_join_validation():
     rows, heap, a = init_fastgreedy(path_graph(3))
     with pytest.raises(ValueError):

@@ -13,9 +13,10 @@ import ladder  # noqa: E402
 CELL = "fastgreedy - - random:500,"
 
 
-def test_against_the_same_tree_pairs_equal_digests(tmp_path):
+def test_against_the_same_tree_pairs_equal_digests(tmp_path, monkeypatch):
+    monkeypatch.setattr(ladder, "PAIRS", 2)
     out = tmp_path / "bench.json"
-    assert ladder.main(["--against", str(ROOT), "--only", CELL, "--pairs", "2", "--out", str(out)]) == 0
+    assert ladder.main(["--against", str(ROOT), "--only", CELL, "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["pairs"] == 2
     [cell] = report["cells"]
@@ -25,7 +26,8 @@ def test_against_the_same_tree_pairs_equal_digests(tmp_path):
     assert cell["joins"] == 499
 
 
-def test_against_a_tree_with_other_outputs_exits_1(tmp_path):
+def test_against_a_tree_with_other_outputs_exits_1(tmp_path, monkeypatch):
+    monkeypatch.setattr(ladder, "PAIRS", 1)
     # A parent whose fastgreedy gives another dendrogram: its digest differs.
     fake = tmp_path / "parent"
     package = fake / "src" / "commdetect"
@@ -35,12 +37,12 @@ def test_against_a_tree_with_other_outputs_exits_1(tmp_path):
     fastgreedy = package / "fastgreedy.py"
     fastgreedy.write_text(fastgreedy.read_text().replace("best_q = q\n", "best_q = q + 1.0\n", 1))
     out = tmp_path / "bench.json"
-    assert ladder.main(["--against", str(fake), "--only", CELL, "--pairs", "1", "--out", str(out)]) == 1
+    assert ladder.main(["--against", str(fake), "--only", CELL, "--out", str(out)]) == 1
     [cell] = json.loads(out.read_text())["cells"]
     assert cell["parent"]["digest"] != cell["change"]["digest"]
 
 
-@pytest.mark.parametrize("argv", [["--only", "no such cell"], ["--against", "no/such/dir"], ["--pairs", "0"]])
+@pytest.mark.parametrize("argv", [["--only", "no such cell"], ["--against", "no/such/dir"]])
 def test_bad_arguments_are_refused(argv, tmp_path):
     with pytest.raises(SystemExit) as exc:
         ladder.main([*argv, "--out", str(tmp_path / "bench.json")])

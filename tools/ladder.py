@@ -18,7 +18,7 @@ cells whose key contains TEXT.
 Alone, a cell runs five times, once if its first run takes over 10 s,
 and records the min and median wall time, raw and rescaled to reference
 seconds by perfbench/calibration.py's loop, timed around each run as
-perfbench does. With `--against DIR`, each cell instead runs `--pairs`
+perfbench does. With `--against DIR`, each cell instead runs ten
 pairs of fresh subprocesses, one importing DIR/src (the parent) and one
 this checkout's src (the change), in alternating order, so both sides
 share the host's drift; it records each side's min and median, the
@@ -56,6 +56,8 @@ import calibration  # noqa: E402
 MANIFEST = ROOT / "tests" / "identity.txt"
 LOUVAIN_VARIANTS = ("normal", "noMerge", "total", "Exp")
 RUNS = 5
+# Pairs of runs per cell with --against.
+PAIRS = 10
 # A cell whose first run takes longer than this runs once.
 ONE_RUN_S = 10.0
 
@@ -173,18 +175,18 @@ def _summary(runs):
     return {"min_s": min(times), "median_s": statistics.median(times), "digest": digests.pop()}
 
 
-def _pair_cell(index, against, pairs):
-    """Time cell `index` over `pairs` pairs of runs, one of each side per
+def _pair_cell(index, against):
+    """Time cell `index` over PAIRS pairs of runs, one of each side per
     pair, the side that goes first alternating from pair to pair."""
     srcs = {"parent": Path(against) / "src", "change": ROOT / "src"}
     runs = {"parent": [], "change": []}
-    for k in range(pairs):
+    for k in range(PAIRS):
         for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
             runs[side].append(_side(srcs[side], index))
     ratios = [c["s"] / p["s"] for p, c in zip(runs["parent"], runs["change"])]
     return {
         "edges": runs["change"][0]["edges"],
-        "pairs": pairs,
+        "pairs": PAIRS,
         "parent": _summary(runs["parent"]),
         "change": _summary(runs["change"]),
         "ratios": ratios,
@@ -194,7 +196,7 @@ def _pair_cell(index, against, pairs):
     }
 
 
-def ladder(only="", against=None, pairs=RUNS):
+def ladder(only="", against=None):
     """Time every cell whose key contains `only`, alone or, given a
     checkout `against`, pair by pair against it; returns the report and
     the (key, what it differs from) of every mismatched digest."""
@@ -205,13 +207,13 @@ def ladder(only="", against=None, pairs=RUNS):
         if only not in key:
             continue
         if against:
-            cell = _pair_cell(index, against, pairs)
+            cell = _pair_cell(index, against)
             digest = cell["change"]["digest"]
             if cell["parent"]["digest"] != digest:
                 mismatched.append((key, "the parent's output"))
             print(f"{key}: parent median {cell['parent']['median_s']:.4f} s, change median "
                   f"{cell['change']['median_s']:.4f} s, median ratio {cell['median_ratio']:.3f}, "
-                  f"change faster in {cell['change_wins']} of {pairs}", file=sys.stderr)
+                  f"change faster in {cell['change_wins']} of {PAIRS}", file=sys.stderr)
         else:
             if graph is None or graph[0] != (n, p):
                 graph = (n, p), random_graph(n, p, 1)
@@ -226,7 +228,7 @@ def ladder(only="", against=None, pairs=RUNS):
     report = {"interpreter": f"{platform.python_implementation()} {platform.python_version()}",
               "platform": platform.platform()}
     if against:
-        report["pairs"] = pairs
+        report["pairs"] = PAIRS
     else:
         report["calibration"] = {"reference_s": calibration.REFERENCE_S,
                                  "loop_median_s": statistics.median(calibrator.samples)}
@@ -240,15 +242,12 @@ def main(argv=None):
     parser.add_argument("--only", default="", metavar="TEXT", help="time only the cells whose key contains TEXT")
     parser.add_argument("--against", metavar="DIR",
                         help="time DIR/src (the parent) against this checkout's src, pair by pair")
-    parser.add_argument("--pairs", type=int, default=RUNS, help=f"pairs per cell with --against (default {RUNS})")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
     if args.against and not (Path(args.against) / "src" / "commdetect").is_dir():
         parser.error(f"--against {args.against}: no src/commdetect there")
     if not any(args.only in key for key, *_ in CELLS):
         parser.error(f"--only {args.only!r} matches no cell")
-    report, mismatched = ladder(args.only, args.against, args.pairs)
+    report, mismatched = ladder(args.only, args.against)
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     for key, what in mismatched:
         print(f"ladder: {key} differs from {what}", file=sys.stderr)
