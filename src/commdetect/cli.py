@@ -255,8 +255,11 @@ def run_stats(label, runs, one):
 
     `one(k)` returns the Q of run k. The record holds every Q, their max,
     min and mean, and the mean, min and median wall time per run; timing
-    covers only the calls.
+    covers only the calls. A `runs` that is not an int of at least 1 (a
+    bool is not) raises ValueError.
     """
+    if not isinstance(runs, int) or isinstance(runs, bool):
+        raise ValueError(f"runs must be an int, not {runs!r}")
     if runs < 1:
         raise ValueError("runs must be at least 1")
     qs = []

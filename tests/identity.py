@@ -1,11 +1,10 @@
 """Output-identity manifest: one `key<TAB>sha256` line per record.
 
 A key names the algorithm, its variant or target, its seed and its graph,
-or is a command line. The digest is of the record's repr: labels, q.hex()
-and passes, merge, cut or betweenness records with every float as .hex(),
-or a command's stdout and files, where a bench report loses its host line,
-runtimes and table. It takes no arguments and imports `commdetect` from
-PYTHONPATH:
+or is a command line. The digest is of the record's repr: an algorithm
+call's record as tests/records.py makes it, or a command's stdout and
+files, where a bench report loses its host line, runtimes and table. It
+takes no arguments and imports `commdetect` from PYTHONPATH:
 
     PYTHONPATH=src python tests/identity.py > tests/identity.txt
     PYTHONPATH=<parent checkout>/src python tests/identity.py | diff tests/identity.txt -
@@ -16,7 +15,6 @@ second lists every record that a change moves against its parent.
 
 import contextlib
 import functools
-import hashlib
 import io
 import json
 import os
@@ -24,11 +22,11 @@ import random
 import re
 import shlex
 import tempfile
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 
-from commdetect import (Graph, agglomerate, edge_betweenness, fastgreedy, girvan_newman,
-                        girvan_newman_static, karate_club, louvain, random_graph)
+import records
+from commdetect import Graph, edge_betweenness, girvan_newman, girvan_newman_static, karate_club, random_graph
 from commdetect.cli import main
 from commdetect.louvain import LouvainVariant, aggregate
 from helpers import FRACTIONAL_WEIGHTS, complete_graph, fractional_weights, mirrored, one_heavy_edge, random_suite
@@ -83,8 +81,7 @@ def _louvain(graphs, variants, seeds):
     for name, g in graphs:
         for variant in variants:
             for seed in seeds:
-                part, q, passes = louvain(g, variant, seed)
-                yield f"louvain {variant} {seed} {name}", (part.labels, q.hex(), passes)
+                yield f"louvain {variant} {seed} {name}", records.louvain(g, variant, seed)
 
 
 def _weighted_twice():
@@ -153,9 +150,7 @@ def _heavy_karate():
 
 def _fastgreedy(graphs):
     for name, g in graphs:
-        dend, best, best_q = fastgreedy(g)
-        merges = [(m.left, m.right, m.merged, m.gain.hex(), m.q.hex(), m.step) for m in dend.merges]
-        yield f"fastgreedy - - {name}", (merges, best.labels, best_q.hex())
+        yield f"fastgreedy - - {name}", records.fastgreedy(g)
 
 
 def _girvan_newman(graphs):
@@ -163,17 +158,26 @@ def _girvan_newman(graphs):
         yield f"edge_betweenness - - {name}", sorted((key, s.hex()) for key, s in edge_betweenness(g).items())
         for target in sorted({t for t in (1, 2, 5, g.node_count) if t <= g.node_count}):
             for run in (girvan_newman, girvan_newman_static):
-                part, cuts = run(g, target)
-                yield f"{run.__name__} {target} - {name}", (part.labels, [(u, v, s.hex()) for u, v, s in cuts])
+                yield f"{run.__name__} {target} - {name}", records.girvan_newman(g, target, run)
 
 
-def _agglomerative(graphs):
+def _agglomerative(graphs, kinds=tuple(product(("single", "complete", "average"), (False, True)))):
     for name, g in graphs:
-        for linkage in ("single", "complete", "average"):
-            for self_neighboring in (False, True):
-                merges = agglomerate(g, linkage, self_neighboring).merges
-                yield (f"agglomerative {linkage}{'+self' * self_neighboring} - {name}",
-                       [(m.left, m.right, m.merged, m.distance.hex(), m.step) for m in merges])
+        for linkage, self_neighboring in kinds:
+            yield (f"agglomerative {linkage}{'+self' * self_neighboring} - {name}",
+                   records.agglomerative(g, linkage, self_neighboring))
+
+
+def _ladder():
+    """tools/ladder.py's sub-second cells that no other section pins; its
+    N=8000 and N=1600 cells and Girvan-Newman at N=200 and 400 are too slow."""
+    for n in (500, 2000):
+        yield f"random_graph - - random:{n},{8 / n},1", records.graph(n, 8 / n, 1)
+    yield from _louvain([_random(500, 0.016, 1)], ("total",), [0])
+    yield from _louvain([_random(2000, 0.004, 1)], ("noMerge", "total", "Exp"), [0])
+    yield from _agglomerative([_random(400, 0.02, 1)], (("average", False), ("single", True)))
+    name, g = _random(100, 0.08, 1)
+    yield f"girvan_newman 10 - {name}", records.girvan_newman(g, 10)
 
 
 def _commands():
@@ -216,14 +220,14 @@ SECTIONS = {
     "agglomerative_dense": lambda: _agglomerative([_random(150, 0.5, 1), _random(300, 0.5, 1),
                                                    _random(64, 0.9, 2), ("complete:40", complete_graph(40))]),
     "commands": _commands,
+    "ladder": _ladder,
 }
 
 
 @functools.cache
 def digests(section):
     """The (key, sha256) lines of one section, computed once per process."""
-    return [(key, hashlib.sha256(repr(record).encode()).hexdigest())
-            for key, record in SECTIONS[section]()]
+    return [(key, records.digest(record)) for key, record in SECTIONS[section]()]
 
 
 def manifest():

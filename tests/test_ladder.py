@@ -1,4 +1,5 @@
-"""tools/ladder.py: the A/B mode that times two source trees pair by pair."""
+"""tools/ladder.py: it times two source trees pair by pair, by default
+this checkout against itself."""
 
 import json
 import sys
@@ -24,6 +25,16 @@ def test_against_the_same_tree_pairs_equal_digests(tmp_path, monkeypatch):
     assert cell["parent"]["digest"] == cell["change"]["digest"]
     assert len(cell["ratios"]) == 2 and 0 <= cell["change_wins"] <= 2
     assert cell["joins"] == 499
+
+
+def test_without_against_the_checkout_runs_against_itself(tmp_path, monkeypatch):
+    monkeypatch.setattr(ladder, "PAIRS", 2)
+    out = tmp_path / "bench.json"
+    assert ladder.main(["--only", CELL, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["pairs"] == 2 and "calibration" not in report
+    [cell] = report["cells"]
+    assert cell["parent"]["digest"] == cell["change"]["digest"]
 
 
 def test_against_a_tree_with_other_outputs_exits_1(tmp_path, monkeypatch):

@@ -868,6 +868,13 @@ def test_run_stats_contract(karate):
     assert fg["mean"] == statistics.fmean(fg["q_values"])
 
 
+@pytest.mark.parametrize("runs", [True, 2.5])
+def test_bench_refuses_runs_that_are_not_ints(karate, runs):
+    # True once ran one run and wrote "runs": true; 2.5 raised an unnamed TypeError.
+    with pytest.raises(ValueError, match=f"^runs must be an int, not {runs!r}$"):
+        bench(karate, "louvain", ["normal"], runs, 0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(small_integer_weighted_graphs(max_nodes=12))
 def test_reported_q_is_the_modularity_of_the_labels(g):

@@ -1,43 +1,36 @@
 #!/usr/bin/env python3
 """Dataset ladder: time building random:N,8/N,1 and Louvain, fastgreedy,
 agglomerative clustering and Girvan-Newman on it, and agglomerative
-clustering on the dense random:300,0.5,1, and write one BENCH_<n>.json.
+clustering on the dense random:300,0.5,1, two source trees pair by pair,
+and write one BENCH_<n>.json.
 
-    PYTHONPATH=src python tools/ladder.py --out BENCH_<n>.json
+    PYTHONPATH=src python tools/ladder.py --only "random:2000," --out BENCH_<n>.json
     PYTHONPATH=src python tools/ladder.py --against <parent>/ --only fastgreedy --out BENCH_<n>.json
 
-Run from the repository root; `commdetect` is imported from PYTHONPATH,
-so pointing it at another checkout's `src` times that code. Each cell is
-one call on one graph: random_graph(N, 8/N, 1) itself, Louvain normal,
-noMerge, total and Exp with seed 0, and fastgreedy, for N = 500, 2000
-and 8000; average linkage, and single linkage with self-neighbouring,
-for N = 100, 200, 400 and 1600 and on random:300,0.5,1; girvan_newman
-to 10 communities for N = 100, 200 and 400. `--only TEXT` keeps the
-cells whose key contains TEXT.
+Run from the repository root. Each cell is one call on one graph:
+random_graph(N, 8/N, 1) itself, Louvain normal, noMerge, total and Exp
+with seed 0, and fastgreedy, for N = 500, 2000 and 8000; average
+linkage, and single linkage with self-neighbouring, for N = 100, 200,
+400 and 1600 and on random:300,0.5,1; girvan_newman to 10 communities
+for N = 100, 200 and 400. `--only TEXT` keeps the cells whose key
+contains TEXT.
 
-Alone, a cell runs five times, once if its first run takes over 10 s,
-and records the min and median wall time, raw and rescaled to reference
-seconds by perfbench/calibration.py's loop, timed around each run as
-perfbench does. With `--against DIR`, each cell instead runs ten
-pairs of fresh subprocesses, one importing DIR/src (the parent) and one
-this checkout's src (the change), in alternating order, so both sides
-share the host's drift; it records each side's min and median, the
-change/parent ratio of every pair, how many pairs the change won, and
-both digests.
+Each cell runs ten pairs of fresh subprocesses, one importing DIR/src
+(the parent) and one this checkout's src (the change), in alternating
+order, so both sides share the host's drift. Without `--against`, DIR is
+this checkout: an A/A run, whose ratios are the cells' noise floor. A
+cell records each side's min and median wall time, the change/parent
+ratio of every pair, how many pairs the change won, and both digests. A
+full run takes about 20 minutes, most of it `total` at N=8000 and
+Girvan-Newman at N=400, each run 20 times; time a subset with `--only`.
 
-Each cell also records the sha256 digest of its output, in the record
-format of tests/identity.py: the edge tuple for the build,
-(labels, q.hex(), passes) for Louvain, (merges, labels, q.hex()) for
-fastgreedy, the merges with each distance as .hex() for agglomerative
-clustering and (labels, cuts with each score as .hex()) for
-Girvan-Newman. Where tests/identity.txt holds the same key, the digests
-must match, or the script exits 1; with --against it also exits 1 if
-the two sides' digests differ in any cell. Two BENCH files describe the
-same outputs when their digests match cell for cell.
+A digest is the sha256 of the cell's output record, made by
+tests/records.py as tests/identity.py makes it. The script exits 1 if
+the two sides' digests differ in any cell, or if the change's differs
+from the record of tests/identity.txt with the same key.
 """
 
 import argparse
-import hashlib
 import json
 import os
 import platform
@@ -47,50 +40,43 @@ import sys
 import time
 from pathlib import Path
 
-from commdetect import agglomerate, fastgreedy, girvan_newman, louvain, random_graph
-
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
-import calibration  # noqa: E402
+sys.path.insert(0, str(ROOT / "tests"))
+import records  # noqa: E402
+from commdetect import random_graph  # noqa: E402
 
 MANIFEST = ROOT / "tests" / "identity.txt"
 LOUVAIN_VARIANTS = ("normal", "noMerge", "total", "Exp")
-RUNS = 5
-# Pairs of runs per cell with --against.
 PAIRS = 10
-# A cell whose first run takes longer than this runs once.
-ONE_RUN_S = 10.0
 
 
 def _build(g):
     n = g.node_count
-    return tuple(random_graph(n, 8 / n, 1).edges()), {}
+    return records.graph(n, 8 / n, 1), {}
 
 
 def _louvain(variant):
     def run(g):
-        part, q, passes = louvain(g, variant, 0)
-        return (part.labels, q.hex(), passes), {"q": q, "passes": passes}
+        record = records.louvain(g, variant, 0)
+        return record, {"q": float.fromhex(record[1]), "passes": record[2]}
     return f"louvain {variant} 0", run
 
 
 def _fastgreedy(g):
-    dend, best, best_q = fastgreedy(g)
-    merges = [(m.left, m.right, m.merged, m.gain.hex(), m.q.hex(), m.step) for m in dend.merges]
-    return (merges, best.labels, best_q.hex()), {"q": best_q, "joins": len(merges)}
+    record = records.fastgreedy(g)
+    return record, {"q": float.fromhex(record[2]), "joins": len(record[0])}
 
 
 def _agglomerative(linkage, self_neighboring):
     def run(g):
-        merges = agglomerate(g, linkage, self_neighboring).merges
-        record = [(m.left, m.right, m.merged, m.distance.hex(), m.step) for m in merges]
-        return record, {"merges": len(merges)}
+        record = records.agglomerative(g, linkage, self_neighboring)
+        return record, {"merges": len(record)}
     return f"agglomerative {linkage}{'+self' * self_neighboring} -", run
 
 
 def _girvan_newman(g):
-    part, cuts = girvan_newman(g, 10)
-    return (part.labels, [(u, v, s.hex()) for u, v, s in cuts]), {"removals": len(cuts)}
+    record = records.girvan_newman(g, 10)
+    return record, {"removals": len(record[1])}
 
 
 def _sparse(*sizes):
@@ -111,40 +97,6 @@ LADDER = [
 CELLS = [(f"{key} random:{n},{p},1", n, p, run) for graphs, runs in LADDER for n, p in graphs for key, run in runs]
 
 
-def _digest(record):
-    return hashlib.sha256(repr(record).encode()).hexdigest()
-
-
-def _solo_cell(run, g, calibrator):
-    """Time `run(g)` up to RUNS times, with the calibration loop around
-    each run."""
-    times, outputs = [], set()
-    while len(times) < RUNS:
-        calibrator.maybe_measure()
-        first = len(calibrator.samples) - 1
-        start = time.perf_counter()
-        record, stats = run(g)
-        raw = time.perf_counter() - start
-        calibrator.maybe_measure()
-        times.append((raw, raw * calibrator.factor(first)))
-        outputs.add(_digest(record))
-        if raw > ONE_RUN_S:
-            break
-    if len(outputs) != 1:
-        raise RuntimeError("repeated runs gave different outputs")
-    raw, scaled = zip(*times)
-    return {
-        "edges": g.edge_count,
-        "runs": len(times),
-        "min_s": min(raw),
-        "median_s": statistics.median(raw),
-        "min_ref_s": min(scaled),
-        "median_ref_s": statistics.median(scaled),
-        **stats,
-        "digest": outputs.pop(),
-    }
-
-
 def child(index):
     """Build cell `index`'s graph, time one run of it, and print its
     seconds, digest, edge count and stats as JSON: one side of a pair."""
@@ -153,7 +105,7 @@ def child(index):
     start = time.perf_counter()
     record, stats = run(g)
     seconds = time.perf_counter() - start
-    print(json.dumps({"s": seconds, "digest": _digest(record), "edges": g.edge_count, "stats": stats}))
+    print(json.dumps({"s": seconds, "digest": records.digest(record), "edges": g.edge_count, "stats": stats}))
 
 
 def _side(src, index):
@@ -196,43 +148,28 @@ def _pair_cell(index, against):
     }
 
 
-def ladder(only="", against=None):
-    """Time every cell whose key contains `only`, alone or, given a
-    checkout `against`, pair by pair against it; returns the report and
-    the (key, what it differs from) of every mismatched digest."""
+def ladder(only, against):
+    """Time every cell whose key contains `only` pair by pair against the
+    checkout `against`; returns the report and the (key, what it differs
+    from) of every mismatched digest."""
     recorded = dict(line.split("\t") for line in MANIFEST.read_text().splitlines())
-    calibrator = None if against else calibration.Calibrator()
-    cells, mismatched, graph = [], [], None
-    for index, (key, n, p, run) in enumerate(CELLS):
+    cells, mismatched = [], []
+    for index, (key, n, *_) in enumerate(CELLS):
         if only not in key:
             continue
-        if against:
-            cell = _pair_cell(index, against)
-            digest = cell["change"]["digest"]
-            if cell["parent"]["digest"] != digest:
-                mismatched.append((key, "the parent's output"))
-            print(f"{key}: parent median {cell['parent']['median_s']:.4f} s, change median "
-                  f"{cell['change']['median_s']:.4f} s, median ratio {cell['median_ratio']:.3f}, "
-                  f"change faster in {cell['change_wins']} of {PAIRS}", file=sys.stderr)
-        else:
-            if graph is None or graph[0] != (n, p):
-                graph = (n, p), random_graph(n, p, 1)
-            cell = _solo_cell(run, graph[1], calibrator)
-            digest = cell["digest"]
-            print(f"{key}: {cell['runs']} runs, min {cell['min_s']:.4f} s, median {cell['median_s']:.4f} s",
-                  file=sys.stderr)
+        cell = _pair_cell(index, against)
+        digest = cell["change"]["digest"]
+        if cell["parent"]["digest"] != digest:
+            mismatched.append((key, "the parent's output"))
+        print(f"{key}: parent median {cell['parent']['median_s']:.4f} s, change median "
+              f"{cell['change']['median_s']:.4f} s, median ratio {cell['median_ratio']:.3f}, "
+              f"change faster in {cell['change_wins']} of {PAIRS}", file=sys.stderr)
         manifest = recorded.get(key)
         if manifest is not None and manifest != digest:
             mismatched.append((key, "tests/identity.txt"))
         cells.append({"cell": key, "nodes": n, **cell, "in_manifest": manifest is not None})
     report = {"interpreter": f"{platform.python_implementation()} {platform.python_version()}",
-              "platform": platform.platform()}
-    if against:
-        report["pairs"] = PAIRS
-    else:
-        report["calibration"] = {"reference_s": calibration.REFERENCE_S,
-                                 "loop_median_s": statistics.median(calibrator.samples)}
-    report["cells"] = cells
+              "platform": platform.platform(), "pairs": PAIRS, "cells": cells}
     return report, mismatched
 
 
@@ -240,10 +177,11 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="path of the BENCH JSON file to write")
     parser.add_argument("--only", default="", metavar="TEXT", help="time only the cells whose key contains TEXT")
-    parser.add_argument("--against", metavar="DIR",
-                        help="time DIR/src (the parent) against this checkout's src, pair by pair")
+    parser.add_argument("--against", metavar="DIR", default=str(ROOT),
+                        help="time DIR/src (the parent) against this checkout's src, pair by pair "
+                             "(default: this checkout, an A/A run)")
     args = parser.parse_args(argv)
-    if args.against and not (Path(args.against) / "src" / "commdetect").is_dir():
+    if not (Path(args.against) / "src" / "commdetect").is_dir():
         parser.error(f"--against {args.against}: no src/commdetect there")
     if not any(args.only in key for key, *_ in CELLS):
         parser.error(f"--only {args.only!r} matches no cell")
