@@ -3,25 +3,8 @@
 Every variant runs one level loop: build a CommunityState on the level's
 graph (node i starting in community i), optimise it, then either stop or
 contract each community to a single node (intra-community weight
-becoming a self-loop) and repeat one level up. The variants differ only
-in how a level is optimised and whether it is contracted:
-
-  normal        seeded local-move passes with closed-form gains until a
-                pass moves nothing; a level that moved nothing ends the
-                run, any other is contracted.
-  total         as normal, but a move is chosen as if scored by
-                graph.modularity of the moved partition, bit for bit.
-                Each move is keyed by one float, the change of the term
-                it touches; only when two keys lie within the error
-                bound of modularity's fold are both moves folded.
-  noMerge       as normal, but stops after level 0 and returns its
-                assignment.
-  totalNoMerge  as total, but stops after level 0.
-  Exp           one proposal pass per level: every node's best target is
-                computed against the frozen state, and the proposed
-                community pairs are united, each group labelled by its
-                smallest node. A level with no proposal ends the run, any
-                other is contracted. Deterministic; it ignores the seed.
+becoming a self-loop) and repeat one level up. A variant is one row of
+_VARIANTS: how it optimises a level and whether it contracts one.
 """
 
 import random
@@ -31,13 +14,7 @@ from functools import cached_property
 
 from .graph import Graph, Partition, _community_sums, _fold, _unite, modularity
 
-__all__ = [
-    "LouvainVariant",
-    "CommunityState",
-    "local_move_pass",
-    "aggregate",
-    "louvain",
-]
+__all__ = ["LouvainVariant", "CommunityState", "local_move_pass", "aggregate", "louvain"]
 
 # A move must beat staying put by more than this to be applied.
 _GAIN_EPS = 1e-12
@@ -437,6 +414,47 @@ def aggregate(g, partition):
     return Graph._from_sorted(len(rows), edges), new_node
 
 
+def _passes(state, rng, use_total):
+    """Seeded local-move passes until one moves nothing; returns
+    (state.assignment, passes), or (None, passes) when no node moved."""
+    n = len(state.assignment)
+    passes = 0
+    while True:
+        order = list(range(n))
+        rng.shuffle(order)
+        passes += 1
+        if not local_move_pass(state, order, use_total)[1]:
+            return (state.assignment if passes > 1 else None), passes
+
+
+def _proposals(state, rng, use_total):
+    """One proposal pass against the frozen state; returns (communities, 1),
+    the proposed community pairs united, or (None, 1) with no proposal."""
+    n = len(state.assignment)
+    proposals = _visit(state, range(n), use_total, move=False)
+    return (_unite(n, proposals) if proposals else None), 1
+
+
+# Each row: (level optimiser, use the total formula, contract an improved level).
+_VARIANTS = {
+    # Seeded local-move passes with closed-form gains until a pass moves
+    # nothing; a level that moved nothing ends the run.
+    LouvainVariant.NORMAL: (_passes, False, True),
+    # As normal, but each move is chosen as graph.modularity of the moved
+    # partition would choose it, bit for bit: keyed by the one term it
+    # changes, and folded only when two keys lie within the fold's bound.
+    LouvainVariant.TOTAL: (_passes, True, True),
+    LouvainVariant.NO_MERGE: (_passes, False, False),  # normal, returning level 0
+    LouvainVariant.TOTAL_NO_MERGE: (_passes, True, False),  # total, returning level 0
+    # One proposal pass per level: every node's best target against the
+    # frozen state; the proposed community pairs are united, each group
+    # labelled by its smallest node. Deterministic; it ignores the seed.
+    # No union is checked to raise Q, so it can end at Q 0.0 on a ring of
+    # cliques whose level 0 it solved: level 1 chains the whole ring.
+    LouvainVariant.EXP: (_proposals, False, True),
+}
+
+
 def louvain(g, variant, seed=0):
     """Run one seeded Louvain optimization; returns (partition, q, passes).
 
@@ -444,41 +462,23 @@ def louvain(g, variant, seed=0):
     except Exp, which ignores it and always produces the same partition.
     Requires a graph with at least one edge.
     """
-    variant = LouvainVariant(variant)
+    optimise, use_total, contract = _VARIANTS[LouvainVariant(variant)]
     if type(seed) is not int:
         raise ValueError(f"seed must be an integer, got {seed!r}")
     if g.total_weight == 0:
         raise ValueError("modularity optimization needs at least one edge")
     rng = random.Random(seed)
-    use_total = variant in (LouvainVariant.TOTAL, LouvainVariant.TOTAL_NO_MERGE)
-    no_merge = variant in (LouvainVariant.NO_MERGE, LouvainVariant.TOTAL_NO_MERGE)
     labels = list(range(g.node_count))
     level_graph = g
     passes = 0
     while True:
-        n = level_graph.node_count
-        state = CommunityState(level_graph)
-        if variant is LouvainVariant.EXP:
-            proposals = _visit(state, range(n), move=False)
-            passes += 1
-            if not proposals:
-                break
-            communities = _unite(n, proposals)
-        else:
-            moved = False
-            while True:
-                order = list(range(n))
-                rng.shuffle(order)
-                passes += 1
-                if not local_move_pass(state, order, use_total)[1]:
-                    break
-                moved = True
-            communities = state.assignment
-            if no_merge:
-                labels = communities
-                break
-            if not moved:
-                break
+        communities, level_passes = optimise(CommunityState(level_graph), rng, use_total)
+        passes += level_passes
+        if communities is None:
+            break
+        if not contract:
+            labels = communities
+            break
         level_graph, new_node = aggregate(level_graph, communities)
         labels = [new_node[c] for c in labels]
     part = Partition(labels).canonicalize()

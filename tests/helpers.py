@@ -2,8 +2,6 @@
 
 import random
 
-from hypothesis import strategies as st
-
 from commdetect import Graph, random_graph
 from commdetect.louvain import CommunityState, aggregate
 from oracles import (
@@ -57,6 +55,14 @@ def bridged_cliques(k):
     return Graph(2 * k, edges)
 
 
+def ring_of_cliques(k, s):
+    """k cliques of s nodes around a ring: node c*s of clique c is joined
+    to node 1 of clique c+1 (Fortunato & Barthelemy 2007)."""
+    edges = [(c * s + a, c * s + b) for c in range(k) for a in range(s) for b in range(a + 1, s)]
+    edges += [(c * s, (c + 1) % k * s + 1) for c in range(k)]
+    return Graph(k * s, edges)
+
+
 def triangles_with_bridge():
     """Two triangles joined by the bridge (2, 3)."""
     return Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
@@ -83,17 +89,6 @@ def random_suite(count, n_lo, n_hi, ps, base_seed, require_edges=True):
     return out
 
 
-@st.composite
-def small_integer_weighted_graphs(draw, max_nodes=11):
-    """Graphs of 2..max_nodes nodes and at least one edge, weights 1-3,
-    which produce exact ties."""
-    n = draw(st.integers(2, max_nodes))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
-    weights = draw(st.lists(st.integers(1, 3), min_size=len(chosen), max_size=len(chosen)))
-    return Graph(n, [(u, v, w) for (u, v), w in zip(chosen, weights)])
-
-
 FRACTIONAL_WEIGHTS = (0.1, 0.3, 0.7, 1.1)
 
 
@@ -105,16 +100,6 @@ def fractional_weights(g, salt):
     """
     w = FRACTIONAL_WEIGHTS
     return Graph(g.node_count, [(u, v, w[(u * 7 + v + salt) % 4]) for u, v, _ in g.edges()])
-
-
-@st.composite
-def small_fractional_weighted_graphs(draw, max_nodes=11):
-    """small_integer_weighted_graphs with every weight drawn from
-    FRACTIONAL_WEIGHTS instead."""
-    g = draw(small_integer_weighted_graphs(max_nodes))
-    count = g.edge_count
-    weights = draw(st.lists(st.sampled_from(FRACTIONAL_WEIGHTS), min_size=count, max_size=count))
-    return Graph(g.node_count, [(u, v, w) for (u, v, _), w in zip(g.edges(), weights)])
 
 
 def mirrored(h, w):

@@ -525,8 +525,14 @@ def contract(g, communities):
 
 
 def louvain_scanning(g, variant, seed=0):
-    """louvain(g, variant, seed) for normal, noMerge and Exp, replayed with
-    remove, best_move_scanning and insert; returns (partition, q, passes)."""
+    """louvain(g, variant, seed) for every variant, replayed with remove,
+    best_move_scanning and insert, or with total_formula_pass_full_fold
+    for total and totalNoMerge; returns (partition, q, passes)."""
+    if variant in ("total", "totalNoMerge"):
+        def local_pass(state, order):
+            return bool(total_formula_pass_full_fold(state, order))
+    else:
+        local_pass = local_move_pass_scanning
     rng = random.Random(seed)
     labels = list(range(g.node_count))
     level_graph = g
@@ -565,10 +571,10 @@ def louvain_scanning(g, variant, seed=0):
                 order = list(nodes)
                 rng.shuffle(order)
                 passes += 1
-                if not local_move_pass_scanning(state, order):
+                if not local_pass(state, order):
                     break
                 moved = True
-            if variant == "noMerge":
+            if variant in ("noMerge", "totalNoMerge"):
                 labels = state.assignment
                 break
             if not moved:

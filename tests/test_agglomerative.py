@@ -24,8 +24,9 @@ from commdetect import (
 from commdetect import agglomerative
 from commdetect.agglomerative import linkage_distance
 import identity
-from helpers import complete_graph, path_graph, random_suite, small_integer_weighted_graphs, star_graph
+from helpers import complete_graph, path_graph, random_suite, star_graph
 from oracles import agglomerate_direct, cut_direct
+from strategies import small_integer_weighted_graphs
 
 
 def test_neighbor_matrix_examples():

@@ -15,15 +15,9 @@ from hypothesis import strategies as st
 from commdetect import Graph, HslSpec, cut, fastgreedy, modularity
 from commdetect.fastgreedy import _RETIRED, _TIE_EPS, GlobalHeap, init_fastgreedy, join
 import identity
-from helpers import (
-    path_graph,
-    random_suite,
-    small_fractional_weighted_graphs,
-    small_integer_weighted_graphs,
-    star_graph,
-    two_triangles,
-)
+from helpers import path_graph, random_suite, star_graph, two_triangles
 from oracles import best_partition_exhaustive, greedy_merge_direct, modularity_direct
+from strategies import small_fractional_weighted_graphs, small_integer_weighted_graphs
 
 
 def _joins(dend, n):

@@ -23,14 +23,9 @@ from commdetect import (
 )
 from commdetect.graph import _BULK_MAX_P, _BULK_MIN_N, _bulk_pairs, _fold
 from commdetect.louvain import aggregate
-from helpers import (
-    path_graph,
-    random_suite,
-    small_fractional_weighted_graphs,
-    small_integer_weighted_graphs,
-    two_triangles,
-)
+from helpers import path_graph, random_suite, two_triangles
 from oracles import modularity_direct, random_graph_per_pair
+from strategies import small_fractional_weighted_graphs, small_integer_weighted_graphs
 
 
 def test_graph_basics():

@@ -30,8 +30,7 @@ from helpers import (
     path_graph,
     random_suite,
     relabeled,
-    small_fractional_weighted_graphs,
-    small_integer_weighted_graphs,
+    ring_of_cliques,
     two_triangles,
 )
 from oracles import (
@@ -49,6 +48,7 @@ from oracles import (
     total_formula_pass_full_fold,
     total_formula_slots,
 )
+from strategies import small_fractional_weighted_graphs, small_integer_weighted_graphs
 
 # `commdetect.louvain` is also the name of the re-exported function.
 louvain_module = importlib.import_module("commdetect.louvain")
@@ -254,12 +254,19 @@ def _louvain_inputs(draw, graphs=small_integer_weighted_graphs()):
 # tied communities 3 and 0 in that order; only the smaller-label tie rule
 # keeps normal at (0, 0, 1, 1, 0).
 @example((Graph(5, [(0, 4), (1, 2), (1, 4), (2, 3), (2, 4)]), 1))
+# A fractional graph beside its mirror image, node 10 tied between them in
+# real numbers: with seed 1 rounding puts node 10 with node 9 under the
+# total formula, where the closed form keeps it with node 0.
+@example((Graph(11, [(0, 1, 0.7), (0, 2, 1.1), (0, 3, 0.1), (0, 4, 0.3), (0, 10, 0.1), (1, 3, 1.1), (1, 4, 0.1),
+                     (2, 3, 0.7), (3, 4, 0.7), (5, 6, 0.7), (5, 8, 0.1), (5, 9, 0.3), (6, 7, 0.7), (6, 8, 1.1),
+                     (6, 9, 0.1), (7, 9, 1.1), (8, 9, 0.7), (9, 10, 0.1)]), 1))
 def test_louvain_matches_the_scanning_replay(inputs):
-    # The fused visit against separate remove / delta_q_insert / insert
-    # calls that rescan the adjacency and a contraction through the public
-    # Graph constructor, bit for bit.
+    # Every row of the variant table: the fused visit against separate
+    # remove / delta_q_insert / insert calls that rescan the adjacency, or
+    # full modularity folds for the total formula, and a contraction
+    # through the public Graph constructor, bit for bit.
     g, seed = inputs
-    for variant in ("normal", "noMerge", "Exp"):
+    for variant in ALL_VARIANTS:
         part, q, passes = louvain(g, variant, seed)
         replay, q_replay, passes_replay = louvain_scanning(g, variant, seed)
         assert (part.labels, q.hex(), passes) == (replay.labels, q_replay.hex(), passes_replay)
@@ -795,6 +802,19 @@ def test_exp_karate_regression(karate):
     assert part.num_communities == 3
     again, q2, _ = louvain(karate, "Exp", 99)
     assert again == part and q2 == q
+
+
+def test_exp_unites_a_ring_of_cliques_into_one_community():
+    # Level 0 finds the cliques exactly, but level 1 proposes every clique
+    # into a neighbour and _unite chains the whole ring together, so Exp
+    # ends at Q 0.0, below its own first level.
+    for k, s, q_cliques in ((30, 5, 0.8758), (16, 4, 0.7946)):
+        g = ring_of_cliques(k, s)
+        cliques, _ = louvain_module._proposals(CommunityState(g), None, False)
+        assert cliques == [c * s for c in range(k) for _ in range(s)]
+        assert modularity(g, cliques) == pytest.approx(q_cliques, abs=5e-5)
+        part, q, passes = louvain(g, "Exp")
+        assert (part.num_communities, q, passes) == (1, 0.0, 3)
 
 
 def test_exp_insertion_scores_are_relabel_equivariant():
