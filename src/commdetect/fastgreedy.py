@@ -17,16 +17,18 @@ join pushes only cells whose gain rises, and a renamed cell keeps its
 entries. Junk entries, a retired cell's or a bound above its cell's
 gain, are resolved only at the heap top: selection drops or re-queues
 them until the top is exact, giving the maximum M and the tie floor
-M - _TIE_EPS. The pairs at or above the floor, the tie band, are
-carried between selections while the floor does not fall, since a cell
-climbs into the band only by a push; a renamed cell is re-banded under
-its new names. When the floor falls, a walk down the heap array that
-only reads it rebuilds the band, taking each cell by its gain, not its
-bound. The chosen pair depends only on the stored gains.
+M - _TIE_EPS; a stale top is re-keyed in one heap operation. The pairs
+at or above the floor, the tie band, are carried between selections
+while the floor does not fall, since a cell climbs into the band only
+by a push; a renamed cell is banded under its new names where the join
+renames it. When the floor falls, a walk down the heap array that only
+reads it rebuilds the band, taking each cell by its gain, not its bound.
+The chosen pair depends only on the stored gains. Each join is recorded
+as a `Join` named tuple.
 """
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .agglomerative import Dendrogram, HslSpec, cut
 from .graph import _fold
@@ -42,8 +44,7 @@ _TIE_EPS = 1e-12
 _RETIRED = float("-inf")
 
 
-@dataclass(frozen=True)
-class Join:
+class Join(NamedTuple):
     """One join: communities `left` and `right` become `merged`.
 
     `gain` is the modularity change of the join and `q` the modularity
@@ -76,6 +77,7 @@ class GlobalHeap:
     cell whose gain is at least `_floor`, the tie floor of the last
     `pop_best` (+inf before the first), under its current names; and
     maybe entries whose cell has since retired, fallen or been renamed.
+    Every entry, a stale top's re-key included, is queued by `push`.
     """
 
     def __init__(self):
@@ -83,19 +85,14 @@ class GlobalHeap:
         self._entries, self._band = [], []
         self._floor = float("inf")
 
-    def push(self, c):
-        """Queue cell `c` at its current gain; band it as `carry` does."""
+    def push(self, c, replace_top=False):
+        """Queue cell `c` at its current gain, in place of the top entry
+        (one `heapreplace`) when `replace_top` is set, and band it under
+        its current names if its gain is at or above the floor."""
         gain = self.gain[c]
-        heapq.heappush(self._entries, (-gain, c))
+        (heapq.heapreplace if replace_top else heapq.heappush)(self._entries, (-gain, c))
         if gain >= self._floor:
             heapq.heappush(self._band, (self.lo[c], self.hi[c], c))
-
-    def carry(self, cells):
-        """Band each of `cells` whose gain is at or above the floor, under its current names."""
-        gains, floor = self.gain, self._floor
-        for c in cells:
-            if gains[c] >= floor:
-                heapq.heappush(self._band, (self.lo[c], self.hi[c], c))
 
     def pop_best(self):
         """Return (i, j, dq) for the best current pair, or None if empty.
@@ -104,8 +101,8 @@ class GlobalHeap:
         tied and the smallest (i, j) among them wins. Junk on top of the
         heap is resolved until the top is exact, which makes it the
         maximum M: a retired cell's entry is dropped and a stale bound is
-        re-queued at its cell's gain. The band is read afresh only if the
-        floor M - _TIE_EPS fell; retired, fallen or renamed band entries
+        replaced by one at its cell's gain. The band is read afresh only if
+        the floor M - _TIE_EPS fell; retired, fallen or renamed band entries
         are dropped off its top, and the pair left there wins, staying
         queued and in the band until joined.
         """
@@ -116,8 +113,7 @@ class GlobalHeap:
             if gain == _RETIRED:
                 heapq.heappop(entries)
             elif gain < -neg_bound:
-                heapq.heappop(entries)
-                self.push(c)
+                self.push(c, replace_top=True)
             else:
                 break
         else:
@@ -208,9 +204,11 @@ def _apply_join(rows, heap, a, i, j):
     writes the sum into the j side, and lowers each "only i" cell and
     renames it (i, k) -> (j, k), moving it to row j. Queued gains are
     upper bounds, so only a rising "both" gain is pushed; a renamed cell
-    keeps its bounds, and `heap.carry` re-bands it under its new names.
+    keeps its bounds and, at or above the heap's floor, is banded under
+    its new names right where it is renamed.
     """
     gain, lo, hi = heap.gain, heap.lo, heap.hi
+    band, floor = heap._band, heap._floor
     row_i, row_j = rows[i], rows[j]
     a_i, a_j = a[i], a[j]
     joined = row_i.pop(j, None)
@@ -234,10 +232,11 @@ def _apply_join(rows, heap, a, i, j):
             if new > both:
                 heap.push(kept)
         else:
-            gain[c] -= t * a[k]
+            gain[c] = new = gain[c] - t * a[k]
             row_j[k] = row_k[j] = c
-            lo[c], hi[c] = (k, j) if k < j else (j, k)
-    heap.carry(row_i.values())
+            lo[c], hi[c] = pair = (k, j) if k < j else (j, k)
+            if new >= floor:
+                heapq.heappush(band, (*pair, c))
     rows[i] = None
     a[j] = a_i + a_j
     a[i] = 0.0
@@ -249,16 +248,18 @@ def join(rows, heap, a, i, j):
 
     Raises ValueError when an id is not an int in range(len(rows)),
     either community is dead, or the pair has no gain cell (communities
-    in different components cannot be joined through the rows).
+    in different components cannot be joined through the rows). Since
+    only live communities are row keys and no row holds its own id, one
+    test passes a valid pair; any other is checked in full to name its fault.
     """
-    for x in (i, j):
-        if type(x) is not int or not 0 <= x < len(rows):
-            raise ValueError(f"community id must be an int in 0..{len(rows) - 1}, got {x!r}")
-    if i == j:
-        raise ValueError("cannot join a community with itself")
-    if rows[i] is None or rows[j] is None:
-        raise ValueError(f"cannot join dead community in pair ({i}, {j})")
-    if j not in rows[i]:
+    if not (type(i) is int is type(j) and 0 <= i < len(rows) and rows[i] is not None and j in rows[i]):
+        for x in (i, j):
+            if type(x) is not int or not 0 <= x < len(rows):
+                raise ValueError(f"community id must be an int in 0..{len(rows) - 1}, got {x!r}")
+        if i == j:
+            raise ValueError("cannot join a community with itself")
+        if rows[i] is None or rows[j] is None:
+            raise ValueError(f"cannot join dead community in pair ({i}, {j})")
         raise ValueError(f"no stored gain for pair ({i}, {j})")
     dq = heap.gain[rows[i][j]]
     _apply_join(rows, heap, a, i, j)

@@ -226,13 +226,14 @@ def _visit(state, order, use_total_formula=False, move=True):
     a tie: the ascending order's first strict maximum, found without a
     sort, so a visit costs O(degree + c) for c neighbouring communities.
     It is taken only when it beats staying by more than _GAIN_EPS. The
-    node is then inserted into the winner when `move` is set, and back
-    into c_old otherwise. The two loops share this rule but stay apart,
-    as one loop serving both formulas measured slower for normal and Exp.
-    Staying adds the node's sums back onto the removed ones, so every
-    float matches a separate remove and insert. Rewriting what the visit
-    changed keeps the level-long `base` and `total` equal, float for
-    float, to a rebuild.
+    two loops share this rule but stay apart, as one loop serving both
+    formulas measured slower for normal and Exp. With `move` set the node
+    is then inserted into the winner, or back into c_old: adding its sums
+    back onto the removed ones, so every float matches a separate remove
+    and insert. Rewriting what the visit changed keeps the level-long
+    `base` and `total` equal, float for float, to a rebuild. A frozen
+    pass writes nothing: its one caller runs it on a fresh state, where
+    each node is alone and putting it back would store the same bits.
 
     A local-move pass skips node i when it stayed at its last visit, no
     neighbour has moved since, and neither its community nor one in its
@@ -337,7 +338,9 @@ def _visit(state, order, use_total_formula=False, move=True):
                 changes.append((c_old, c_new))
             else:
                 c_new = c_old
-        if move and c_new != c_old:
+        if not move:
+            continue
+        if c_new != c_old:
             in_new = sigma_in[c_new] + (2.0 * weights[c_new] + 2.0 * loop)
             tot_new = sigma_tot[c_new] + ki
             if use_total_formula:
@@ -355,11 +358,10 @@ def _visit(state, order, use_total_formula=False, move=True):
         else:
             s_in += in_old
             s_tot += ki
-            if move:
-                if s_in != sigma_in[c_old] or s_tot != sigma_tot[c_old]:
-                    changed[c_old] = t
-                last[i] = t
-                seen[i] = weights, k_old, loop
+            if s_in != sigma_in[c_old] or s_tot != sigma_tot[c_old]:
+                changed[c_old] = t
+            last[i] = t
+            seen[i] = weights, k_old, loop
         sigma_in[c_old] = s_in
         sigma_tot[c_old] = s_tot
         base[c_old] = s_in / two_m - (s_tot / two_m) ** 2
@@ -414,14 +416,28 @@ def aggregate(g, partition):
     return Graph._from_sorted(len(rows), edges), new_node
 
 
+def _shuffle(x, rng):
+    """Shuffle list `x` in place with the draws of rng.shuffle(x) on CPython
+    3.10-3.13: Fisher-Yates from the last index i down, each j <= i drawn
+    by getrandbits((i + 1).bit_length()) and redrawn while above i."""
+    getrandbits = rng.getrandbits
+    for i in range(len(x) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
 def _passes(state, rng, use_total):
     """Seeded local-move passes until one moves nothing; returns
-    (state.assignment, passes), or (None, passes) when no node moved."""
+    (state.assignment, passes), or (None, passes) when no node moved.
+    Each pass visits the nodes in a fresh `_shuffle` of range(n)."""
     n = len(state.assignment)
     passes = 0
     while True:
         order = list(range(n))
-        rng.shuffle(order)
+        _shuffle(order, rng)
         passes += 1
         if not local_move_pass(state, order, use_total)[1]:
             return (state.assignment if passes > 1 else None), passes

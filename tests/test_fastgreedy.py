@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commdetect import Graph, HslSpec, cut, fastgreedy, modularity
+from commdetect import Graph, HslSpec, cut, fastgreedy, modularity, random_graph
 from commdetect.fastgreedy import _RETIRED, _TIE_EPS, GlobalHeap, init_fastgreedy, join
 import identity
 from helpers import path_graph, random_suite, star_graph, two_triangles
@@ -157,19 +157,89 @@ def test_pop_best_with_only_retired_entries_is_none():
     assert len(heap) == 0
 
 
-def test_carry_bands_only_live_cells_at_or_above_the_floor():
+def test_join_bands_renamed_cells_only_at_or_above_the_floor():
     rows = [{} for _ in range(6)]
     heap = GlobalHeap()
     heap.push(_set(rows, heap, 0, 1, 0.25))
     assert heap.pop_best() == (0, 1, 0.25)
     band = list(heap._band)
-    # cells renamed or retired behind the heap's back, entries left as they were
+    # Community 5 joins 1 with no degree mass, so no gain falls: (4, 5) is
+    # renamed (1, 4) at the floor, (3, 5) is renamed (1, 3) just below it,
+    # and (2, 5) retires as the absorbed side of the "both" pair with (1, 2).
+    _set(rows, heap, 1, 5, 0.0)
+    kept = _set(rows, heap, 1, 2, 0.0)
     at_floor, below, retired = (_set(rows, heap, i, 5, gain) for i, gain in
                                 ((4, heap._floor), (3, heap._floor - _TIE_EPS), (2, 0.25)))
-    heap.gain[retired] = _RETIRED
-    heap.carry([below, retired, at_floor])
-    assert sorted(heap._band) == sorted([*band, (4, 5, at_floor)])
-    assert heap._entries == [(-0.25, 0)]
+    assert join(rows, heap, [0.0] * 6, 5, 1) == 0.0
+    assert (rows[1][4], rows[1][3], heap.gain[retired], heap.gain[kept]) == (at_floor, below, _RETIRED, 0.25)
+    # Only the risen "both" cell is queued, by push; the renamed cells keep
+    # their (here absent) entries, and only the one at the floor is banded.
+    assert sorted(heap._entries) == [(-0.25, 0), (-0.25, kept)]
+    assert sorted(heap._band) == sorted([*band, (1, 2, kept), (1, 4, at_floor)])
+
+
+def test_join_records_are_immutable_named_tuples():
+    dend, _, _ = fastgreedy(two_triangles())
+    merge = dend.merges[0]
+    with pytest.raises(AttributeError):
+        merge.gain = 0.0
+    assert tuple(merge) == (merge.left, merge.right, merge.merged, merge.gain, merge.q, merge.step)
+    assert merge.to_record() == {"left": merge.left, "right": merge.right, "merged": merge.merged,
+                                 "distance": merge.gain, "step": merge.step}
+
+
+def _stale_tops(heap):
+    """How many stale bounds pop_best re-keys before its top is exact,
+    replayed on a copy of the heap's entries."""
+    entries, stale = list(heap._entries), 0
+    while entries:
+        neg_bound, c = entries[0]
+        gain = heap.gain[c]
+        if gain == _RETIRED:
+            heapq.heappop(entries)
+        elif gain < -neg_bound:
+            heapq.heapreplace(entries, (-gain, c))
+            stale += 1
+        else:
+            break
+    return stale
+
+
+def test_joins_and_rekeys_go_through_the_hooked_names(monkeypatch):
+    # perfbench counts fastgreedy.joins on commdetect.fastgreedy.join and
+    # tie_repushes_per_join on GlobalHeap.push calls made inside pop_best
+    module = import_module("commdetect.fastgreedy")
+    real_join, real_push, real_pop_best = module.join, GlobalHeap.push, GlobalHeap.pop_best
+    counts = {"picks": 0, "joins": 0, "stale": 0, "rekeys": 0}
+    picking = []
+
+    def spy_join(*args):
+        counts["joins"] += 1
+        return real_join(*args)
+
+    def spy_push(self, *args, **kwargs):
+        counts["rekeys"] += bool(picking)
+        return real_push(self, *args, **kwargs)
+
+    def spy_pop_best(self):
+        counts["stale"] += _stale_tops(self)
+        picking.append(self)
+        try:
+            picked = real_pop_best(self)
+        finally:
+            picking.pop()
+        counts["picks"] += picked is not None
+        return picked
+
+    monkeypatch.setattr(module, "join", spy_join)
+    monkeypatch.setattr(GlobalHeap, "push", spy_push)
+    monkeypatch.setattr(GlobalHeap, "pop_best", spy_pop_best)
+    # Two components, so the run also ends with forced joins.
+    g = Graph(260, [*random_graph(200, 0.02, 1).edges(), *((u + 200, v + 200) for u, v, _ in
+                                                         random_graph(60, 0.1, 2).edges())])
+    dend, _, _ = fastgreedy(g)
+    assert counts["joins"] == counts["picks"] < len(dend.merges)
+    assert counts["rekeys"] == counts["stale"] > 0
 
 
 def test_join_validation():

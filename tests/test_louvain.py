@@ -817,6 +817,38 @@ def test_exp_unites_a_ring_of_cliques_into_one_community():
         assert (part.num_communities, q, passes) == (1, 0.0, 3)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 600), st.integers(0, 2**64 - 1))
+@example(0, 0)
+@example(1, 0)
+@example(600, 2**64 - 1)
+def test_shuffle_draws_as_random_shuffle(n, seed):
+    # Each pass's visiting order, and so every seeded Louvain output, rests on this.
+    ours, theirs = random.Random(seed), random.Random(seed)
+    x, y = list(range(n)), list(range(n))
+    louvain_module._shuffle(x, ours)
+    theirs.shuffle(y)
+    assert x == y
+    assert ours.random() == theirs.random()
+
+
+def test_a_frozen_visit_leaves_a_fresh_state_unchanged(karate):
+    contracted = aggregate(karate, louvain(karate, "normal", 0)[0])[0]  # self-loops, as on Exp's later levels
+    for g in (karate, fractional_weights(karate, 0), contracted, *random_suite(6, 5, 40, (0.1, 0.3), 3700)):
+        for use_total in (False, True):
+            state = CommunityState(g)
+            sums = (list(state.sigma_in), list(state.sigma_tot), list(state.base))
+            # What putting each lone node back would store: the same bits.
+            s_in = [0.0 + (2.0 * 0.0 + 2.0 * state.adj[i].get(i, 0.0)) for i in range(g.node_count)]
+            s_tot = [0.0 + k for k in state.k]
+            two_m = 2.0 * state.m
+            assert sums == (s_in, s_tot, [a / two_m - (b / two_m) ** 2 for a, b in zip(s_in, s_tot)])
+            proposals = louvain_module._visit(state, range(g.node_count), use_total, move=False)
+            assert (state.sigma_in, state.sigma_tot, state.base) == sums
+            assert state.assignment == list(range(g.node_count))
+            assert proposals == louvain_module._visit(CommunityState(g), range(g.node_count), use_total, move=False)
+
+
 def test_exp_insertion_scores_are_relabel_equivariant():
     import random as _random
 

@@ -5,24 +5,28 @@ clustering on the dense random:300,0.5,1, two source trees pair by pair,
 and write one BENCH_<n>.json.
 
     PYTHONPATH=src python tools/ladder.py --only "random:2000," --out BENCH_<n>.json
-    PYTHONPATH=src python tools/ladder.py --against <parent>/ --only fastgreedy --out BENCH_<n>.json
+    PYTHONPATH=src python tools/ladder.py --against <parent>/ --only fastgreedy --only "louvain Exp" --out BENCH_<n>.json
 
 Run from the repository root. Each cell is one call on one graph:
 random_graph(N, 8/N, 1) itself, Louvain normal, noMerge, total and Exp
 with seed 0, and fastgreedy, for N = 500, 2000 and 8000; average
 linkage, and single linkage with self-neighbouring, for N = 100, 200,
 400 and 1600 and on random:300,0.5,1; girvan_newman to 10 communities
-for N = 100, 200 and 400. `--only TEXT` keeps the cells whose key
-contains TEXT.
+for N = 100, 200 and 400. `--only TEXT`, which may be repeated, keeps the
+cells whose key contains any of the TEXTs.
 
 Each cell runs ten pairs of fresh subprocesses, one importing DIR/src
 (the parent) and one this checkout's src (the change), in alternating
 order, so both sides share the host's drift. Without `--against`, DIR is
 this checkout: an A/A run, whose ratios are the cells' noise floor. A
-cell records each side's min and median wall time, the change/parent
-ratio of every pair, how many pairs the change won, and both digests. A
-full run takes about 20 minutes, most of it `total` at N=8000 and
-Girvan-Newman at N=400, each run 20 times; time a subset with `--only`.
+subprocess makes the cell's call r times on one graph and reports the
+fastest; r is fixed per cell in LADDER so that the calls take about 0.3
+s, which steadies the sub-0.1 s cells, and is 1 for cells slower than
+that. A cell records r, each side's min and median of those fastest
+times, the change/parent ratio of every pair, how many pairs the change
+won, and both digests. A full run takes over 20 minutes, most of it
+`total` at N=8000 and Girvan-Newman at N=400, each run 20 times; time a
+subset with `--only`.
 
 A digest is the sha256 of the cell's output record, made by
 tests/records.py as tests/identity.py makes it. The script exits 1 if
@@ -83,29 +87,38 @@ def _sparse(*sizes):
     return [(n, 8 / n) for n in sizes]
 
 
-# (graphs, cells): every (key, run) cell runs on random:N,p,1 for each
-# (N, p) of its graphs; the build cell, in a sparse row, draws that graph
-# again.
-AGGLOMERATIVE = (_agglomerative("average", False), _agglomerative("single", True))
+# (graphs, cells): every (key, run, repeats) cell runs on random:N,p,1
+# for each (N, p) of its graphs, r = repeats[k] times on the k-th; the
+# build cell, in a sparse row, draws that graph again. Each r is about
+# 0.3 s over the call's time on a 2-core host under CPython 3.11.
+LOUVAIN_REPEATS = {"normal": (10, 2, 1), "noMerge": (20, 5, 1), "total": (5, 1, 1), "Exp": (50, 12, 3)}
+AGGLOMERATIVE = ((*_agglomerative("average", False), (60, 30, 6, 1)),
+                 (*_agglomerative("single", True), (90, 40, 6, 1)))
+DENSE = ((*_agglomerative("average", False), (8,)), (*_agglomerative("single", True), (9,)))
 LADDER = [
-    (_sparse(500, 2000, 8000), (("random_graph - -", _build), *map(_louvain, LOUVAIN_VARIANTS),
-                                ("fastgreedy - -", _fastgreedy))),
+    (_sparse(500, 2000, 8000), (("random_graph - -", _build, (50, 5, 1)),
+                                *((*_louvain(v), LOUVAIN_REPEATS[v]) for v in LOUVAIN_VARIANTS),
+                                ("fastgreedy - -", _fastgreedy, (20, 4, 1)))),
     (_sparse(100, 200, 400, 1600), AGGLOMERATIVE),
-    ([(300, 0.5)], AGGLOMERATIVE),
-    (_sparse(100, 200, 400), (("girvan_newman 10 -", _girvan_newman),)),
+    ([(300, 0.5)], DENSE),
+    (_sparse(100, 200, 400), (("girvan_newman 10 -", _girvan_newman, (1, 1, 1)),)),
 ]
-CELLS = [(f"{key} random:{n},{p},1", n, p, run) for graphs, runs in LADDER for n, p in graphs for key, run in runs]
+CELLS = [(f"{key} random:{n},{p},1", n, p, run, repeats[k])
+         for graphs, runs in LADDER for k, (n, p) in enumerate(graphs) for key, run, repeats in runs]
 
 
 def child(index):
-    """Build cell `index`'s graph, time one run of it, and print its
-    seconds, digest, edge count and stats as JSON: one side of a pair."""
-    _, n, p, run = CELLS[index]
+    """Build cell `index`'s graph, run the cell r times on it, and print
+    the fastest run's seconds, the digest, edge count and stats as JSON:
+    one side of a pair."""
+    _, n, p, run, r = CELLS[index]
     g = random_graph(n, p, 1)
-    start = time.perf_counter()
-    record, stats = run(g)
-    seconds = time.perf_counter() - start
-    print(json.dumps({"s": seconds, "digest": records.digest(record), "edges": g.edge_count, "stats": stats}))
+    fastest = float("inf")
+    for _ in range(r):
+        start = time.perf_counter()
+        record, stats = run(g)
+        fastest = min(fastest, time.perf_counter() - start)
+    print(json.dumps({"s": fastest, "digest": records.digest(record), "edges": g.edge_count, "stats": stats}))
 
 
 def _side(src, index):
@@ -139,6 +152,7 @@ def _pair_cell(index, against):
     return {
         "edges": runs["change"][0]["edges"],
         "pairs": PAIRS,
+        "r": CELLS[index][4],
         "parent": _summary(runs["parent"]),
         "change": _summary(runs["change"]),
         "ratios": ratios,
@@ -149,20 +163,20 @@ def _pair_cell(index, against):
 
 
 def ladder(only, against):
-    """Time every cell whose key contains `only` pair by pair against the
-    checkout `against`; returns the report and the (key, what it differs
-    from) of every mismatched digest."""
+    """Time every cell whose key contains one of the texts `only` pair by
+    pair against the checkout `against`; returns the report and the (key,
+    what it differs from) of every mismatched digest."""
     recorded = dict(line.split("\t") for line in MANIFEST.read_text().splitlines())
     cells, mismatched = [], []
     for index, (key, n, *_) in enumerate(CELLS):
-        if only not in key:
+        if not any(text in key for text in only):
             continue
         cell = _pair_cell(index, against)
         digest = cell["change"]["digest"]
         if cell["parent"]["digest"] != digest:
             mismatched.append((key, "the parent's output"))
         print(f"{key}: parent median {cell['parent']['median_s']:.4f} s, change median "
-              f"{cell['change']['median_s']:.4f} s, median ratio {cell['median_ratio']:.3f}, "
+              f"{cell['change']['median_s']:.4f} s (fastest of {cell['r']}), median ratio {cell['median_ratio']:.3f}, "
               f"change faster in {cell['change_wins']} of {PAIRS}", file=sys.stderr)
         manifest = recorded.get(key)
         if manifest is not None and manifest != digest:
@@ -176,16 +190,19 @@ def ladder(only, against):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="path of the BENCH JSON file to write")
-    parser.add_argument("--only", default="", metavar="TEXT", help="time only the cells whose key contains TEXT")
+    parser.add_argument("--only", action="append", metavar="TEXT",
+                        help="time only the cells whose key contains TEXT; repeat it to keep more")
     parser.add_argument("--against", metavar="DIR", default=str(ROOT),
                         help="time DIR/src (the parent) against this checkout's src, pair by pair "
                              "(default: this checkout, an A/A run)")
     args = parser.parse_args(argv)
     if not (Path(args.against) / "src" / "commdetect").is_dir():
         parser.error(f"--against {args.against}: no src/commdetect there")
-    if not any(args.only in key for key, *_ in CELLS):
-        parser.error(f"--only {args.only!r} matches no cell")
-    report, mismatched = ladder(args.only, args.against)
+    only = args.only or [""]
+    for text in only:
+        if not any(text in key for key, *_ in CELLS):
+            parser.error(f"--only {text!r} matches no cell")
+    report, mismatched = ladder(only, args.against)
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     for key, what in mismatched:
         print(f"ladder: {key} differs from {what}", file=sys.stderr)
