@@ -49,7 +49,7 @@ def load_dataset(spec):
     if spec.startswith("edgelist:"):
         path = spec[len("edgelist:"):]
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(path, "r", encoding="utf-8-sig") as handle:
                 return load_edge_list(handle)
         except OSError as exc:
             raise CliError(f"cannot read edge list {path!r}: {exc}") from None

@@ -1,7 +1,10 @@
 """Output-identity manifest: one `key<TAB>sha256` line per record.
 
-A key names the algorithm, its variant or target, its seed and its graph,
-or is a command line. The digest is of the record's repr: an algorithm
+A key names the algorithm, its variant or target, its seed and its graph
+(tests/records.py's `key`), or is a command line. The command lines are
+this module's COMMANDS, on the edge lists in INPUTS, and its KARATE
+commands: it is the one list of CLI runs whose outputs are pinned, and
+each runs in-process. The digest is of the record's repr: an algorithm
 call's record as tests/records.py makes it, or a command's stdout and
 files, where a bench report loses its host line, runtimes and table. It
 takes no arguments and imports `commdetect` from PYTHONPATH:
@@ -19,7 +22,6 @@ import io
 import json
 import os
 import random
-import re
 import shlex
 import tempfile
 from itertools import chain, product
@@ -32,10 +34,74 @@ from commdetect.louvain import LouvainVariant, aggregate
 from helpers import FRACTIONAL_WEIGHTS, complete_graph, fractional_weights, mirrored, one_heavy_edge, random_suite
 
 MANIFEST = Path(__file__).with_name("identity.txt")
-CI = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
 
-# Karate commands beyond CI's console-script lines, which run every other
-# algorithm on it: each Louvain variant, another cut, and every bench.
+# The edge lists that COMMANDS read: integer weights, the same with one
+# weight of 2**52 (2m past 2**53), fractional weights, and a 4x4 grid.
+INPUTS = {
+    "intw.txt": "0 1 1\n0 2 3\n1 2 2\n2 3 1\n3 4 3\n3 5 2\n4 5 1\n5 6 1\n6 7 2\n6 8 3\n7 8 1\n",
+    "intbig.txt": ("0 1 1\n0 2 3\n1 2 2\n2 3 1\n3 4 4503599627370496\n3 5 2\n4 5 1\n5 6 1\n6 7 2\n"
+                   "6 8 3\n7 8 1\n"),
+    "fracw.txt": ("0 1 0.1\n0 2 0.3\n1 2 0.7\n2 3 0.1\n3 4 0.3\n3 5 0.7\n4 5 0.1\n5 6 0.3\n6 7 0.7\n"
+                  "6 8 0.1\n7 8 0.3\n"),
+    "grid4.txt": ("0 1\n0 4\n1 2\n1 5\n2 3\n2 6\n3 7\n4 5\n4 8\n5 6\n5 9\n6 7\n6 10\n7 11\n8 9\n8 12\n"
+                  "9 10\n9 13\n10 11\n10 14\n11 15\n12 13\n13 14\n14 15\n"),
+}
+
+# The pinned command lines, each a manifest key; a line may chain
+# commands with ` && `, and its record holds each one's stdout and files.
+COMMANDS = [
+    "commdetect bench --dataset karate --runs 2 --out bench.json && commdetect plot-data bench.json --out points.csv",
+    "commdetect run --algorithm louvain --variant total --dataset karate --out total.json",
+    "commdetect run --algorithm louvain --variant total --dataset edgelist:intw.txt --out totalint.json",
+    "commdetect run --algorithm louvain --variant total --dataset edgelist:intbig.txt --out totalbig.json",
+    "commdetect run --algorithm louvain --variant totalNoMerge --dataset edgelist:intbig.txt --out totalnmbig.json",
+    "commdetect run --algorithm louvain --variant total --dataset edgelist:fracw.txt --out totalfrac.json",
+    "commdetect run --algorithm louvain --variant totalNoMerge --dataset edgelist:fracw.txt --out totalnmfrac.json",
+    "commdetect run --algorithm louvain --variant Exp --dataset edgelist:fracw.txt --out expfrac.json",
+    "commdetect run --algorithm louvain --variant normal --dataset edgelist:fracw.txt --seed 1 --out normalfrac.json",
+    "commdetect run --algorithm louvain --variant Exp --dataset random:2000,0.004,0 --out exp2k.json",
+    "commdetect run --algorithm louvain --variant normal --dataset random:2000,0.004,1 --seed 1 --out normal2k.json",
+    "commdetect run --algorithm louvain --variant noMerge --dataset karate --seed 3 --out nomerge.json",
+    "commdetect run --algorithm louvain --variant totalNoMerge --dataset random:60,0.1,1 --seed 1 "
+        "--out totalnm60.json",
+    "commdetect bench --dataset random:300,0.0267,1 --variant total,totalNoMerge --runs 2 --out bench300.json",
+    "commdetect run --algorithm agglomerative --linkage average --hsl-mode relative --hsl-value 0.3 "
+        "--dataset karate --out agg.json",
+    "commdetect run --algorithm agglomerative --linkage single --self-neighboring --hsl-mode absolute --hsl-value 5 "
+        "--dataset karate --out aggabs.json",
+    "commdetect run --algorithm agglomerative --linkage complete --hsl-mode absolute --hsl-value 9 "
+        "--dataset random:200,0.04,1 --out aggc200.json",
+    "commdetect run --algorithm agglomerative --linkage average --self-neighboring --hsl-mode relative "
+        "--hsl-value 0.3 --dataset random:400,0.02,1 --out agg400.json",
+    "commdetect run --algorithm agglomerative --linkage single --self-neighboring --hsl-mode absolute --hsl-value 4 "
+        "--dataset random:300,0.5,1 --out aggdense.json",
+    "commdetect run --algorithm girvan-newman --target-communities 8 --dataset karate --out gn.json",
+    "commdetect run --algorithm girvan-newman-static --target-communities 8 --dataset karate --out gns.json",
+    "commdetect run --algorithm girvan-newman --target-communities 10 --dataset random:100,0.08,1 --out gn100.json",
+    "commdetect run --algorithm girvan-newman-static --target-communities 10 --dataset random:100,0.08,1 "
+        "--out gns100.json",
+    "commdetect run --algorithm girvan-newman --target-communities 8 --dataset random:60,0.05,1 --out gn60.json",
+    "commdetect run --algorithm girvan-newman-static --target-communities 8 --dataset random:60,0.05,1 "
+        "--out gns60.json",
+    "commdetect run --algorithm girvan-newman --target-communities 4 --dataset edgelist:grid4.txt --out gngrid.json",
+    "commdetect run --algorithm girvan-newman-static --target-communities 4 --dataset edgelist:grid4.txt "
+        "--out gnsgrid.json",
+    "commdetect run --algorithm fastgreedy --dataset karate --out fg.json "
+        "&& commdetect plot-data fg.trace.json --out curve.csv",
+    "commdetect run --algorithm fastgreedy --dataset random:2000,0.004,0 --out fg2k.json "
+        "&& commdetect plot-data fg2k.trace.json --out curve2k.csv",
+    "commdetect run --algorithm fastgreedy --dataset random:1000,0.00390625,5 --out fgedge.json",
+    "commdetect run --algorithm fastgreedy --dataset random:60,0.02,1 --out fgdis.json "
+        "&& commdetect plot-data fgdis.trace.json --out curvedis.csv",
+    "commdetect run --algorithm fastgreedy --dataset edgelist:intw.txt --out fgint.json "
+        "&& commdetect plot-data fgint.trace.json --out curveint.csv",
+    "commdetect run --algorithm fastgreedy --dataset edgelist:fracw.txt --out fgfrac.json "
+        "&& commdetect plot-data fgfrac.trace.json --out curvefrac.csv",
+]
+
+# More commands on karate, beyond the runs of each algorithm in COMMANDS:
+# each Louvain variant, another cut, and every bench. _commands appends
+# `--dataset karate --out k<index>.json` to each.
 KARATE = [
     *(f"run --algorithm louvain --variant {v.value} --seed 1" for v in LouvainVariant),
     "run --algorithm agglomerative --linkage single --self-neighboring --hsl-mode absolute --hsl-value 2",
@@ -81,7 +147,7 @@ def _louvain(graphs, variants, seeds):
     for name, g in graphs:
         for variant in variants:
             for seed in seeds:
-                yield f"louvain {variant} {seed} {name}", records.louvain(g, variant, seed)
+                yield records.key("louvain", name, variant, seed), records.louvain(g, variant, seed)
 
 
 def _weighted_twice():
@@ -130,7 +196,7 @@ def _command(argv):
 
 
 def _random(n, p, seed):
-    return f"random:{n},{p},{seed}", random_graph(n, p, seed)
+    return records.random_name(n, p, seed), random_graph(n, p, seed)
 
 
 def _random_twice(n, p, seed):
@@ -150,21 +216,21 @@ def _heavy_karate():
 
 def _fastgreedy(graphs):
     for name, g in graphs:
-        yield f"fastgreedy - - {name}", records.fastgreedy(g)
+        yield records.key("fastgreedy", name), records.fastgreedy(g)
 
 
 def _girvan_newman(graphs):
     for name, g in graphs:
-        yield f"edge_betweenness - - {name}", sorted((key, s.hex()) for key, s in edge_betweenness(g).items())
+        yield records.key("edge_betweenness", name), sorted((key, s.hex()) for key, s in edge_betweenness(g).items())
         for target in sorted({t for t in (1, 2, 5, g.node_count) if t <= g.node_count}):
             for run in (girvan_newman, girvan_newman_static):
-                yield f"{run.__name__} {target} - {name}", records.girvan_newman(g, target, run)
+                yield records.key(run.__name__, name, target), records.girvan_newman(g, target, run)
 
 
 def _agglomerative(graphs, kinds=tuple(product(("single", "complete", "average"), (False, True)))):
     for name, g in graphs:
         for linkage, self_neighboring in kinds:
-            yield (f"agglomerative {linkage}{'+self' * self_neighboring} - {name}",
+            yield (records.key("agglomerative", name, linkage, self_neighboring=self_neighboring),
                    records.agglomerative(g, linkage, self_neighboring))
 
 
@@ -172,22 +238,18 @@ def _ladder():
     """tools/ladder.py's sub-second cells that no other section pins; its
     N=8000 and N=1600 cells and Girvan-Newman at N=200 and 400 are too slow."""
     for n in (500, 2000):
-        yield f"random_graph - - random:{n},{8 / n},1", records.graph(n, 8 / n, 1)
+        yield records.key("random_graph", records.random_name(n, 8 / n, 1)), records.graph(n, 8 / n, 1)
     yield from _louvain([_random(500, 0.016, 1)], ("total",), [0])
     yield from _louvain([_random(2000, 0.004, 1)], ("noMerge", "total", "Exp"), [0])
     yield from _agglomerative([_random(400, 0.02, 1)], (("average", False), ("single", True)))
     name, g = _random(100, 0.08, 1)
-    yield f"girvan_newman 10 - {name}", records.girvan_newman(g, 10)
+    yield records.key("girvan_newman", name, 10), records.girvan_newman(g, 10)
 
 
 def _commands():
-    """CI's console-script step (the files its printf lines write, then its
-    commands), then the KARATE commands."""
-    ci = [line.strip() for line in CI.read_text().splitlines()]
-    inputs = [re.fullmatch(r"printf '(.*)' > (\S+)", line).groups() for line in ci if line.startswith("printf ")]
-    lines = [line for line in ci if line.startswith("commdetect ")]
-    lines += [f"commdetect {line} --dataset karate --out k{k}.json" for k, line in enumerate(KARATE)]
-    return _command_records([(name, text.replace("\\n", "\n")) for text, name in inputs], lines)
+    """COMMANDS on the INPUTS files, then the KARATE commands."""
+    karate = [f"commdetect {line} --dataset karate --out k{k}.json" for k, line in enumerate(KARATE)]
+    return _command_records(INPUTS.items(), [*COMMANDS, *karate])
 
 
 # The manifest in order, by section: the goldens in the test modules each
@@ -211,7 +273,7 @@ SECTIONS = {
     "fastgreedy_fractional": lambda: _fastgreedy([
         *((f"suite:13000#{k}+fractional", fractional_weights(g, k))
           for k, g in enumerate(random_suite(40, 4, 40, (0.1, 0.3), 13000))),
-        *((f"random:500,0.016,{s}+fractional", fractional_weights(random_graph(500, 0.016, s), s)) for s in range(3)),
+        *(_random_twice(500, 0.016, s)[1] for s in range(3)),
         _random(2000, 0.004, 1),
     ]),
     "girvan_newman_cuts": lambda: _girvan_newman([KARATE_CLUB, _random(100, 0.08, 1), *looped_suite(80, 77)]),

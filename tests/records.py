@@ -1,5 +1,6 @@
 """Output records: each function makes one commdetect call and returns its
-record, which tests/identity.py pins by digest and tools/ladder.py times.
+record, which tests/identity.py pins by digest and tools/ladder.py times,
+and `key` names it in both.
 
 A record holds labels, merges and cuts with every float as .hex(), so its
 repr, and with it `digest`, changes only when the output does. Only public
@@ -36,6 +37,18 @@ def girvan_newman(g, target, run=commdetect.girvan_newman):
     """`run` is girvan_newman or girvan_newman_static."""
     part, cuts = run(g, target)
     return part.labels, [(u, v, s.hex()) for u, v, s in cuts]
+
+
+def random_name(n, p, seed):
+    """The graph name of random_graph(n, p, seed): its CLI dataset spec."""
+    return f"random:{n},{p},{seed}"
+
+
+def key(algorithm, graph, option="-", seed="-", self_neighboring=False):
+    """The manifest key of one call: the algorithm, its variant, linkage
+    or target, its seed and the graph's name, "-" for what it has none of.
+    An agglomerative linkage with self-neighbouring reads `<linkage>+self`."""
+    return f"{algorithm} {option}{'+self' * self_neighboring} {seed} {graph}"
 
 
 def digest(record):

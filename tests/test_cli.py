@@ -2,8 +2,12 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -212,12 +216,39 @@ def test_run_rejects_edge_list_ids_past_the_limit(tmp_path, capsys):
     listing = tmp_path / "far.edgelist"
     listing.write_text(f"0 1\n1 {10**7} 2\n", encoding="utf-8")
     out = tmp_path / "x.json"
-    assert run_cli(
-        "run", "--algorithm", "girvan-newman", "--target-communities", "2",
-        "--dataset", f"edgelist:{listing}", "--out", str(out),
-    ) == 1
+    argv = ["run", "--algorithm", "girvan-newman", "--target-communities", "2",
+            "--dataset", f"edgelist:{listing}", "--out", str(out)]
+    assert run_cli(*argv) == 1
     assert "line 2: node ids must lie in 0..9999999" in capsys.readouterr().err
     assert not out.exists()
+    # The same through `python -m commdetect.cli`.
+    src = Path(cli.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-m", "commdetect.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error: bad edge list") and "line 2: node ids must lie in 0..9999999" in done.stderr
+    assert not out.exists()
+
+
+def test_edge_list_byte_order_mark_is_skipped(tmp_path, monkeypatch, capsys):
+    # Some editors start UTF-8 files with U+FEFF; it is not part of line 1's first id.
+    outputs = []
+    for mark in ("", "\ufeff"):
+        folder = tmp_path / f"mark{len(mark)}"
+        folder.mkdir()
+        monkeypatch.chdir(folder)
+        Path("g.txt").write_text(mark + identity.INPUTS["intw.txt"], encoding="utf-8")
+        assert run_cli("run", "--algorithm", "fastgreedy", "--dataset", "edgelist:g.txt", "--out", "fg.json") == 0
+        files = {f.name: f.read_bytes() for f in folder.iterdir() if f.name != "g.txt"}
+        outputs.append((capsys.readouterr().out, files))
+    assert outputs[0] == outputs[1] and len(outputs[0][1]) == 3
+    # Only the leading mark is skipped: a non-ASCII character further on is refused by its line.
+    for bad in ("\u0662", "\ufeff"):
+        Path("g.txt").write_text(f"\ufeff0 1\n1 {bad}2\n", encoding="utf-8")
+        assert run_cli("run", "--algorithm", "fastgreedy", "--dataset", "edgelist:g.txt", "--out", "x.json") == 1
+        err = capsys.readouterr().err
+        assert f"line 2: ids and weights must be ASCII numbers without '_' in {f'1 {bad}2'!r}" in err
+        assert not Path("x.json").exists()
 
 
 def test_random_dataset_size_limit_boundary(monkeypatch):
@@ -298,19 +329,29 @@ def test_hop_count_algorithms_reject_weighted_datasets(tmp_path, capsys):
     ) == 0
 
 
-def test_failed_write_leaves_no_partial_files(tmp_path, capsys):
+def test_failed_write_leaves_no_partial_files(tmp_path, monkeypatch, capsys):
     out = tmp_path / "part.json"
     # the derived dendrogram path is blocked by a directory, so the write
     # fails after the partition file went out; nothing may remain
     (tmp_path / "part.dendrogram.json").mkdir()
-    code = run_cli(
+    argv = (
         "run", "--algorithm", "agglomerative", "--dataset", "karate",
         "--linkage", "single", "--hsl-mode", "relative", "--hsl-value", "0.5",
         "--out", str(out),
     )
-    assert code == 1
+    assert run_cli(*argv) == 1
     assert "cannot write output" in capsys.readouterr().err
     assert not out.exists()
+
+    # If the partition file cannot be removed either, the error still names the failed write.
+    def unlink(path):
+        raise PermissionError(f"cannot remove {path}")
+
+    monkeypatch.setattr(cli.os, "unlink", unlink)
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output:") and "part.dendrogram.json" in err
+    assert "cannot remove" not in err and out.exists()
 
 
 def test_bench_louvain_all_variants(tmp_path, capsys):

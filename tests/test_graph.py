@@ -7,6 +7,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, islice
 from operator import add
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -97,6 +98,9 @@ def test_graph_equality_and_hash():
     assert hash(a) == hash(b)
     assert a != Graph(3, [(0, 1)])
     assert a != Graph(4, [(0, 1), (1, 2)])
+    # Against another type it defers: the other side's __eq__ decides.
+    assert Graph(1) != 1 and not Graph(1) == 1
+    assert Graph(1) == mock.ANY
 
 
 def test_weighted_degree():
@@ -270,6 +274,9 @@ def test_partition_api():
     d = p.to_dict(modularity=0.25)
     assert d == {"labels": [4, 7, 4, 9], "num_communities": 3, "modularity": 0.25}
     assert Partition([0, 1]) == Partition((0, 1))
+    assert Partition([0]) != (0,) and not Partition([0]) == [0]
+    assert Partition([0]) == mock.ANY
+    assert repr(Partition((1, 0, 1))) == "Partition([1, 0, 1])"
     with pytest.raises(ValueError):
         Partition([0, -1])
     with pytest.raises(ValueError):

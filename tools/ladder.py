@@ -35,6 +35,7 @@ from the record of tests/identity.txt with the same key.
 """
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -63,7 +64,7 @@ def _louvain(variant):
     def run(g):
         record = records.louvain(g, variant, 0)
         return record, {"q": float.fromhex(record[1]), "passes": record[2]}
-    return f"louvain {variant} 0", run
+    return functools.partial(records.key, "louvain", option=variant, seed=0), run
 
 
 def _fastgreedy(g):
@@ -75,7 +76,7 @@ def _agglomerative(linkage, self_neighboring):
     def run(g):
         record = records.agglomerative(g, linkage, self_neighboring)
         return record, {"merges": len(record)}
-    return f"agglomerative {linkage}{'+self' * self_neighboring} -", run
+    return functools.partial(records.key, "agglomerative", option=linkage, self_neighboring=self_neighboring), run
 
 
 def _girvan_newman(g):
@@ -88,22 +89,24 @@ def _sparse(*sizes):
 
 
 # (graphs, cells): every (key, run, repeats) cell runs on random:N,p,1
-# for each (N, p) of its graphs, r = repeats[k] times on the k-th; the
-# build cell, in a sparse row, draws that graph again. Each r is about
-# 0.3 s over the call's time on a 2-core host under CPython 3.11.
+# for each (N, p) of its graphs, r = repeats[k] times on the k-th, under
+# the manifest key that key(graph name) makes; the build cell, in a
+# sparse row, draws that graph again. Each r is about 0.3 s over the
+# call's time on a 2-core host under CPython 3.11.
 LOUVAIN_REPEATS = {"normal": (10, 2, 1), "noMerge": (20, 5, 1), "total": (5, 1, 1), "Exp": (50, 12, 3)}
 AGGLOMERATIVE = ((*_agglomerative("average", False), (60, 30, 6, 1)),
                  (*_agglomerative("single", True), (90, 40, 6, 1)))
 DENSE = ((*_agglomerative("average", False), (8,)), (*_agglomerative("single", True), (9,)))
 LADDER = [
-    (_sparse(500, 2000, 8000), (("random_graph - -", _build, (50, 5, 1)),
+    (_sparse(500, 2000, 8000), ((functools.partial(records.key, "random_graph"), _build, (50, 5, 1)),
                                 *((*_louvain(v), LOUVAIN_REPEATS[v]) for v in LOUVAIN_VARIANTS),
-                                ("fastgreedy - -", _fastgreedy, (20, 4, 1)))),
+                                (functools.partial(records.key, "fastgreedy"), _fastgreedy, (20, 4, 1)))),
     (_sparse(100, 200, 400, 1600), AGGLOMERATIVE),
     ([(300, 0.5)], DENSE),
-    (_sparse(100, 200, 400), (("girvan_newman 10 -", _girvan_newman, (1, 1, 1)),)),
+    (_sparse(100, 200, 400), ((functools.partial(records.key, "girvan_newman", option=10), _girvan_newman,
+                               (1, 1, 1)),)),
 ]
-CELLS = [(f"{key} random:{n},{p},1", n, p, run, repeats[k])
+CELLS = [(key(records.random_name(n, p, 1)), n, p, run, repeats[k])
          for graphs, runs in LADDER for k, (n, p) in enumerate(graphs) for key, run, repeats in runs]
 
 
